@@ -27,7 +27,6 @@ from .errors import (
     ParameterError,
 )
 from .inversion import (
-    CdfCache,
     InversionControl,
     asc_numeric,
     cdf_numeric,
@@ -41,10 +40,7 @@ from .montecarlo import (
     MCConfig,
     MCEstimate,
     PhysicalModel,
-    estimate_asc,
-    estimate_sop,
-    estimate_sopl,
-    estimate_spsc,
+    estimate,
     physical_model,
     sample_snr,
 )
@@ -84,10 +80,9 @@ __all__ = [
     "link_expansion", "pdf_case2", "cdf_case2", "asc_case2", "sop_case2",
     "sopl_case2", "spsc_case2",
     "InversionControl", "mgf", "pdf_numeric", "cdf_numeric", "asc_numeric",
-    "sop_numeric", "sopl_numeric", "spsc_numeric", "CdfCache",
+    "sop_numeric", "sopl_numeric", "spsc_numeric",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",
-    "sample_snr", "estimate_asc", "estimate_sop", "estimate_sopl",
-    "estimate_spsc",
+    "sample_snr", "estimate",
     "FbsecError", "ParameterError", "DomainError", "CaseMismatchError",
     "ConvergenceError", "InversionInstabilityError",
 ]

@@ -1,35 +1,25 @@
-"""Hot numeric kernels: contour-sum evaluation of the inverse transform.
-
-Two interchangeable implementations of the same kernel live here: a
-numba-compiled loop (default when numba imports cleanly) and a pure-numpy
-broadcast version.  Selection is by the ``FBSEC_BACKEND`` environment
-variable: ``numba``, ``numpy`` or ``auto`` (default).  ``benchmarks/``
-contains a script comparing the two.
+"""Hot numeric kernel: contour-sum evaluation of the inverse transform.
 
 The kernel evaluates, for each abscissa t in ``ts``,
 
     (lam / (M t)) * sum_k Re[ w_k * exp(L(s_k)) ],    s_k = base_k / t,
 
-where L is the log of the rational-power transform.  L is assembled from
-two factor kinds: regular factors contribute ``-a_j * log(s + x_j)``;
-"stiff pairs" (a huge exponent c_j on a rate sitting delta_j away from a
-near-cancelling partner, as produced by the no-shadowing surrogates with
-m ~ 1e6) contribute ``-c_j * log1p(delta_j / (s + x_j))``, which avoids
+as one numpy broadcast over abscissae and contour nodes.  L is the log
+of the rational-power transform, assembled from two factor kinds:
+regular factors contribute ``-a_j * log(s + x_j)``; "stiff pairs" (a huge
+exponent c_j on a rate sitting delta_j away from a near-cancelling
+partner, as produced by the no-shadowing surrogates with m ~ 1e6)
+contribute ``-c_j * log1p(delta_j / (s + x_j))``, which avoids
 multiplying rounding errors of O(ulp) logs by c_j.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["talbot_sum", "contour_nodes", "backend_name", "NUMBA_AVAILABLE"]
-
-_ENV = os.environ.get("FBSEC_BACKEND", "auto").lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValueError(f"FBSEC_BACKEND must be auto|numba|numpy, got {_ENV!r}")
+__all__ = ["talbot_sum", "contour_nodes", "log_transform"]
 
 
 def contour_nodes(n_nodes: int, lam: float):
@@ -52,14 +42,8 @@ def contour_nodes(n_nodes: int, lam: float):
     return base, w
 
 
-def _log1p_c(w):
-    # complex log1p: series below the rounding knee, plain log above
-    if abs(w) < 1e-4:
-        return w * (1.0 - w * (0.5 - w * (1.0 / 3.0 - w * 0.25)))
-    return np.log(1.0 + w)
-
-
-def _log_transform_numpy(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow):
+def log_transform(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow):
+    """Log of the transform divided by s**s_pow, elementwise over the complex array ``s``."""
     ln = np.full(s.shape, complex(ln_omega), dtype=np.complex128)
     for p, a in zip(poles, exps):
         ln -= a * np.log(s + p)
@@ -76,71 +60,10 @@ def _log_transform_numpy(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega
     return ln
 
 
-def _talbot_sum_numpy(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
+def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
+    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution)."""
     ts = np.asarray(ts, dtype=np.float64)
     s = base[None, :] / ts[:, None]
-    ln = _log_transform_numpy(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow)
+    ln = log_transform(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow)
     m = len(base)
     return (np.exp(ln) * w[None, :]).real.sum(axis=1) * lam / (m * ts)
-
-
-NUMBA_AVAILABLE = False
-_talbot_sum_numba = None
-if _ENV in ("auto", "numba"):
-    try:
-        import numba as _nb
-
-        @_nb.njit(cache=True)
-        def _talbot_sum_numba(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef,
-                              ln_omega, s_pow, lam):  # pragma: no cover
-            m = len(base)
-            out = np.empty(len(ts))
-            for i in range(len(ts)):
-                t = ts[i]
-                acc = 0.0
-                for k in range(m):
-                    s = base[k] / t
-                    ln = complex(ln_omega, 0.0)
-                    for j in range(len(poles)):
-                        ln -= exps[j] * np.log(s + poles[j])
-                    for j in range(len(pair_x)):
-                        z = pair_delta[j] / (s + pair_x[j])
-                        if abs(z) < 1e-4:
-                            lz = z * (1.0 - z * (0.5 - z * (1.0 / 3.0 - z * 0.25)))
-                        else:
-                            lz = np.log(1.0 + z)
-                        ln -= pair_coef[j] * lz
-                    if s_pow != 0.0:
-                        ln -= s_pow * np.log(s)
-                    acc += (w[k] * np.exp(ln)).real
-                out[i] = acc * lam / (m * t)
-            return out
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _ENV == "numba":
-            raise
-
-
-def backend_name() -> str:
-    return "numba" if (NUMBA_AVAILABLE and _ENV != "numpy") else "numpy"
-
-
-def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
-    """Dispatch to the active backend; all array args must be contiguous."""
-    ts = np.ascontiguousarray(ts, dtype=np.float64)
-    args = (
-        np.ascontiguousarray(base),
-        np.ascontiguousarray(w),
-        np.ascontiguousarray(poles, dtype=np.complex128),
-        np.ascontiguousarray(exps, dtype=np.float64),
-        np.ascontiguousarray(pair_x, dtype=np.complex128),
-        np.ascontiguousarray(pair_delta, dtype=np.complex128),
-        np.ascontiguousarray(pair_coef, dtype=np.float64),
-        float(ln_omega),
-        float(s_pow),
-        float(lam),
-    )
-    if backend_name() == "numba":
-        return _talbot_sum_numba(ts, *args)
-    return _talbot_sum_numpy(ts, *args)

@@ -24,7 +24,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import casetwo, inversion, montecarlo
 from .casetwo import SecrecyConfig, link_expansion
@@ -195,8 +194,9 @@ def cmd_eval(args) -> int:
 def _sweep_rows(args, bob, eve, wanted, ctrl):
     n_steps = int(math.floor((args.stop_db - args.start_db) / args.step_db + 1e-9)) + 1
     eve_db = 10.0 * math.log10(eve.avg_snr)
-
-    def one_row(i: int) -> dict:
+    scfg = SecrecyConfig(rate_rs=args.rs)
+    rows = []
+    for i in range(n_steps):
         x_db = args.start_db + i * args.step_db
         if args.axis == "lambda_db":
             bob_i = bob.with_snr(db_to_linear(eve_db + x_db))
@@ -207,20 +207,15 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
         row = {"x_db": x_db, **{k: vals[k] for k in wanted}}
         if args.mc_samples:
             cfg = MCConfig(n_samples=args.mc_samples, seed=args.seed + i, n_streams=args.mc_streams)
-            scfg = SecrecyConfig(rate_rs=args.rs)
+            mc = montecarlo.estimate(bob_i, eve, scfg, cfg)
             for name in wanted:
-                est = _mc_metric(name, bob_i, eve, scfg, cfg)
+                est = mc[name]
                 mean = est.mean / LN2 if (name == "asc" and args.units == "bits") else est.mean
                 se = est.std_error / LN2 if (name == "asc" and args.units == "bits") else est.std_error
                 row[f"mc_mean_{name}"] = mean
                 row[f"mc_se_{name}"] = se
-        return row
-
-    # abscissae are independent; map preserves order so output is stable
-    if n_steps > 1:
-        with ThreadPoolExecutor(max_workers=min(4, n_steps)) as pool:
-            return list(pool.map(one_row, range(n_steps)))
-    return [one_row(i) for i in range(n_steps)]
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -245,16 +240,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _mc_metric(name, bob, eve, scfg, cfg):
-    if name == "asc":
-        return montecarlo.estimate_asc(bob, eve, cfg)
-    if name == "sop":
-        return montecarlo.estimate_sop(bob, eve, scfg, cfg)
-    if name == "sopl":
-        return montecarlo.estimate_sopl(bob, eve, scfg, cfg)
-    return montecarlo.estimate_spsc(bob, eve, cfg)
-
-
 def cmd_validate(args) -> int:
     bob, eve = _links_from_args(args)
     ctrl = _control(args)
@@ -266,7 +251,7 @@ def cmd_validate(args) -> int:
         closed = _closed_metrics(bob, eve, scfg, METRICS)
     except (CaseMismatchError, ConvergenceError):
         closed = None
-    mc = {name: _mc_metric(name, bob, eve, scfg, cfg) for name in METRICS}
+    mc = montecarlo.estimate(bob, eve, scfg, cfg)
 
     comparisons = []
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from . import _kernels
 from .casetwo import SecrecyConfig
@@ -41,7 +40,6 @@ __all__ = [
     "sop_numeric",
     "sopl_numeric",
     "spsc_numeric",
-    "CdfCache",
 ]
 
 _LAM_CAP = 10.0
@@ -134,7 +132,7 @@ def mgf(dp: DerivedParams, avg_snr: float, s):
     """
     factors = _stable_factors(dp, avg_snr)
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    ln = _kernels._log_transform_numpy(s_arr, *factors, dp.ln_omega, 0.0)
+    ln = _kernels.log_transform(s_arr, *factors, dp.ln_omega, 0.0)
     out = np.exp(ln)
     return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
@@ -213,7 +211,7 @@ class _Inverter:
         for frac in (0.3, 0.5, 0.7, 0.9):
             t = frac * x_min
             s = np.array([complex(-t)])
-            ln_m = _kernels._log_transform_numpy(s, *self.factors, self.ln_omega, 0.0)[0].real
+            ln_m = _kernels.log_transform(s, *self.factors, self.ln_omega, 0.0)[0].real
             best = min(best, (ln_m - math.log(eps)) / t)
         return float(max(best, 10.0 * self.avg_snr))
 
@@ -316,25 +314,17 @@ def asc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = No
 
 
 def sop_numeric(
-    bob: FBParams,
-    eve: FBParams,
-    cfg: SecrecyConfig,
-    ctrl: InversionControl | None = None,
-    cdf_cache: "CdfCache | None" = None,
+    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, ctrl: InversionControl | None = None
 ) -> float:
     """Secrecy outage probability by quadrature over the eavesdropper law."""
-    return _outage(bob, eve, cfg.theta, shift=True, ctrl=ctrl, cdf_cache=cdf_cache)
+    return _outage(bob, eve, cfg.theta, shift=True, ctrl=ctrl)
 
 
 def sopl_numeric(
-    bob: FBParams,
-    eve: FBParams,
-    cfg: SecrecyConfig,
-    ctrl: InversionControl | None = None,
-    cdf_cache: "CdfCache | None" = None,
+    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, ctrl: InversionControl | None = None
 ) -> float:
     """Lower bound of the outage probability (threshold shift dropped)."""
-    return _outage(bob, eve, cfg.theta, shift=False, ctrl=ctrl, cdf_cache=cdf_cache)
+    return _outage(bob, eve, cfg.theta, shift=False, ctrl=ctrl)
 
 
 def spsc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = None) -> float:
@@ -342,53 +332,17 @@ def spsc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = N
     return 1.0 - sopl_numeric(bob, eve, SecrecyConfig(rate_rs=0.0), ctrl)
 
 
-def _outage(bob, eve, theta, shift, ctrl, cdf_cache=None):
+def _outage(bob, eve, theta, shift, ctrl):
     ctrl = ctrl or InversionControl()
     inv_d, inv_e = _links(bob, eve, ctrl)
     upper = inv_e.upper_limit(ctrl.tail_cutoff_prob)
     off = theta - 1.0 if shift else 0.0
-    f_d = cdf_cache if cdf_cache is not None else (lambda x: float(inv_d.cdf(x)[0]))
 
     def integrand(g):
-        return f_d(theta * g + off) * float(inv_e.pdf(g)[0])
+        return float(inv_d.cdf(theta * g + off)[0]) * float(inv_e.pdf(g)[0])
 
     hi = math.log1p(upper)
     marks = _interior_marks((bob.avg_snr, eve.avg_snr), hi)
     val, _ = _quad(_log_substituted(integrand), 0.0, hi, ctrl, points=marks)
     return min(1.0, max(0.0, val))
 
-
-class CdfCache:
-    """Monotone-cubic interpolant of one link's distribution function.
-
-    Optional accelerator for sweeps that evaluate the same distribution at
-    many shifted arguments.  Knots are geometrically clustered near the
-    origin; the fit is checked against direct inversion at off-knot points
-    and construction fails if the error budget (1e-7) is exceeded.
-    Evaluations beyond the last knot return 1 (the knot span already covers
-    all but ``tail_cutoff_prob`` of the mass).
-    """
-
-    n_knots = 2048
-    check_tol = 1e-7
-
-    def __init__(self, dp: DerivedParams, avg_snr: float, ctrl: InversionControl | None = None):
-        ctrl = ctrl or InversionControl()
-        inv = _Inverter(dp, avg_snr, ctrl)
-        inv.probe_check()
-        upper = inv.upper_limit(ctrl.tail_cutoff_prob)
-        u = np.linspace(0.0, math.log1p(upper), self.n_knots)
-        knots = np.expm1(u)
-        vals = np.concatenate(([0.0], inv.cdf(knots[1:])))
-        self._upper = upper
-        self._interp = PchipInterpolator(knots, vals, extrapolate=False)
-        mid = 0.5 * (knots[1:-1:97] + knots[2::97])
-        err = np.max(np.abs(self._interp(mid) - inv.cdf(mid)))
-        if err > self.check_tol:
-            raise ConvergenceError(f"cdf cache error {err:.2e} exceeds {self.check_tol:g}")
-
-    def __call__(self, g):
-        g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-        out = np.where(g_arr >= self._upper, 1.0, self._interp(np.minimum(g_arr, self._upper)))
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if np.isscalar(g) or np.asarray(g).ndim == 0 else out

@@ -11,17 +11,19 @@ drawn through the Poisson-mixture representation
 which supports any real number of clusters.  The draw is normalised by the
 mean received power, so E[snr] = avg_snr by construction.
 
+One sampling pass feeds all four metrics: each (g_D, g_E) chunk is drawn
+once and every statistic is accumulated from it.
+
 Reproducibility contract: estimates are bit-exact for a fixed
-(seed, n_streams, n_samples) regardless of worker count.  Each stream is a
-counter-based generator keyed by (seed, stream index, link role) with a
-private 2^128 counter block, streams are processed in fixed-size chunks,
-and partial sums combine over streams by a fixed-shape pairwise tree.
+(seed, n_streams, n_samples).  Each stream is a counter-based generator
+keyed by (seed, stream index, link role) with a private 2^128 counter
+block, streams are processed in fixed-size chunks, and partial sums
+combine over streams by a fixed-shape pairwise tree.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +38,7 @@ __all__ = [
     "PhysicalModel",
     "physical_model",
     "sample_snr",
-    "estimate_asc",
-    "estimate_sop",
-    "estimate_sopl",
-    "estimate_spsc",
+    "estimate",
 ]
 
 _CHUNK = 1 << 19
@@ -120,83 +119,54 @@ def _pairwise(values: list[float]) -> float:
     return values[0]
 
 
-def _run_streams(bob: FBParams, eve: FBParams, cfg: MCConfig, chunk_stat, workers: int | None):
-    """Accumulate (sum, sumsq) of a per-sample statistic across streams."""
-    model_d, model_e = physical_model(bob), physical_model(eve)
-    lengths = _stream_lengths(cfg.n_samples, cfg.n_streams)
+def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCConfig) -> dict[str, MCEstimate]:
+    """Estimates of ``asc``, ``sop``, ``sopl`` and ``spsc`` from one sampling pass.
 
-    def one_stream(idx: int):
+    ASC is the mean positive capacity gap E[(ln(1+g_D) - ln(1+g_E))^+].  SOP
+    is P(g_D < theta*g_E + theta - 1) and SOP^L drops the shift.  SPSC is
+    the complement of SOP^L at theta 1, P(g_D >= g_E), and shares its
+    standard error.
+    """
+    model_d, model_e = physical_model(bob), physical_model(eve)
+    theta = secrecy_cfg.theta
+
+    def one_stream(idx: int, length: int) -> list[float]:
+        # capacity-gap sum and sum of squares, then the SOP, SOP^L and
+        # theta-1 SOP^L event counts
         rng_d = _stream_rng(cfg.seed, idx, 0)
         rng_e = _stream_rng(cfg.seed, idx, 1)
-        total = 0.0
-        total_sq = 0.0
-        left = lengths[idx]
+        sums = [0.0] * 5
+        left = length
         while left > 0:
             take = min(_CHUNK, left)
             gd = sample_snr(bob, model_d, rng_d, size=take)
             ge = sample_snr(eve, model_e, rng_e, size=take)
-            w = chunk_stat(gd, ge)
-            total += float(np.sum(w))
-            total_sq += float(np.sum(w * w))
+            gap = np.log1p(gd) - np.log1p(ge)
+            np.maximum(gap, 0.0, out=gap)
+            sums[0] += float(np.sum(gap))
+            sums[1] += float(np.sum(gap * gap))
+            sums[2] += float(np.count_nonzero(gd < theta * ge + (theta - 1.0)))
+            sums[3] += float(np.count_nonzero(gd < theta * ge))
+            sums[4] += float(np.count_nonzero(gd < ge))
             left -= take
-        return total, total_sq
+        return sums
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_stream, range(cfg.n_streams)))
-    else:
-        parts = [one_stream(i) for i in range(cfg.n_streams)]
-    s = _pairwise([p[0] for p in parts])
-    s2 = _pairwise([p[1] for p in parts])
+    parts = [one_stream(i, length) for i, length in enumerate(_stream_lengths(cfg.n_samples, cfg.n_streams))]
+    gap_sum, gap_sq, sop_hits, sopl_hits, low_hits = (_pairwise([p[k] for p in parts]) for k in range(5))
     n = cfg.n_samples
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
 
+    def result(mean: float, se: float) -> MCEstimate:
+        return MCEstimate(mean=mean, std_error=se, n=n, seed=cfg.seed)
 
-def estimate_asc(bob: FBParams, eve: FBParams, cfg: MCConfig, workers: int | None = None) -> MCEstimate:
-    """Mean positive capacity gap E[(ln(1+g_D) - ln(1+g_E))^+]."""
+    def probability(hits: float) -> MCEstimate:
+        mean = hits / n
+        return result(mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n))
 
-    def stat(gd, ge):
-        w = np.log1p(gd) - np.log1p(ge)
-        np.maximum(w, 0.0, out=w)
-        return w
-
-    mean, se = _run_streams(bob, eve, cfg, stat, workers)
-    return MCEstimate(mean=mean, std_error=se, n=cfg.n_samples, seed=cfg.seed)
-
-
-def _indicator_estimate(bob, eve, cfg, event, workers) -> MCEstimate:
-    mean, _ = _run_streams(bob, eve, cfg, event, workers)
-    se = math.sqrt(max(mean * (1.0 - mean), 0.0) / cfg.n_samples)
-    return MCEstimate(mean=mean, std_error=se, n=cfg.n_samples, seed=cfg.seed)
-
-
-def estimate_sop(
-    bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCConfig, workers: int | None = None
-) -> MCEstimate:
-    """Probability of the outage event g_D < theta*g_E + theta - 1."""
-    theta = secrecy_cfg.theta
-
-    def event(gd, ge):
-        return (gd < theta * ge + (theta - 1.0)).astype(np.float64)
-
-    return _indicator_estimate(bob, eve, cfg, event, workers)
-
-
-def estimate_sopl(
-    bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCConfig, workers: int | None = None
-) -> MCEstimate:
-    """Probability of the unshifted event g_D < theta*g_E."""
-    theta = secrecy_cfg.theta
-
-    def event(gd, ge):
-        return (gd < theta * ge).astype(np.float64)
-
-    return _indicator_estimate(bob, eve, cfg, event, workers)
-
-
-def estimate_spsc(bob: FBParams, eve: FBParams, cfg: MCConfig, workers: int | None = None) -> MCEstimate:
-    """Probability of a strictly positive capacity gap (complement at theta 1)."""
-    low = estimate_sopl(bob, eve, SecrecyConfig(rate_rs=0.0), cfg, workers)
-    return MCEstimate(mean=1.0 - low.mean, std_error=low.std_error, n=low.n, seed=low.seed)
+    asc_mean = gap_sum / n
+    low = probability(low_hits)
+    return {
+        "asc": result(asc_mean, math.sqrt(max(gap_sq / n - asc_mean * asc_mean, 0.0) / n)),
+        "sop": probability(sop_hits),
+        "sopl": probability(sopl_hits),
+        "spsc": result(1.0 - low.mean, low.std_error),
+    }

@@ -26,10 +26,7 @@ from fbsec import (
     cdf_case2,
     cdf_numeric,
     derive,
-    estimate_asc,
-    estimate_sop,
-    estimate_sopl,
-    estimate_spsc,
+    estimate,
     link_expansion,
     pdf_case2,
     physical_model,
@@ -59,7 +56,7 @@ def numeric_then_mc_anchor(bob, eve, anchor, seed):
     val = asc_numeric(bob, eve)
     t_numeric = time.monotonic() - t0
     t0 = time.monotonic()
-    est = estimate_asc(bob, eve, MCConfig(n_samples=10_000_000, seed=seed))
+    est = estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=10_000_000, seed=seed))["asc"]
     t_mc = time.monotonic() - t0
     ok = (
         abs(val - anchor) <= 0.03 * anchor
@@ -131,12 +128,7 @@ def test_criterion_3_closed_form_exactness():
             worst_rel = max(worst_rel, rel)
             assert rel < 1e-6, (k, bob, eve, rs, closed[k], numeric[k])
         mc_cfg = MCConfig(n_samples=1_000_000, seed=33100 + i)
-        ests = {
-            "asc": estimate_asc(bob, eve, mc_cfg),
-            "sop": estimate_sop(bob, eve, cfg, mc_cfg),
-            "sopl": estimate_sopl(bob, eve, cfg, mc_cfg),
-            "spsc": estimate_spsc(bob, eve, mc_cfg),
-        }
+        ests = estimate(bob, eve, cfg, mc_cfg)
         for k, est in ests.items():
             # 5/n covers the Poisson zero-count band when the event (or the
             # positive capacity gap) is too rare for n samples to see

@@ -182,7 +182,7 @@ class TestMetrics:
         bob = fbsec.from_nakagami(2.0, 1.0)
         eve = fbsec.from_nakagami(2.0, 1.0)
         closed = asc_case2(link_expansion(bob), link_expansion(eve))
-        est = fbsec.estimate_asc(bob, eve, MCConfig(n_samples=10_000_000, seed=31))
+        est = fbsec.estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=10_000_000, seed=31))["asc"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
     def test_asc_high_snr_scaling(self):
@@ -209,7 +209,7 @@ class TestMetrics:
         cfg = SecrecyConfig(1.0)
         closed = sop_case2(eb, ee, cfg)
         assert closed == pytest.approx(quad_sop(eb, ee, cfg.theta, 400.0), rel=1e-9)
-        est = fbsec.estimate_sop(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=77))
+        est = fbsec.estimate(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=77))["sop"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
     def test_sop_saturates_at_large_rate(self):
@@ -232,7 +232,7 @@ class TestMetrics:
         eve = FBParams(4, 1, 2.0, 1.5, 3.0, 10**0.2)
         cfg = SecrecyConfig(1.0)
         closed = sopl_case2(link_expansion(bob), link_expansion(eve), cfg)
-        est = fbsec.estimate_sopl(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=13))
+        est = fbsec.estimate(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=13))["sopl"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
     def test_spsc_identical_links(self):

@@ -28,7 +28,7 @@ from fbsec import (
 )
 from fbsec import _kernels
 from fbsec.errors import DomainError, InversionInstabilityError, ParameterError
-from fbsec.inversion import CdfCache, _Inverter
+from fbsec.inversion import _Inverter
 
 from conftest import draw_params, EVE_REFERENCE
 
@@ -239,33 +239,3 @@ class TestPhi24AgainstInversion:
         )[0]
         assert series == pytest.approx(val, rel=1e-8)
 
-
-class TestCdfCache:
-    def test_cache_accuracy_and_usage(self):
-        p = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**1.5)
-        dp = derive(p)
-        cache = CdfCache(dp, p.avg_snr)
-        g = np.linspace(0.01, 20 * p.avg_snr, 257)
-        direct = cdf_numeric(dp, p.avg_snr, g)
-        assert np.max(np.abs(cache(g) - direct)) < 2e-7
-        assert cache(1e9) == 1.0
-        eve = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**0.7)
-        cfg = SecrecyConfig(1.0)
-        fast = sop_numeric(p, eve, cfg, cdf_cache=cache)
-        slow = sop_numeric(p, eve, cfg)
-        assert fast == pytest.approx(slow, abs=5e-7)
-
-
-class TestBackends:
-    def test_numpy_matches_active_backend(self):
-        p = EVE_REFERENCE
-        dp = derive(p)
-        inv = _Inverter(dp, p.avg_snr, InversionControl())
-        g = np.linspace(0.1, 8.0, 50)
-        active = _kernels.talbot_sum(g, inv.base, inv.w, *inv.factors, inv.ln_omega, 0.0, inv.lam)
-        reference = _kernels._talbot_sum_numpy(
-            g, inv.base, inv.w, *inv.factors, inv.ln_omega, 0.0, inv.lam
-        )
-        # summation order differs between the loop and the broadcast path,
-        # so agreement is to the contour sum's own rounding floor
-        assert np.max(np.abs(active - reference)) < 1e-10

@@ -12,10 +12,7 @@ from fbsec import (
     MCConfig,
     SecrecyConfig,
     asc_case2,
-    estimate_asc,
-    estimate_sop,
-    estimate_sopl,
-    estimate_spsc,
+    estimate,
     link_expansion,
     physical_model,
     sample_snr,
@@ -93,7 +90,7 @@ class TestSampler:
 class TestEstimators:
     def test_identical_links_sop_half(self):
         p = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10.0)
-        est = estimate_sop(p, p, SecrecyConfig(0.0), MCConfig(n_samples=1_000_000, seed=3))
+        est = estimate(p, p, SecrecyConfig(0.0), MCConfig(n_samples=1_000_000, seed=3))["sop"]
         assert abs(est.mean - 0.5) < 3 * est.std_error
 
     def test_case2_pair_brackets_closed_forms(self):
@@ -102,11 +99,12 @@ class TestEstimators:
         eb, ee = link_expansion(bob), link_expansion(eve)
         cfg = MCConfig(n_samples=1_000_000, seed=17)
         scfg = SecrecyConfig(1.0)
+        ests = estimate(bob, eve, scfg, cfg)
         checks = [
-            (estimate_asc(bob, eve, cfg), asc_case2(eb, ee)),
-            (estimate_sop(bob, eve, scfg, cfg), fbsec.sop_case2(eb, ee, scfg)),
-            (estimate_sopl(bob, eve, scfg, cfg), fbsec.sopl_case2(eb, ee, scfg)),
-            (estimate_spsc(bob, eve, cfg), fbsec.spsc_case2(eb, ee)),
+            (ests["asc"], asc_case2(eb, ee)),
+            (ests["sop"], fbsec.sop_case2(eb, ee, scfg)),
+            (ests["sopl"], fbsec.sopl_case2(eb, ee, scfg)),
+            (ests["spsc"], fbsec.spsc_case2(eb, ee)),
         ]
         for est, closed in checks:
             assert abs(est.mean - closed) < 3 * est.std_error + 1e-9
@@ -114,7 +112,7 @@ class TestEstimators:
     def test_positive_part_identity_matches_quadrature(self):
         bob = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**1.5)
         eve = FBParams(1.5, 1.5, 1.0, 0.1, 0.1, 10**0.5)
-        est = estimate_asc(bob, eve, MCConfig(n_samples=2_000_000, seed=29))
+        est = estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=2_000_000, seed=29))["asc"]
         numeric = fbsec.asc_numeric(bob, eve)
         assert abs(est.mean - numeric) < 3 * est.std_error
 
@@ -122,40 +120,38 @@ class TestEstimators:
         # both links mu=2.5 m=1.5 kappa=3 eta=0.5 rho2=0.2; 15 dB vs 7 dB
         bob = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**1.5)
         eve = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**0.7)
-        est = estimate_asc(bob, eve, MCConfig(n_samples=1_000_000, seed=41))
+        est = estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=1_000_000, seed=41))["asc"]
         tol = max(3 * est.std_error, 0.03 * 1.598)
         assert abs(est.mean - 1.598) < tol
 
     def test_spsc_is_complement_of_lower_bound(self):
+        # all four metrics come from the same samples, so these relations
+        # hold exactly, not only within sampling error
         p = FBParams(2, 1, 1.0, 0.5, 0.5, 10.0)
         q = FBParams(2, 1, 0.5, 2.0, 1.0, 3.0)
         cfg = MCConfig(n_samples=200_000, seed=9)
-        low = estimate_sopl(p, q, SecrecyConfig(0.0), cfg)
-        pos = estimate_spsc(p, q, cfg)
-        assert pos.mean == pytest.approx(1.0 - low.mean, abs=1e-15)
+        at_zero = estimate(p, q, SecrecyConfig(0.0), cfg)
+        low, pos = at_zero["sopl"], at_zero["spsc"]
+        assert pos.mean == 1.0 - low.mean
         assert pos.std_error == low.std_error
+        assert at_zero["sop"].mean == low.mean
+        at_one = estimate(p, q, SecrecyConfig(1.0), cfg)
+        assert at_one["sopl"].mean <= at_one["sop"].mean
 
 
 class TestReproducibility:
     def test_bit_exact_repeat(self):
         cfg = MCConfig(n_samples=100_000, seed=123, n_streams=4)
         bob, eve = EVE_REFERENCE, EVE_REFERENCE.with_snr(1.0)
-        a = estimate_asc(bob, eve, cfg)
-        b = estimate_asc(bob, eve, cfg)
+        a = estimate(bob, eve, SecrecyConfig(0.0), cfg)["asc"]
+        b = estimate(bob, eve, SecrecyConfig(0.0), cfg)["asc"]
         assert a.mean == b.mean and a.std_error == b.std_error
-
-    def test_worker_count_invariance(self):
-        cfg = MCConfig(n_samples=100_000, seed=123, n_streams=4)
-        bob, eve = EVE_REFERENCE, EVE_REFERENCE.with_snr(1.0)
-        serial = estimate_sop(bob, eve, SecrecyConfig(1.0), cfg, workers=1)
-        threaded = estimate_sop(bob, eve, SecrecyConfig(1.0), cfg, workers=4)
-        assert serial.mean == threaded.mean
-        assert serial.std_error == threaded.std_error
 
     def test_stream_layout_changes_draws_but_seed_pins_them(self):
         bob, eve = EVE_REFERENCE, EVE_REFERENCE.with_snr(1.0)
-        one = estimate_asc(bob, eve, MCConfig(n_samples=50_000, seed=7, n_streams=1))
-        four = estimate_asc(bob, eve, MCConfig(n_samples=50_000, seed=7, n_streams=4))
-        again = estimate_asc(bob, eve, MCConfig(n_samples=50_000, seed=7, n_streams=4))
+        scfg = SecrecyConfig(0.0)
+        one = estimate(bob, eve, scfg, MCConfig(n_samples=50_000, seed=7, n_streams=1))["asc"]
+        four = estimate(bob, eve, scfg, MCConfig(n_samples=50_000, seed=7, n_streams=4))["asc"]
+        again = estimate(bob, eve, scfg, MCConfig(n_samples=50_000, seed=7, n_streams=4))["asc"]
         assert four.mean == again.mean
         assert one.mean != four.mean  # layout is part of the contract
