@@ -19,6 +19,7 @@ from .casetwo import (
     spsc_case2,
 )
 from .errors import (
+    AccuracyWarning,
     CaseMismatchError,
     ConvergenceError,
     DomainError,
@@ -31,6 +32,7 @@ from .inversion import (
     asc_numeric,
     cdf_numeric,
     mgf,
+    numeric_metrics,
     pdf_numeric,
     sop_numeric,
     sopl_numeric,
@@ -80,7 +82,7 @@ __all__ = [
     "link_expansion", "pdf_case2", "cdf_case2", "asc_case2", "sop_case2",
     "sopl_case2", "spsc_case2",
     "InversionControl", "mgf", "pdf_numeric", "cdf_numeric", "asc_numeric",
-    "sop_numeric", "sopl_numeric", "spsc_numeric",
+    "sop_numeric", "sopl_numeric", "spsc_numeric", "numeric_metrics",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",
     "sample_snr", "estimate",
     "FbsecError", "ParameterError", "DomainError", "CaseMismatchError",

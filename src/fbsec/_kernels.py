@@ -4,7 +4,7 @@ The kernel evaluates, for each abscissa t in ``ts``,
 
     (lam / (M t)) * sum_k Re[ w_k * exp(L(s_k)) ],    s_k = base_k / t,
 
-as one numpy broadcast over abscissae and contour nodes.  L is the log
+as numpy broadcasts over contour nodes and batches of abscissae.  L is the log
 of the rational-power transform, assembled from two factor kinds:
 regular factors contribute ``-a_j * log(s + x_j)``; "stiff pairs" (a huge
 exponent c_j on a rate sitting delta_j away from a near-cancelling
@@ -60,10 +60,25 @@ def log_transform(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow
     return ln
 
 
-def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
-    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution)."""
+_BATCH = 1024  # abscissae per broadcast: bounds the (batch x nodes) complex temporaries
+
+
+def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam,
+               joint=False):
+    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution).
+
+    With ``joint`` the sum is also taken with one more power of ``1/s`` from
+    the same transform values, and the two rows come back stacked as a
+    ``(2, len(ts))`` array: density and distribution for one ``exp`` per node.
+    """
     ts = np.asarray(ts, dtype=np.float64)
-    s = base[None, :] / ts[:, None]
-    ln = log_transform(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow)
-    m = len(base)
-    return (np.exp(ln) * w[None, :]).real.sum(axis=1) * lam / (m * ts)
+    out = np.empty((2 if joint else 1, ts.size))
+    for lo in range(0, ts.size, _BATCH):
+        s = base[None, :] / ts[lo:lo + _BATCH, None]
+        terms = np.exp(log_transform(s, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow))
+        terms *= w[None, :]
+        out[0, lo:lo + _BATCH] = terms.real.sum(axis=1)
+        if joint:
+            out[1, lo:lo + _BATCH] = (terms / s).real.sum(axis=1)
+    out *= lam / (len(base) * ts)
+    return out if joint else out[0]

@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 from . import casetwo, inversion, montecarlo
 from .casetwo import SecrecyConfig, link_expansion
@@ -123,33 +124,21 @@ def _closed_metrics(bob, eve, cfg, wanted):
     return vals
 
 
-def _numeric_metrics(bob, eve, cfg, wanted, ctrl):
-    vals = {}
-    for name in wanted:
-        if name == "asc":
-            vals[name] = inversion.asc_numeric(bob, eve, ctrl)
-        elif name == "sop":
-            vals[name] = inversion.sop_numeric(bob, eve, cfg, ctrl)
-        elif name == "sopl":
-            vals[name] = inversion.sopl_numeric(bob, eve, cfg, ctrl)
-        else:
-            vals[name] = inversion.spsc_numeric(bob, eve, ctrl)
-    return vals
-
-
 def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
     """Closed form when both links support it, numeric otherwise.
 
     The closed path is attempted whenever the expansions exist (net integer
     exponents after pole merging, which covers slightly more than the plain
     mu-even/m-integer test), and falls back on any numerical failure there.
+    Returns (values, path, achieved quadrature errors or None).
     """
     cfg = SecrecyConfig(rate_rs=rate_rs)
     try:
-        return _closed_metrics(bob, eve, cfg, wanted), "case2"
+        return _closed_metrics(bob, eve, cfg, wanted), "case2", None
     except (CaseMismatchError, ConvergenceError):
         pass
-    return _numeric_metrics(bob, eve, cfg, wanted, ctrl), "numeric"
+    vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
+    return vals, "numeric", errs
 
 
 def _apply_units(vals: dict, units: str) -> dict:
@@ -174,7 +163,7 @@ def cmd_eval(args) -> int:
     bob, eve = _links_from_args(args)
     wanted = _metric_list(args.metric)
     ctrl = _control(args)
-    vals, path = _compute_metrics(bob, eve, args.rs, wanted, ctrl)
+    vals, path, errs = _compute_metrics(bob, eve, args.rs, wanted, ctrl)
     vals = _apply_units(vals, args.units)
     record = dict(vals)
     record["path"] = path
@@ -184,6 +173,7 @@ def cmd_eval(args) -> int:
         record["error_estimates"] = {
             "quad_rel_tol": ctrl.quad_rel_tol,
             "talbot_nodes": ctrl.talbot_nodes,
+            "achieved": _apply_units(errs, args.units),
         }
     else:
         record["error_estimates"] = {"reconstruction_rel_tol": 1e-9}
@@ -202,7 +192,7 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
             bob_i = bob.with_snr(db_to_linear(eve_db + x_db))
         else:
             bob_i = bob.with_snr(db_to_linear(x_db))
-        vals, _ = _compute_metrics(bob_i, eve, args.rs, wanted, ctrl)
+        vals, _, _ = _compute_metrics(bob_i, eve, args.rs, wanted, ctrl)
         vals = _apply_units(vals, args.units)
         row = {"x_db": x_db, **{k: vals[k] for k in wanted}}
         if args.mc_samples:
@@ -246,7 +236,7 @@ def cmd_validate(args) -> int:
     scfg = SecrecyConfig(rate_rs=args.rs)
     cfg = MCConfig(n_samples=args.mc_samples or 1_000_000, seed=args.seed, n_streams=args.mc_streams)
 
-    numeric = _numeric_metrics(bob, eve, scfg, METRICS, ctrl)
+    numeric, _ = inversion.numeric_metrics(bob, eve, scfg, ctrl)
     try:
         closed = _closed_metrics(bob, eve, scfg, METRICS)
     except (CaseMismatchError, ConvergenceError):
@@ -380,6 +370,10 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     return parser
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args, remaining = parser.parse_known_args(argv)
@@ -395,7 +389,9 @@ def main(argv=None) -> int:
             return 2
         args, _ = build_parser(defaults).parse_known_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

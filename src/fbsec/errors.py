@@ -39,3 +39,7 @@ class ConvergenceError(FbsecError):
 
 class InversionInstabilityError(FbsecError):
     """Two node counts of the transform inversion disagree materially."""
+
+
+class AccuracyWarning(UserWarning):
+    """A result is returned with less accuracy than the package's checks demand."""

@@ -48,6 +48,30 @@ class TestEval:
         assert rec["path"] == "numeric"
         assert "quad_rel_tol" in rec["error_estimates"]
 
+    def test_numeric_path_reports_achieved_error(self, capsys):
+        code, out, _ = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--rs", "1")
+        assert code == 0
+        rec = json.loads(out)
+        est = rec["error_estimates"]
+        assert set(est["achieved"]) == {"asc", "sop", "sopl", "spsc"}
+        for k, err in est["achieved"].items():
+            assert 0.0 <= err <= max(1e-12, est["quad_rel_tol"] * abs(rec[k]))
+
+    def test_noise_limited_result_is_marked(self, capsys):
+        # Eve's contour sums carry ~1e-6 noise: the outage values come with
+        # their larger achieved error and a warning; ASC alone meets the bar
+        bob = "mu=1,m=1e6,kappa=0,eta=1,rho2=1,snr_db=10"
+        eve = "mu=6,m=36,kappa=79.07358766145289,eta=98.10216046964295,rho2=0.38404651891648744,snr_db=10"
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", eve, "--rs", "1")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["path"] == "numeric"
+        assert rec["error_estimates"]["achieved"]["sop"] > 1e-6 * rec["sop"]
+        assert err.startswith("warning: limited by contour-sum noise: sop =")
+        code, _, err = run(capsys, "eval", "--bob", bob, "--eve", eve, "--metric", "asc")
+        assert code == 0
+        assert err == ""
+
     def test_units_bits(self, capsys):
         _, out_n, _ = run(capsys, "eval", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
                           "--metric", "asc")
@@ -203,7 +227,7 @@ class TestNumericalFailureExit:
         def boom(*a, **k):
             raise ConvergenceError("quadrature did not converge: synthetic")
 
-        monkeypatch.setattr("fbsec.cli.inversion.asc_numeric", boom)
+        monkeypatch.setattr("fbsec.cli.inversion.numeric_metrics", boom)
         code, _, err = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE,
                            "--metric", "asc")
         assert code == 3

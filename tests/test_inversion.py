@@ -1,6 +1,7 @@
 """Transform inversion and quadrature metrics against independent references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,16 @@ from fbsec import (
     spsc_numeric,
 )
 from fbsec import _kernels
-from fbsec.errors import DomainError, InversionInstabilityError, ParameterError
-from fbsec.inversion import _Inverter
+from fbsec.errors import (
+    AccuracyWarning,
+    ConvergenceError,
+    DomainError,
+    InversionInstabilityError,
+    ParameterError,
+)
+from fbsec.inversion import _Inverter, _adaptive_gk21, _gk21
 
-from conftest import draw_params, EVE_REFERENCE
+from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
 
 GAMMA_LINK = FBParams(2, 1, 0, 1, 1, 1)
 
@@ -213,13 +220,146 @@ class TestNumericMetrics:
         assert a == pytest.approx(b, rel=1e-5)
 
     def test_quadrature_non_convergence_reported(self):
-        from fbsec.errors import ConvergenceError
-        from fbsec.inversion import _quad
+        def spikes(x):
+            # narrow spike forest the 10-panel budget cannot resolve
+            return (np.sin(1e5 * x) / (1e-4 + np.abs(x - 0.5)))[None], np.zeros((1, len(x)))
 
-        ctrl = InversionControl(quad_max_subdiv=10)
         with pytest.raises(ConvergenceError, match="quadrature"):
-            # narrow spike forest the 10-interval budget cannot resolve
-            _quad(lambda u: math.sin(1e5 * u) / (1e-4 + abs(u - 0.5)), 0.0, 1.0, ctrl)
+            _adaptive_gk21(spikes, [0.0, 1.0], 1e-8, 10)
+
+    def test_small_outage_probability_converges(self):
+        # a small SOP (3.3e-5) on a link with noisy contour sums converges, not raises
+        bob = FBParams(mu=1.8933450165389007, m=17.963897117528898, kappa=3.3707583466806876,
+                       eta=65.90421204955531, rho2=0.947533815409728, avg_snr=19409.34218515452)
+        eve = FBParams(mu=0.17750350321743388, m=25.17139771285187, kappa=0.07183853607312338,
+                       eta=0.003513785046535817, rho2=5.199937347021686, avg_snr=53.623558470642394)
+        assert sop_numeric(bob, eve, SecrecyConfig(1.0)) == pytest.approx(3.347551e-05, rel=1e-5)
+
+    def test_asc_dominant_eavesdropper_cheap_and_stable(self, monkeypatch):
+        # the same lambda = -17.5 dB written two ways, down to the last bit of Bob's SNR
+        eve = FBParams(5.81, 4.32, 0.39, 10.99, 0.075, 10**2.2)
+        real_sum = _kernels.talbot_sum
+        abscissae = []
+
+        def counting(ts, *rest):
+            abscissae.append(np.size(ts))
+            return real_sum(ts, *rest)
+
+        monkeypatch.setattr("fbsec.inversion._kernels.talbot_sum", counting)
+        values = []
+        for snr in (10**2.2 * 10**-1.75, 10**0.45):
+            abscissae.clear()
+            values.append(asc_numeric(FBParams(3.28, 7.96, 0.39, 6.402, 1.194, snr), eve))
+            assert sum(abscissae) < 20_000
+        assert abs(values[0] - values[1]) < 1e-12
+
+
+    def test_noisy_link_against_exact_transform_reference(self):
+        # Eve's node-doubling probe disagrees by ~1e-6, next to the rejection bar.
+        # Against an exponential (Rayleigh) main link the outage metrics are
+        # transform values: P(g_D < theta g_E + c) = 1 - exp(-c/G_D) M_E(theta/G_D),
+        # and ASC = int_0^inf exp(-t) M_E(t + 1/G_D) / (t + 1/G_D) dt.
+        eve_link = FBParams(6.0, 36.0, 79.07358766145289, 98.10216046964295, 0.38404651891648744, 1.0)
+        cfg = SecrecyConfig(1.0)
+        for bob_db, eve_db, noisy in ((10, 10, True), (20, 10, True), (40, 5, False)):
+            bob, eve = fbsec.from_rayleigh(10 ** (bob_db / 10)), eve_link.with_snr(10 ** (eve_db / 10))
+            inv = _Inverter(derive(eve), eve.avg_snr, InversionControl())
+            inv.probe_check()
+            assert inv.noise > 5e-7
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values, errors = fbsec.numeric_metrics(bob, eve, cfg)
+            assert any(issubclass(w.category, AccuracyWarning) for w in caught) == noisy
+
+            def m_e(s):
+                return mgf(derive(eve), eve.avg_snr, s).real
+
+            rate = 1.0 / bob.avg_snr
+            asc, _ = integrate.quad(lambda t: math.exp(-t) * m_e(t + rate) / (t + rate), 0.0, np.inf,
+                                    epsabs=1e-14, epsrel=1e-12, limit=500)
+            exact = {
+                "asc": asc,
+                "sop": 1.0 - math.exp(-(cfg.theta - 1.0) * rate) * m_e(cfg.theta * rate),
+                "sopl": 1.0 - m_e(cfg.theta * rate),
+                "spsc": m_e(rate),
+            }
+            for k, ref in exact.items():
+                miss = abs(values[k] - ref)
+                # the achieved error bounds the actual one, which meets the criterion-3 bar
+                assert miss <= errors[k], (bob_db, eve_db, k)
+                assert miss <= 1e-6 * max(abs(ref), 1e-2), (bob_db, eve_db, k)
+
+    def test_metric_selection(self):
+        bob, eve = BOB_REFERENCE, EVE_REFERENCE
+        values, errors = fbsec.numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("asc",))
+        assert list(values) == list(errors) == ["asc"]
+        assert values["asc"] == asc_numeric(bob, eve)
+        with pytest.raises(ParameterError, match="metrics"):
+            fbsec.numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("capacity",))
+
+
+class TestIntegrator:
+    def test_gauss_kronrod_exact_to_degree_31(self):
+        degrees = np.arange(32)
+
+        def monomials(x):
+            vals = x[None, :] ** degrees[:, None]
+            return vals, np.zeros_like(vals)
+
+        val, _, _ = _gk21(np.array([0.0]), np.array([1.0]), monomials)
+        np.testing.assert_allclose(val[:, 0], 1.0 / (degrees + 1), rtol=1e-14)
+
+    def test_endpoint_singularity(self):
+        val, _ = _adaptive_gk21(lambda x: (x[None] ** -0.8, np.zeros((1, len(x)))),
+                                  [0.0, 1.0], 1e-11, 2000)
+        assert abs(val[0] - 5.0) < 1e-10
+
+    def test_each_component_meets_its_own_tolerance(self):
+        def f(x):
+            vals = np.stack([1e-6 * np.exp(x), 1.0 / (1e-2 + (x - 0.3) ** 2), np.sqrt(x)])
+            return vals, np.zeros_like(vals)
+
+        exact = np.array([1e-6 * (math.e - 1.0), 10.0 * (math.atan(7.0) + math.atan(3.0)), 2.0 / 3.0])
+        rel = 1e-9
+        val, err = _adaptive_gk21(f, [0.0, 1.0], rel, 2000)
+        tol = np.maximum(1e-12, rel * np.abs(exact))
+        assert np.all(np.abs(val - exact) <= tol)
+        assert np.all(err <= tol)
+
+    def test_unwanted_component_cannot_fail(self):
+        def f(x):
+            # a smooth component and the spike forest no 10-panel mesh resolves
+            vals = np.stack([np.exp(x), np.sin(1e5 * x) / (1e-4 + np.abs(x - 0.5))])
+            return vals, np.zeros_like(vals)
+
+        val, err = _adaptive_gk21(f, [0.0, 1.0], 1e-8, 10, want=[True, False])
+        assert abs(val[0] - (math.e - 1.0)) <= 1e-8 * (math.e - 1.0)
+        with pytest.raises(ConvergenceError, match="quadrature"):
+            _adaptive_gk21(f, [0.0, 1.0], 1e-8, 10)
+
+
+class TestJointKernel:
+    def test_joint_matches_separate_calls(self):
+        p = EVE_REFERENCE
+        inv = _Inverter(derive(p), p.avg_snr, InversionControl())
+        g = np.logspace(-3, 3, 3000)  # spans several 1024-abscissa batches
+        args = (inv.base, inv.w, *inv.factors, inv.ln_omega)
+        pdf = _kernels.talbot_sum(g, *args, 0.0, inv.lam)
+        cdf = _kernels.talbot_sum(g, *args, 1.0, inv.lam)
+        joint = _kernels.talbot_sum(g, *args, 0.0, inv.lam, joint=True)
+        assert joint.shape == (2, g.size)
+        np.testing.assert_array_equal(joint[0], pdf)
+        # one rounding per term apart, amplified by the exp(lam) of the contour sum
+        np.testing.assert_allclose(joint[1], cdf, rtol=1e-12, atol=0.0)
+
+    def test_batches_do_not_change_values(self):
+        p = EVE_REFERENCE
+        inv = _Inverter(derive(p), p.avg_snr, InversionControl())
+        g = np.linspace(0.01, 30.0, 2500)
+        args = (inv.base, inv.w, *inv.factors, inv.ln_omega, 1.0, inv.lam)
+        whole = _kernels.talbot_sum(g, *args)
+        parts = np.concatenate([_kernels.talbot_sum(g[i:i + 100], *args) for i in range(0, g.size, 100)])
+        np.testing.assert_array_equal(whole, parts)
 
 
 class TestPhi24AgainstInversion:
