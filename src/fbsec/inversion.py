@@ -111,10 +111,10 @@ def _stable_factors(dp: DerivedParams, avg_snr: float):
     pair is evaluated jointly through log1p so the exponent never
     multiplies an O(ulp) log rounding error.
     """
-    groups = merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)
-    reg: list[tuple[complex, float]] = []
-    pair_x: list[complex] = []
-    pair_delta: list[complex] = []
+    groups = [(x.real, a) for x, a in merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)]
+    reg: list[tuple[float, float]] = []
+    pair_x: list[float] = []
+    pair_delta: list[float] = []
     pair_coef: list[float] = []
     pos_big = [i for i, (_, a) in enumerate(groups) if a >= _PAIR_COEF_MIN]
     neg_big = [i for i, (_, a) in enumerate(groups) if a <= -_PAIR_COEF_MIN]
@@ -142,11 +142,11 @@ def _stable_factors(dp: DerivedParams, avg_snr: float):
             continue
         reg.append((x, a))
     return (
-        np.ascontiguousarray([x for x, _ in reg], dtype=np.complex128),
-        np.ascontiguousarray([a for _, a in reg], dtype=np.float64),
-        np.ascontiguousarray(pair_x, dtype=np.complex128),
-        np.ascontiguousarray(pair_delta, dtype=np.complex128),
-        np.ascontiguousarray(pair_coef, dtype=np.float64),
+        np.array([x for x, _ in reg]),
+        np.array([a for _, a in reg]),
+        np.array(pair_x),
+        np.array(pair_delta),
+        np.array(pair_coef),
     )
 
 
@@ -158,8 +158,8 @@ def mgf(dp: DerivedParams, avg_snr: float, s):
     """
     factors = _stable_factors(dp, avg_snr)
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    ln = _kernels.log_transform(s_arr, *factors, dp.ln_omega, 0.0)
-    out = np.exp(ln)
+    re, im = _kernels.log_transform(s_arr.real, s_arr.imag, 1.0, 0.0, *factors, dp.ln_omega)
+    out = np.exp(re) * (np.cos(im) + 1j * np.sin(im))
     return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
@@ -241,15 +241,10 @@ class _Inverter:
         decay rate.
         """
         poles, exps, pair_x, *_ = self.factors
-        rates = [p.real for p, a in zip(poles, exps) if a > 0]
-        rates += [x.real for x in pair_x]
-        x_min = min(rates)
-        best = math.inf
-        for frac in (0.3, 0.5, 0.7, 0.9):
-            t = frac * x_min
-            s = np.array([complex(-t)])
-            ln_m = _kernels.log_transform(s, *self.factors, self.ln_omega, 0.0)[0].real
-            best = min(best, (ln_m - math.log(eps)) / t)
+        x_min = min([p for p, a in zip(poles, exps) if a > 0] + list(pair_x))
+        tau = x_min * np.array([0.3, 0.5, 0.7, 0.9])
+        ln_m, _ = _kernels.log_transform(-tau, 0.0, 1.0, 0.0, *self.factors, self.ln_omega)
+        best = float(np.min((ln_m - math.log(eps)) / tau))
         return float(max(best, 10.0 * self.avg_snr))
 
 

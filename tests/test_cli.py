@@ -210,6 +210,12 @@ class TestReduce:
         rec = json.loads(out)
         assert rec == {"mu": 1.0, "m": 1e6, "kappa": 1.0, "eta": 0.5, "rho2": 1.0}
 
+    def test_eta_mu(self, capsys):
+        code, out, _ = run(capsys, "reduce", "eta-mu", "--params", "eta=0.3,mu=1.7")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec == {"mu": 1.7, "m": 1e6, "kappa": 0.0, "eta": 0.3, "rho2": 1.0}
+
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, "reduce", "weibull-ish")
         assert code == 2

@@ -362,6 +362,74 @@ class TestJointKernel:
         np.testing.assert_array_equal(whole, parts)
 
 
+def _complex_contour_terms(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega,
+                           s_pow, lam):
+    """Scaled terms of the contour sum by complex logs of s + p, one row per abscissa."""
+    s = base[None, :] / ts[:, None]
+    ln = np.full(s.shape, complex(ln_omega))
+    for p, a in zip(poles, exps):
+        ln -= a * np.log(s + p)
+    for x, d, c in zip(pair_x, pair_delta, pair_coef):
+        v = d / (s + x)
+        small = np.abs(v) < 1e-4
+        lv = np.log(1.0 + v)
+        vs = v[small]
+        lv[small] = vs * (1.0 - vs * (0.5 - vs * (1.0 / 3.0 - vs * 0.25)))
+        ln -= c * lv
+    ln -= s_pow * np.log(s)
+    ln += np.log(lam / (len(base) * ts))[:, None]
+    return (np.exp(ln) * w[None, :]).real
+
+
+KERNEL_LINKS = {
+    "fig1-bob": BOB_REFERENCE,
+    "fig1-eve": EVE_REFERENCE,
+    "stiff": FBParams(1.0, 1e6, 1.5, 0.3, 0.64, 100.0),
+    "noninteger-a-bob": FBParams(2.7, 1.8, 3.2, 0.45, 2.5, 100.0),
+    "noninteger-a-eve": FBParams(1.3, 4.6, 0.35, 2.2, 0.6, 10**0.8),
+    "noninteger-b-bob": FBParams(3.1, 0.75, 0.8, 1.7, 0.25, 100.0),
+    "noninteger-b-eve": FBParams(0.8, 2.3, 6.0, 0.6, 3.5, 10**0.2),
+}
+
+
+class TestKernelAgainstComplexArithmetic:
+    # from 1e-250 to 1e8, with 1e-200, where the mu = 0.8 density is near 1e39
+    TS = np.concatenate([[1e-250, 1e-200, 1e-100, 1e-30], np.logspace(-12, 8, 61)])
+
+    def check(self, ts, args, s_pow, lam, got):
+        terms = _complex_contour_terms(ts, *args, s_pow, lam)
+        assert np.all(np.isfinite(got))
+        # 1e-300 admits the sums that are subnormal in both
+        bound = 1e-12 * np.abs(terms).sum(axis=1) + 1e-300
+        np.testing.assert_array_less(np.abs(got - terms.sum(axis=1)), bound)
+
+    @pytest.mark.parametrize("nodes", [48, 96])
+    @pytest.mark.parametrize("name", sorted(KERNEL_LINKS))
+    def test_density_distribution_and_joint(self, name, nodes):
+        p = KERNEL_LINKS[name]
+        inv = _Inverter(derive(p), p.avg_snr, InversionControl(talbot_nodes=nodes))
+        lam = inv.lam
+        args = (inv.base, inv.w, *inv.factors, inv.ln_omega)
+        ts = self.TS
+        # -1 as in TestPhi24AgainstInversion; 96 nodes have weights that underflow to 0
+        for s_pow in (0.0, 1.0, -1.0):
+            self.check(ts, args, s_pow, lam, _kernels.talbot_sum(ts, *args, s_pow, lam))
+        joint = _kernels.talbot_sum(ts, *args, 0.0, lam, joint=True)
+        self.check(ts, args, 0.0, lam, joint[0])
+        self.check(ts, args, 1.0, lam, joint[1])
+        np.testing.assert_array_equal(joint[1], _kernels.talbot_sum(ts, *args, 1.0, lam))
+
+    @pytest.mark.parametrize("name", ["fig1-bob", "fig1-eve", "noninteger-a-eve", "noninteger-b-eve"])
+    def test_mgf_against_product_formula(self, name):
+        p = KERNEL_LINKS[name]
+        dp = derive(p)
+        s = np.array([1.0, 0.3 + 2.0j, -0.05 + 0.5j, 5.0 - 40.0j, 1e-3j + 1e-6, 1e6 + 1e6j])
+        direct = np.full(s.shape, complex(dp.omega_norm))
+        for rate, a in zip(dp.theta_rates, dp.exponents):
+            direct *= (s + rate.real / p.avg_snr) ** (-a)
+        np.testing.assert_allclose(mgf(dp, p.avg_snr, s), direct, rtol=1e-12)
+
+
 class TestPhi24AgainstInversion:
     def test_small_argument_cross_check(self):
         # series vs contour inversion of Gamma(b) s^-b prod(1+x_k/s)^-a_k at t=1

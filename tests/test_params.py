@@ -225,6 +225,18 @@ class TestReductions:
         diff = np.abs(fbsec.cdf_numeric(lo, 1.0, g) - fbsec.cdf_numeric(hi, 1.0, g))
         assert np.max(diff) < 1e-3
 
+    @pytest.mark.parametrize("eta, mu, seed", [(0.3, 1.7, 71), (2.5, 0.9, 72), (1.0, 3.0, 73)])
+    def test_eta_mu_against_direct_sampler(self, eta, mu, seed):
+        # eta-mu (format 1): g proportional to eta X + Y with X, Y ~ Gamma(mu/2), unit mean
+        avg_snr, n = 2.0, 20_000
+        rng = np.random.default_rng(seed)
+        x, y = rng.gamma(mu / 2.0, size=(2, n))
+        snr = avg_snr * (eta * x + y) / ((eta + 1.0) * mu / 2.0)
+        p = fbsec.from_eta_mu(eta, mu, avg_snr)
+        dp = derive(p)
+        result = stats.kstest(snr, lambda g: fbsec.cdf_numeric(dp, avg_snr, g))
+        assert result.pvalue > 0.01
+
     def test_beckmann_rejects_small_m(self):
         with pytest.raises(ParameterError, match="m_large"):
             fbsec.from_beckmann(1.0, 0.5, 1.0, 1.0, m_large=100.0)
