@@ -33,6 +33,7 @@ from .inversion import (
     cdf_numeric,
     mgf,
     numeric_metrics,
+    outage_metrics,
     pdf_numeric,
     sop_numeric,
     sopl_numeric,
@@ -83,6 +84,7 @@ __all__ = [
     "sopl_case2", "spsc_case2",
     "InversionControl", "mgf", "pdf_numeric", "cdf_numeric", "asc_numeric",
     "sop_numeric", "sopl_numeric", "spsc_numeric", "numeric_metrics",
+    "outage_metrics",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",
     "sample_snr", "estimate",
     "FbsecError", "ParameterError", "DomainError", "CaseMismatchError",

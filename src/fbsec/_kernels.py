@@ -102,18 +102,10 @@ def _real_exp_sum(re, im):
     return terms.sum(axis=1)
 
 
-def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam,
-               joint=False):
-    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution).
-
-    With ``joint`` the sum is also taken with one more power of ``1/s`` from
-    the same transform values, and the two rows come back stacked as a
-    ``(2, len(ts))`` array: density and distribution for one transform
-    evaluation per node.  The second row takes the same steps as an
-    ``s_pow = 1`` call, so the two agree to the last bit.
-    """
+def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
+    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution)."""
     ts = np.asarray(ts, dtype=np.float64)
-    out = np.empty((2 if joint else 1, ts.size))
+    out = np.empty(ts.size)
     n_nodes = len(base)
     live = w != 0  # nodes whose weight underflowed add exactly nothing
     base, w = base[live], w[live]
@@ -132,14 +124,8 @@ def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega
                                pair_delta, pair_coef, ln_c)
         re = re + ln_w
         im = im + arg_w
-        ln_s = ln_b - ln_t  # log s = log|base| - log t + i arg(base)
         if s_pow != 0.0:
-            re -= s_pow * ln_s
+            re -= s_pow * (ln_b - ln_t)  # log s = log|base| - log t + i arg(base)
             im -= s_pow * arg_b
-        out[0, lo:lo + _BATCH] = _real_exp_sum(re, im)
-        if joint:
-            re -= ln_s
-            im -= arg_b
-            out[1, lo:lo + _BATCH] = _real_exp_sum(re, im)
-        out[:, lo:lo + _BATCH] *= r[:, 0]
-    return out if joint else out[0]
+        out[lo:lo + _BATCH] = _real_exp_sum(re, im) * r[:, 0]
+    return out

@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import warnings
+from statistics import NormalDist
 
 from . import casetwo, inversion, montecarlo
 from .casetwo import SecrecyConfig, link_expansion
@@ -230,6 +231,41 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Family-wise error rate of validate's Monte Carlo comparisons: two-sided 3 sigma
+FAMILY_WISE_LEVEL = 0.0027
+_SLACK = 1e-9  # absolute allowance, as for an estimate whose standard error is 0
+
+
+def _holm_comparisons(sampled, level):
+    """Test each value against its Monte Carlo estimate by Holm's step-down.
+
+    Holm (Scand. J. Statist. 6, 1979): with the two-sided normal p-values
+    sorted, the k-th smallest of m is tested at ``level / (m - k)`` (k from
+    0), until the first one that passes; it and all larger ones pass.  The
+    chance that correct code fails any comparison is then at most
+    ``level``.  Each comparison reports the difference it would pass at
+    its own step as ``threshold``.
+    """
+    unit = NormalDist()
+    rows = []
+    for metric, pair, value, est in sampled:
+        delta = abs(value - est.mean)
+        excess = max(delta - _SLACK, 0.0)
+        z = excess / est.std_error if est.std_error > 0.0 else (0.0 if excess == 0.0 else math.inf)
+        rows.append((2.0 * unit.cdf(-z), metric, pair, delta, est.std_error))
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    out = [None] * len(rows)
+    rejecting = True
+    for k, i in enumerate(order):
+        p, metric, pair, delta, se = rows[i]
+        step = level / (len(rows) - k)
+        rejecting = rejecting and p <= step
+        out[i] = {"metric": metric, "pair": pair, "delta": delta,
+                  "threshold": unit.inv_cdf(1.0 - step / 2.0) * se + _SLACK,
+                  "kind": "holm-std-err", "pass": not rejecting}
+    return out
+
+
 def cmd_validate(args) -> int:
     bob, eve = _links_from_args(args)
     ctrl = _control(args)
@@ -244,21 +280,16 @@ def cmd_validate(args) -> int:
     mc = montecarlo.estimate(bob, eve, scfg, cfg)
 
     comparisons = []
-
-    def compare(metric, pair, a, b, tol, kind):
-        delta = abs(a - b)
-        comparisons.append(
-            {"metric": metric, "pair": pair, "delta": delta, "threshold": tol,
-             "kind": kind, "pass": bool(delta <= tol)}
-        )
-
+    sampled = []  # (metric, pair, value, estimate): tested together below
     for name in METRICS:
-        est = mc[name]
         if closed is not None:
+            delta = abs(closed[name] - numeric[name])
             rel = 1e-6 * max(abs(closed[name]), abs(numeric[name]), 1e-9)
-            compare(name, "case2-vs-numeric", closed[name], numeric[name], rel, "relative-1e-6")
-            compare(name, "case2-vs-mc", closed[name], est.mean, 3.0 * est.std_error + 1e-9, "3-std-err")
-        compare(name, "numeric-vs-mc", numeric[name], est.mean, 3.0 * est.std_error + 1e-9, "3-std-err")
+            comparisons.append({"metric": name, "pair": "case2-vs-numeric", "delta": delta,
+                                "threshold": rel, "kind": "relative-1e-6", "pass": bool(delta <= rel)})
+            sampled.append((name, "case2-vs-mc", closed[name], mc[name]))
+        sampled.append((name, "numeric-vs-mc", numeric[name], mc[name]))
+    comparisons += _holm_comparisons(sampled, FAMILY_WISE_LEVEL)
 
     ok = all(c["pass"] for c in comparisons)
     report = {
@@ -274,6 +305,7 @@ def cmd_validate(args) -> int:
         },
         "mc_samples": cfg.n_samples,
         "seed": cfg.seed,
+        "family_wise_level": FAMILY_WISE_LEVEL,
         "comparisons": comparisons,
         "pass": ok,
     }

@@ -2,11 +2,13 @@
 
 For non-integer exponents the SNR law has no elementary form, so the
 density and distribution are recovered by numerical inversion of the
-rational-power transform along a deformed (cotangent) contour, and the
-four secrecy metrics by one vector-valued adaptive Gauss-Kronrod pass
-(:func:`numeric_metrics`) whose refinement rounds each evaluate every new
-node in one kernel call per link.  The same routines also serve as the
-independent cross-check for the Case-2 closed forms.
+rational-power transform along a deformed (cotangent) contour.  ASC comes
+from an adaptive Gauss-Kronrod quadrature of those distributions, whose
+refinement rounds each evaluate every new node in one kernel call per
+link.  The outage metrics come from one Bromwich integral of the product
+transform each, taken through its real saddle point (:func:`outage_metrics`).
+The same routines also serve as the independent cross-check for the
+Case-2 closed forms.
 
 Contour choice: all transform singularities sit on the negative real axis
 (the defining quadratic has non-negative discriminant), so a fixed-shape
@@ -48,6 +50,7 @@ __all__ = [
     "sopl_numeric",
     "spsc_numeric",
     "numeric_metrics",
+    "outage_metrics",
 ]
 
 _LAM_CAP = 10.0
@@ -72,10 +75,10 @@ _METRICS = ("asc", "sop", "sopl", "spsc")
 class InversionControl:
     """Knobs for the inversion and quadrature paths.
 
-    ``quad_max_subdiv`` is the panel budget of the adaptive quadrature.
-    The metrics asked of one :func:`numeric_metrics` call share one mesh
-    and so one budget: the call fails if any of them cannot converge in
-    it.  Metrics not asked for neither refine the mesh nor fail the call.
+    ``quad_rel_tol`` is the relative tolerance of the ASC quadrature and of
+    the outage contours (relative to the smaller of P and 1 - P there).
+    ``quad_max_subdiv`` is the panel budget and ``tail_cutoff_prob`` the
+    truncation of the ASC quadrature; the outage contours use neither.
     """
 
     talbot_nodes: int = 48
@@ -176,13 +179,13 @@ class _Inverter:
         self.base, self.w = _kernels.contour_nodes(ctrl.talbot_nodes, self.lam)
         self.noise = _KERNEL_NOISE  # relative noise of a distribution value; see probe_check
 
-    def _eval(self, g, s_pow, nodes=None, joint=False):
+    def _eval(self, g, s_pow, nodes=None):
         if nodes is None:
             base, w, lam = self.base, self.w, self.lam
         else:
             lam = _lam_for(nodes)
             base, w = _kernels.contour_nodes(nodes, lam)
-        return _kernels.talbot_sum(g, base, w, *self.factors, self.ln_omega, s_pow, lam, joint)
+        return _kernels.talbot_sum(g, base, w, *self.factors, self.ln_omega, s_pow, lam)
 
     def pdf(self, g):
         g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -202,13 +205,6 @@ class _Inverter:
             )
         out[pos] = np.clip(raw, 0.0, 1.0)
         return out
-
-    def pdf_cdf(self, g):
-        """Density and distribution at ``g`` >= 0 from one joint kernel call."""
-        out = np.zeros((2, len(g)))
-        pos = g > 0
-        out[:, pos] = self._eval(g[pos], 0.0, joint=True)
-        return np.clip(out[0], 0.0, None), np.clip(out[1], 0.0, 1.0)
 
     def probe_check(self):
         """Compare the configured node count against twice the nodes.
@@ -330,29 +326,25 @@ def _gk21(a, b, f):
     return resk * half, err, floor
 
 
-def _adaptive_gk21(f, breaks, rel_tol, max_panels, want=None):
+def _adaptive_gk21(f, breaks, rel_tol, max_panels):
     """Vector-valued adaptive G10K21 quadrature over the panels between ``breaks``.
 
     Every round bisects the panels that carry the largest errors, chosen
     per component until the rest is within half that component's
     tolerance ``max(1e-12, rel_tol * |I_c|)``, and evaluates all new nodes
     in one call of ``f``.  A panel whose error is already below its noise
-    floor is not split: the integrand cannot be resolved further.  Only
-    the components flagged in the boolean mask ``want`` (default: all)
-    steer the refinement and its stopping test; the others are integrated
-    on the same mesh as they come.  Returns (integrals, achieved errors),
-    each of length c; raises ConvergenceError when the next round would
-    need more than ``max_panels`` panels.
+    floor is not split: the integrand cannot be resolved further.  Returns
+    (integrals, achieved errors), each of length c; raises ConvergenceError
+    when the next round would need more than ``max_panels`` panels.
     """
     breaks = np.asarray(breaks, dtype=float)
     a, b = breaks[:-1], breaks[1:]
     val, err, floor = _gk21(a, b, f)
-    want = np.ones(len(val), dtype=bool) if want is None else np.asarray(want, dtype=bool)
     while True:
         total = val.sum(axis=1)
         tol = np.maximum(_ABS_TOL, rel_tol * np.abs(total))
         live = np.where(err > floor, err, 0.0)
-        excess = np.where(want, live.sum(axis=1), 0.0)
+        excess = live.sum(axis=1)
         if np.all(excess <= tol):
             return total, err.sum(axis=1)
         split = np.zeros(len(a), dtype=bool)
@@ -383,11 +375,322 @@ def _adaptive_gk21(f, breaks, rel_tol, max_panels, want=None):
 
 
 def _links(bob: FBParams, eve: FBParams, ctrl: InversionControl):
-    inv_d = _Inverter(derive(bob), bob.avg_snr, ctrl)
-    inv_e = _Inverter(derive(eve), eve.avg_snr, ctrl)
+    return _Inverter(derive(bob), bob.avg_snr, ctrl), _Inverter(derive(eve), eve.avg_snr, ctrl)
+
+
+def _asc(inv_d: _Inverter, inv_e: _Inverter, ctrl: InversionControl) -> tuple[float, float]:
+    """ASC = int F_E (1 - F_D) du over u = log1p(g), with its achieved error.
+
+    The layer-cake form of E[(ln(1+g_D) - ln(1+g_E))^+].  The integral runs
+    up to an exponential tail bound at the configured cutoff probability,
+    on a mesh in v with u = v^q, q = max(1, 1/mu_E).  Both links' contour
+    sums are probe-checked first.
+    """
     inv_d.probe_check()
     inv_e.probe_check()
-    return inv_d, inv_e
+    upper_e = inv_e.upper_limit(ctrl.tail_cutoff_prob)
+    upper = max(inv_d.upper_limit(ctrl.tail_cutoff_prob), upper_e)
+    q = max(1.0, 1.0 / inv_e.mu)
+
+    def integrand(v):
+        u = v**q
+        g = np.expm1(u)
+        factor = inv_e.cdf(g) * (q * v ** (q - 1.0))
+        # noise of a distribution value F is noise * F
+        return (factor * (1.0 - inv_d.cdf(g)))[None], (factor * (inv_e.noise + inv_d.noise))[None]
+
+    hi = math.log1p(upper)
+    marks = [math.log1p(s) for s in (inv_d.avg_snr, inv_e.avg_snr, upper_e) if 0.0 < math.log1p(s) < hi]
+    breaks = np.unique([0.0, *marks, hi]) ** (1.0 / q)
+    total, err = _adaptive_gk21(integrand, breaks, ctrl.quad_rel_tol, ctrl.quad_max_subdiv)
+    return float(total[0]), float(err[0])
+
+
+# Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
+_OUTAGE = ("sop", "sopl", "spsc")
+# crossing-point search: fractions of the way from the origin to the strip
+# edge, geometric toward both ends, which keep c in the inner 99% of its
+# interval (a 70% bound left sums 1e15 times their value on wide-box pairs
+# whose saddle sits near the edge)
+_EDGE_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-18.0, math.log(99.0), 64)))
+_NEWTON_STEPS = 4
+_DECAY = 40.0       # e-folds of algebraic decay past the largest rate
+_STEP = 0.1         # first trapezoid step in t; the first round also evaluates _STEP / 2
+_MAX_NODES = 1 << 16  # per problem and step size
+_LN_REACH = math.log(1e150)  # |s| stays below this, so |s|^2 stays finite
+_OPENINGS = 4.0 ** -np.arange(5)  # z > 0 path openings tried, per unit of w
+_PROBE_STEP = 0.5  # spacing in t of the probes that choose the opening
+_GROWTH = 10.0  # largest probed term allowed, per unit of the term at t = 0
+# Rounding floor of a contour sum, in ulps per unit of exponent and of the
+# terms' log-space size: each log-term carries the rounding of its own
+# evaluation and of the rates and log omega it is built from, which
+# derive() delivers to a few ulps each (up to 45 on near-double roots).
+_ULPS = 8.0
+
+
+def _rates(factors) -> tuple[float, float]:
+    """(nearest singularity, largest rate) of one link's transform factors.
+
+    Poles (positive exponents), branch points (non-integer negative
+    exponents) and both members of every stiff pair are singular; a
+    numerator factor with an integer exponent is not.
+    """
+    poles, exps, pair_x, pair_delta, _ = factors
+    members = [*pair_x, *(pair_x + pair_delta)]
+    singular = [p for p, a in zip(poles, exps) if a > 0 or abs(a - round(a)) > 1e-9]
+    return min(singular + members), max([*poles, *members])
+
+
+def _log_derivatives(factors, y):
+    """First and second derivatives of log M at real ``y`` inside the strip."""
+    poles, exps, pair_x, pair_delta, pair_coef = factors
+    y = np.asarray(y)[..., None]
+    u = 1.0 / (y + poles)
+    au = exps * u
+    d1, d2 = -au.sum(-1), (au * u).sum(-1)
+    if len(pair_x):
+        # -c log1p(d / (y + x)) = c log(y + x) - c log(y + x + d), and u - v = d u v
+        u, v = 1.0 / (y + pair_x), 1.0 / (y + pair_x + pair_delta)
+        cduv = pair_coef * pair_delta * u * v
+        d1 = d1 + cduv.sum(-1)
+        d2 = d2 - (cduv * (u + v)).sum(-1)
+    return d1, d2
+
+
+class _Bromwich:
+    """P(g_D - theta g_E < z) = (1/2 pi i) int M_D(s) M_E(-theta s) e^(sz) / s ds.
+
+    The line crosses the real axis at ``c`` with ``0 < c < r_E / theta``
+    (the integral is then P) or ``-r_D < c < 0`` (it is then P - 1), where
+    r is a link's nearest singularity.  ``c`` is the real saddle point of
+    phi(s) = log(M_D(s) M_E(-theta s) e^(sz) / s) on the side where phi is
+    smaller, which makes that side's tail (P or 1 - P) the sum of terms of
+    its own size.  The path is s(t) = c - beta (cosh t - 1) + i w sinh t,
+    and by conjugate symmetry the integral is (1/pi) int_0^inf Im[F(s) s'(t)] dt,
+    summed by the trapezoid rule with step halving.
+    """
+
+    def __init__(self, inv_d: _Inverter, inv_e: _Inverter):
+        self.links = ((inv_d.factors, inv_d.ln_omega), (inv_e.factors, inv_e.ln_omega))
+        self.r_d, self.big_d = _rates(inv_d.factors)
+        self.r_e, self.big_e = _rates(inv_e.factors)
+        self.decay = _DECAY / (inv_d.mu + inv_e.mu)
+        # magnitude scales of the log's summands, for the rounding floor
+        self.ln_omega_abs = abs(inv_d.ln_omega) + abs(inv_e.ln_omega)
+        self.exps_abs = float(np.sum(np.abs(inv_d.factors[1])) + np.sum(np.abs(inv_e.factors[1])))
+        # (x, |c delta|) of each stiff pair: its log-term is at most |c delta / (s + x)|
+        self.pairs = [(f[2], np.abs(f[3] * f[4])) for f in (inv_d.factors, inv_e.factors)]
+
+    def _log_m(self, sr, si, theta):
+        """Real and imaginary parts of log M_D(s) + log M_E(-theta s)."""
+        (f_d, ln_d), (f_e, ln_e) = self.links
+        re_d, im_d = _kernels.log_transform(sr, si, 1.0, 0.0, *f_d, ln_d)
+        re_e, im_e = _kernels.log_transform(-theta * sr, -theta * si, 1.0, 0.0, *f_e, ln_e)
+        return re_d + re_e, im_d + im_e
+
+    def _phi_derivatives(self, c, theta, z):
+        """phi' and phi'' at real ``c``."""
+        (f_d, _), (f_e, _) = self.links
+        d1_d, d2_d = _log_derivatives(f_d, c)
+        d1_e, d2_e = _log_derivatives(f_e, -theta * c)
+        return z - 1.0 / c + d1_d - theta * d1_e, 1.0 / (c * c) + d2_d + theta**2 * d2_e
+
+    def contour(self, theta, z):
+        """Crossing point c, width w, opening beta and truncation T per problem.
+
+        ``c`` comes from a 64-point search on each side and at most four
+        safeguarded Newton steps on phi'.  ``w = min(phi''^-1/2, distance
+        to the nearest singularity)``.  For z = 0 the path is the vertical
+        line (beta = 0); for z > 0 it opens left so that e^(sz) decays, as
+        wide as possible: see :meth:`_opening`.
+        """
+        n = len(theta)
+        m = len(_EDGE_FRACTIONS)
+        edge = np.stack([self.r_e / theta, np.full(n, -self.r_d)], axis=1)  # (n, side)
+        grid = (edge[..., None] * _EDGE_FRACTIONS).reshape(n, 2 * m)
+        phi = self._log_m(grid, 0.0, theta[:, None])[0] + z[:, None] * grid - np.log(np.abs(grid))
+        # the side with the smaller saddle value, and its bracketing grid neighbours
+        rows = np.arange(n)
+        j = np.argmin(phi, axis=1)
+        side, k = np.divmod(j, m)
+        c = grid[rows, j]
+        nb = grid[rows[:, None], side[:, None] * m + np.clip(k[:, None] + [-1, 1], 0, m - 1)]
+        lo, hi = nb.min(axis=1), nb.max(axis=1)
+        edge = edge[rows, side]
+        done = np.zeros(n, dtype=bool)  # per problem, so a batch gives each one's solo result
+        for i in range(_NEWTON_STEPS + 1):
+            d1, d2 = self._phi_derivatives(c, theta, z)
+            step = c - d1 / d2
+            done |= np.abs(step - c) <= 1e-9 * np.abs(c)
+            if i == _NEWTON_STEPS or done.all():
+                break
+            lo = np.where(d1 < 0.0, c, lo)
+            hi = np.where(d1 > 0.0, c, hi)
+            c = np.where(done, c, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.minimum(np.where(d2 > 0.0, 1.0 / np.sqrt(d2), np.inf), np.minimum(np.abs(c), np.abs(edge - c)))
+        beta = np.zeros(n)
+        pos = np.flatnonzero(z > 0.0)
+        if pos.size:
+            beta[pos] = self._opening(c[pos], w[pos], theta[pos], z[pos])
+        return c, w, beta, self._truncation(w, beta, theta, z)
+
+    def _truncation(self, w, beta, theta, z):
+        """T: the algebraic decay starts past every rate; for z > 0, e^(sz) cuts it short."""
+        t_max = np.arcsinh(np.maximum(self.big_d, self.big_e / theta) / w) + self.decay
+        with np.errstate(divide="ignore"):
+            return np.minimum(t_max, np.where(z > 0.0, np.log(80.0 / (beta * z) + 1.0) + 2.0, np.inf))
+
+    def _opening(self, c, w, theta, z):
+        """beta for z > 0: the widest of w, w/4, ..., w/256 on which no probed term exceeds
+        ``_GROWTH`` times the one at t = 0.
+
+        Opening left leads past Bob's singularities, where a large exponent
+        or a stiff pair (the no-shadowing surrogates) makes M_D grow by many
+        orders: the sum would then cancel far beyond its value.
+        """
+        n, k = len(c), len(_OPENINGS)
+        beta = w[:, None] * _OPENINGS  # (n, k)
+        t_max = self._truncation(w[:, None], beta, theta[:, None], z[:, None])
+        top = min(t_max.max(), (_LN_REACH - np.log(w)).min())
+        t = _PROBE_STEP * np.arange(int(np.ceil(top / _PROBE_STEP)) + 1)  # t[0] = 0: the saddle
+        shape = (n, k, t.size)
+
+        def grid(x):
+            return np.broadcast_to(x[:, None, None], shape)
+
+        with np.errstate(over="ignore"):  # only the logs are read: a grown term may overflow
+            _, _, re = self.terms(np.broadcast_to(t, shape), grid(c), grid(w),
+                                  np.broadcast_to(beta[..., None], shape), grid(theta), grid(z))
+        peak = np.max(np.where(t <= t_max[..., None], re, -np.inf), axis=-1)
+        grows = peak > re[:, :1, 0] + math.log(_GROWTH)
+        # the first opening that does not grow, else the narrowest
+        j = np.where(grows.all(axis=1), k - 1, np.argmin(grows, axis=1))
+        return beta[np.arange(n), j]
+
+    def terms(self, t, c, w, beta, theta, z):
+        """Im[F(s) s'(t)] at every node, a bound on its rounding error, and log|F(s) s'(t)|."""
+        sh = np.sinh(t)
+        sr = c - beta * (2.0 * np.sinh(0.5 * t) ** 2)  # cosh t - 1 without cancellation
+        si = w * sh
+        dr, di = -beta * sh, w * np.cosh(t)  # s'(t)
+        re, im = self._log_m(sr, si, theta)
+        abs_s = np.hypot(sr, si)
+        ln_s = np.log(abs_s)
+        ln_ds = np.log(np.hypot(dr, di))
+        re = re + z * sr - ln_s + ln_ds
+        im = im + z * si - np.arctan2(si, sr) + np.arctan2(di, dr)
+        mag = np.exp(re)
+        # every summand of the log carries a rounding error of eps times its
+        # size; a factor's |log(s + p)| is at most the larger of |log(|s| + R)|
+        # and |log dist|, dist >= w max(1, sinh t) / 2 from s to any singularity
+        dist = 0.5 * w * np.maximum(1.0, sh)
+        big = np.maximum(self.big_d, self.big_e / theta)
+        ln_fac = np.maximum(np.abs(np.log(abs_s + big)), np.abs(np.log(dist)))
+        size = (
+            self.ln_omega_abs
+            + self.exps_abs * (ln_fac + np.abs(np.log(theta)) + math.pi)
+            + z * (np.abs(sr) + si)
+            + np.abs(ln_s) + np.abs(ln_ds) + 2.0 * math.pi
+        )
+        for (pair_x, c_delta), scale in zip(self.pairs, (1.0, -theta)):  # Bob at s, Eve at -theta s
+            for x, cd in zip(pair_x, c_delta):
+                size = size + cd / np.hypot(scale * sr + x, scale * si)
+        return mag * np.sin(im), mag * size, re
+
+    def integrals(self, theta, z, rel_tol):
+        """(I, achieved absolute error, c < 0) per (theta, z) problem.
+
+        I is P where c > 0 and P - 1 where c < 0: the smaller tail with
+        its sign, kept apart from 1 so that it keeps its relative accuracy.
+        """
+        c, w, beta, t_max = self.contour(theta, z)
+        if np.any(np.log(w) + t_max > _LN_REACH):
+            raise ConvergenceError(
+                f"outage contour: the transform decays too slowly to truncate (mu_D + mu_E = "
+                f"{_DECAY / self.decay:.3g})"
+            )
+        n = len(theta)
+        step = np.full(n, 0.5 * _STEP)
+        count = 2 * np.ceil(t_max / _STEP).astype(int)  # intervals at the current step
+        coarse = np.zeros(n)  # trapezoid sums at steps 2 * step and step, unscaled
+        fine = np.zeros(n)
+        noise = np.zeros(n)
+        value = np.zeros(n)
+        err = np.zeros(n)
+        live = np.arange(n)
+        first = True
+        while live.size:
+            if np.any(count[live] > _MAX_NODES):
+                raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem")
+            # the nodes new at this step, all of them at first and then the odd ones
+            k = [np.arange(0, count[i] + 1) if first else np.arange(1, count[i], 2) for i in live]
+            pos = np.repeat(np.arange(live.size), [len(ki) for ki in k])
+            k = np.concatenate(k)
+            j = live[pos]
+            f, bound, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
+            if first:
+                half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
+                f, bound = f * half, bound * half
+                fine[live] = np.bincount(pos, f * (k % 2 == 0), live.size)
+            coarse[live] = fine[live]
+            fine[live] += np.bincount(pos, f * (k % 2 == 1) if first else f, live.size)
+            noise[live] += np.bincount(pos, bound, live.size)
+            h = step[live]
+            now = h / math.pi * fine[live]
+            diff = np.abs(2.0 * h / math.pi * coarse[live] - now)
+            # halving stops at the tolerance or at the sum's own rounding noise;
+            # the reported floor also covers the rounding of the rates and log
+            # omega, which each exponent multiplies
+            noisy = _ULPS * _EPS * (h / math.pi * noise[live])
+            done = diff <= np.maximum(rel_tol * np.minimum(np.abs(now), 1.0 - np.abs(now)), noisy)
+            value[live] = now
+            err[live] = diff + (self.exps_abs + 1.0) * noisy
+            live = live[~done]
+            step[live] *= 0.5
+            count[live] *= 2
+            first = False
+        return value, err, c < 0.0
+
+    def metrics(self, cfg: SecrecyConfig, rel_tol: float, metrics):
+        """(values, errors) of the outage metrics named in ``metrics``."""
+        theta = cfg.theta
+        problem = {"sop": (theta, theta - 1.0), "sopl": (theta, 0.0), "spsc": (1.0, 0.0)}
+        keys = sorted({problem[k] for k in metrics})
+        tail, err, upper = self.integrals(np.array([k[0] for k in keys]), np.array([k[1] for k in keys]),
+                                          rel_tol)
+        prob = dict(zip(keys, np.where(upper, 1.0 + tail, tail).tolist()))
+        error = dict(zip(keys, err.tolist()))
+        values = {k: prob[problem[k]] for k in metrics}
+        if "spsc" in values:
+            values["spsc"] = 1.0 - values["spsc"]
+        return values, {k: error[problem[k]] for k in metrics}
+
+
+def outage_metrics(
+    bob: FBParams,
+    eve: FBParams,
+    cfg: SecrecyConfig,
+    ctrl: InversionControl | None = None,
+    metrics=_OUTAGE,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """SOP, SOP^L and SPSC from saddle-point contours of the product transform.
+
+    Each metric is P(g_D - theta g_E < z) for SOP (theta, theta - 1),
+    SOP^L (theta, 0) and 1 - SPSC (1, 0), with theta = exp(R_s); problems
+    with equal (theta, z) are computed once, so at R_s = 0 ``sop == sopl``
+    and ``spsc == 1 - sopl`` hold exactly.  See :class:`_Bromwich` for the
+    integral.  The step halves until two successive trapezoid sums agree
+    within ``quad_rel_tol`` of the smaller of P and 1 - P, or within the
+    rounding floor that the terms' log-space magnitudes set.  Returns
+    ``(values, errors)``; each error is that last difference plus the
+    floor.  Raises ConvergenceError past a fixed node budget.
+    """
+    unknown = sorted(set(metrics) - set(_OUTAGE))
+    if unknown:
+        raise ParameterError("metrics", f"unknown {unknown}; valid: {list(_OUTAGE)}")
+    ctrl = ctrl or InversionControl()
+    return _Bromwich(*_links(bob, eve, ctrl)).metrics(cfg, ctrl.quad_rel_tol, metrics)
 
 
 def numeric_metrics(
@@ -397,69 +700,30 @@ def numeric_metrics(
     ctrl: InversionControl | None = None,
     metrics=_METRICS,
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) from one adaptive quadrature pass.
+    """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) for any parameters.
 
     Returns ``(values, errors)``: each maps every name in ``metrics`` to
-    the metric and to the absolute error the quadrature achieved on it.
-    Only those metrics steer the refinement and can fail the call.  The
-    achieved error is within ``max(1e-12, quad_rel_tol * |I|)`` of each
-    integral ``I`` unless contour-sum noise stops the refinement first;
-    an error above ``1e-6 * max(|value|, 1e-2)`` then comes with an
-    AccuracyWarning.  The integrals run over u = log1p(g), which compresses
-    the tail, up to an exponential tail bound at the configured cutoff
-    probability:
-
-    - ASC = int F_E (1 - F_D) du, the layer-cake form of E[(ln(1+g_D) - ln(1+g_E))^+];
-    - SOP, SOP^L and 1 - SPSC = int F_D(h(g)) f_E(g) e^u du with h(g) = theta g +
-      theta - 1, theta g and g.
-
-    All four share one mesh, so each refinement round costs one joint
-    density+distribution kernel call for the eavesdropper and one
-    distribution call for the main link.  The substitution u = v^q with
-    q = max(1, 1/mu_E) removes the g^(mu_E - 1) singularity of the
-    eavesdropper density at the origin.
+    the metric and to its achieved absolute error.  ASC comes from an
+    adaptive quadrature of contour-inverted distributions (:func:`_asc`),
+    whose error is within ``max(1e-12, quad_rel_tol * |ASC|)`` unless
+    contour-sum noise stops the refinement first; ``tail_cutoff_prob``
+    bounds that integral only.  The outage metrics come from
+    :func:`outage_metrics`.  An error above ``1e-6 * max(|value|, 1e-2)``
+    comes with an AccuracyWarning.
     """
     unknown = sorted(set(metrics) - set(_METRICS))
     if unknown:
         raise ParameterError("metrics", f"unknown {unknown}; valid: {list(_METRICS)}")
     ctrl = ctrl or InversionControl()
     inv_d, inv_e = _links(bob, eve, ctrl)
-    upper_e = inv_e.upper_limit(ctrl.tail_cutoff_prob)
-    upper = max(inv_d.upper_limit(ctrl.tail_cutoff_prob), upper_e)
-    theta = cfg.theta
-    q = max(1.0, 1.0 / inv_e.mu)
-
-    def integrand(v):
-        u = v**q
-        g = np.expm1(u)
-        du = q * v ** (q - 1.0)
-        pdf_e, cdf_e = inv_e.pdf_cdf(g)
-        f_sop, f_sopl, f_g = np.split(
-            inv_d.cdf(np.concatenate([theta * g + (theta - 1.0), theta * g, g])), 3
-        )
-        # the outage integrals stop at the eavesdropper's tail bound, past
-        # which its density is contour-sum noise
-        inside = g <= upper_e
-        dens = np.where(inside, pdf_e * (g + 1.0) * du, 0.0)
-        asc_factor = cdf_e * du
-        vals = np.stack([asc_factor * (1.0 - f_g), f_sop * dens, f_sopl * dens, f_g * dens])
-        # noise of a distribution value F is noise * F; of a density value
-        # lam * noise * F / g, since its terms carry s = base / g, |base| ~ lam
-        dens_noise = np.where(
-            inside, (inv_e.lam * inv_e.noise * cdf_e / g + inv_d.noise * pdf_e) * (g + 1.0) * du, 0.0
-        )
-        asc_noise = asc_factor * (inv_e.noise + inv_d.noise)
-        noise = np.stack([asc_noise, f_sop * dens_noise, f_sopl * dens_noise, f_g * dens_noise])
-        return vals, noise
-
-    hi = math.log1p(upper)
-    marks = [math.log1p(s) for s in (bob.avg_snr, eve.avg_snr, upper_e) if 0.0 < math.log1p(s) < hi]
-    breaks = np.unique([0.0, *marks, hi]) ** (1.0 / q)
-    want = [name in metrics for name in _METRICS]
-    total, err = _adaptive_gk21(integrand, breaks, ctrl.quad_rel_tol, ctrl.quad_max_subdiv, want)
-    asc, sop, sopl, q_spsc = total.tolist()
-    values = {"asc": asc, "sop": _prob(sop), "sopl": _prob(sopl), "spsc": 1.0 - _prob(q_spsc)}
-    errors = dict(zip(_METRICS, err.tolist()))
+    values, errors = {}, {}
+    if "asc" in metrics:
+        values["asc"], errors["asc"] = _asc(inv_d, inv_e, ctrl)
+    outage = [k for k in metrics if k != "asc"]
+    if outage:
+        vals, errs = _Bromwich(inv_d, inv_e).metrics(cfg, ctrl.quad_rel_tol, outage)
+        values.update(vals)
+        errors.update(errs)
     noisy = [
         f"{k} = {values[k]:.6e} (error {errors[k]:.1e})"
         for k in metrics
@@ -470,10 +734,6 @@ def numeric_metrics(
     return {k: values[k] for k in metrics}, {k: errors[k] for k in metrics}
 
 
-def _prob(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
 def asc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = None) -> float:
     """Average secrecy capacity (nats) by quadrature; see :func:`numeric_metrics`."""
     return numeric_metrics(bob, eve, SecrecyConfig(rate_rs=0.0), ctrl, ("asc",))[0]["asc"]
@@ -482,7 +742,7 @@ def asc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = No
 def sop_numeric(
     bob: FBParams, eve: FBParams, cfg: SecrecyConfig, ctrl: InversionControl | None = None
 ) -> float:
-    """Secrecy outage probability by quadrature over the eavesdropper law."""
+    """Secrecy outage probability from the saddle-point contour."""
     return numeric_metrics(bob, eve, cfg, ctrl, ("sop",))[0]["sop"]
 
 
