@@ -8,10 +8,12 @@ finite exponential-polynomial mixtures
     F(g) = 1 + omega * sum_i e^(-p_i g) sum_j B_ij g^(j-1) / (j-1)!
 
 and the four secrecy metrics reduce to finite sums over the coefficient
-tables.  The ``A_ij``/``B_ij`` are extracted by high-order residue
-computation on the transform: the Taylor coefficients of the co-factor
-around each pole follow from the logarithmic-derivative recurrence, which
-handles merged poles and negative exponents (numerator factors) uniformly.
+tables: one for ASC, and one for P(g_D - theta g_E < z), which gives each
+outage metric at its (theta, z) (see :func:`closed_metrics`).  The
+``A_ij``/``B_ij`` are extracted by high-order residue computation on the
+transform: the Taylor coefficients of the co-factor around each pole
+follow from the logarithmic-derivative recurrence, which handles merged
+poles and negative exponents (numerator factors) uniformly.
 Every expansion is verified against the transform itself at construction.
 
 All coefficient arithmetic is complex; the final metrics must come out
@@ -22,48 +24,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import CaseMismatchError, ConvergenceError, DomainError, ParameterError
-from .params import DerivedParams, FBParams, derive, merge_rate_groups
+from .errors import CaseMismatchError, ConvergenceError, DomainError
+from .params import (
+    METRICS,
+    DerivedParams,
+    FBParams,
+    SecrecyConfig,
+    check_metrics,
+    derive,
+    merge_rate_groups,
+    outage_value,
+)
 from .special import ln1p_moment_table
 
 __all__ = [
-    "SecrecyConfig",
     "PartialFractionExpansion",
     "partial_fractions",
     "link_expansion",
     "pdf_case2",
     "cdf_case2",
-    "asc_case2",
-    "sop_case2",
-    "sopl_case2",
-    "spsc_case2",
+    "closed_metrics",
 ]
 
 _IMAG_TOL = 1e-9
 _MAX_TOTAL_MULT = 64
 _RECON_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SecrecyConfig:
-    """Target secrecy rate (nats) and the derived threshold exp(rate)."""
-
-    rate_rs: float
-    theta: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not math.isfinite(self.rate_rs) or self.rate_rs < 0.0:
-            raise ParameterError("rate_rs", f"must be a finite value >= 0, got {self.rate_rs!r}")
-        if self.theta is None:
-            object.__setattr__(self, "theta", math.exp(self.rate_rs))
-        else:
-            expected = math.exp(self.rate_rs)
-            if not math.isclose(self.theta, expected, rel_tol=1e-15):
-                raise ParameterError("theta", f"must equal exp(rate_rs)={expected!r}, got {self.theta!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +241,8 @@ def cdf_case2(pfe: PartialFractionExpansion, g):
     return float(out[0]) if scalar else out
 
 
-def asc_case2(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:
-    """Average secrecy capacity in nats, exact for Case-2 links."""
+def _asc(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:
+    """Average secrecy capacity in nats."""
     total = 0.0 + 0j
     for p, n, arow in zip(bob.poles, bob.mults, bob.A):
         T = ln1p_moment_table(int(n), p)
@@ -265,23 +254,22 @@ def asc_case2(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> f
             cross = 0.0 + 0j
             for jd in range(1, int(nd) + 1):
                 for je in range(1, int(ne) + 1):
-                    w = math.exp(
-                        gammaln(jd + je - 1) - gammaln(jd) - gammaln(je)
-                    )
+                    w = math.exp(lgamma(jd + je - 1) - lgamma(jd) - lgamma(je))
                     cross += w * (a_d[jd - 1] * b_e[je - 1] + a_e[je - 1] * b_d[jd - 1]) * T[jd + je - 2]
             total += bob.omega_norm * eve.omega_norm * cross
     return _realify(total, "average secrecy capacity")
 
 
-def sop_case2(
-    bob: PartialFractionExpansion, eve: PartialFractionExpansion, cfg: SecrecyConfig
+def _outage(
+    bob: PartialFractionExpansion, eve: PartialFractionExpansion, theta: float, z: float
 ) -> float:
-    """Secrecy outage probability for target threshold cfg.theta >= 1.
+    """P(g_D - theta g_E < z) for theta > 0 and z >= 0.
 
-    The threshold-equal-one limit is taken analytically: only the top
-    binomial term survives the vanishing (theta - 1) powers.
+    The integral of F_D(theta g + z) f_E(g) over the two mixtures: the
+    binomial expansion of (theta g + z)^(jd-1) runs over r = 0..jd-1, and
+    at z = 0 only its top term r = jd - 1 survives the vanishing z powers.
     """
-    theta = cfg.theta
+    ln_theta = math.log(theta)
     acc = 0.0 + 0j
     for pd, nd, b_d in zip(bob.poles, bob.mults, bob.B):
         for pe, ne, a_e in zip(eve.poles, eve.mults, eve.A):
@@ -289,51 +277,40 @@ def sop_case2(
             for jd in range(1, int(nd) + 1):
                 for je in range(1, int(ne) + 1):
                     coef = a_e[je - 1] * b_d[jd - 1]
-                    if theta == 1.0:
-                        r = jd - 1
-                        L = gammaln(je + r) - gammaln(je) - gammaln(jd) - (r + je) * den
-                        acc += coef * np.exp(L)
-                        continue
-                    for r in range(jd):
-                        # binomial(jd-1, r) from the shifted-power expansion
-                        # and the rising factorial (je)_r, with the 1/(jd-1)!
-                        # prefactor folded in
+                    for r in range(jd) if z > 0.0 else (jd - 1,):
+                        # binomial(jd-1, r) and the rising factorial (je)_r,
+                        # with the 1/(jd-1)! prefactor folded in
                         L = (
-                            -(theta - 1.0) * pd
-                            + r * math.log(theta)
-                            - gammaln(r + 1) - gammaln(jd - r)
-                            + gammaln(je + r) - gammaln(je)
+                            -z * pd
+                            + r * ln_theta
+                            - lgamma(r + 1) - lgamma(jd - r)
+                            + lgamma(je + r) - lgamma(je)
                             - (r + je) * den
                         )
                         pw = jd - 1 - r
                         if pw:
-                            L += pw * math.log(theta - 1.0)
+                            L += pw * math.log(z)
                         acc += coef * np.exp(L)
     val = 1.0 + bob.omega_norm * eve.omega_norm * acc
     return min(1.0, max(0.0, _realify(val, "secrecy outage probability")))
 
 
-def sopl_case2(
-    bob: PartialFractionExpansion, eve: PartialFractionExpansion, cfg: SecrecyConfig
-) -> float:
-    """Lower bound of the secrecy outage probability (drops the theta-1 shift)."""
-    theta = cfg.theta
-    acc = 0.0 + 0j
-    for pd, nd, b_d in zip(bob.poles, bob.mults, bob.B):
-        for pe, ne, a_e in zip(eve.poles, eve.mults, eve.A):
-            den = np.log(theta * pd + pe)
-            for jd in range(1, int(nd) + 1):
-                for je in range(1, int(ne) + 1):
-                    L = (
-                        (jd - 1) * math.log(theta)
-                        + gammaln(jd + je - 1) - gammaln(je) - gammaln(jd)
-                        - (jd + je - 1) * den
-                    )
-                    acc += a_e[je - 1] * b_d[jd - 1] * np.exp(L)
-    val = 1.0 + bob.omega_norm * eve.omega_norm * acc
-    return min(1.0, max(0.0, _realify(val, "secrecy outage lower bound")))
+def closed_metrics(
+    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, metrics=METRICS
+) -> dict[str, float]:
+    """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``), exact for Case-2 links.
 
-
-def spsc_case2(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:
-    """Probability of strictly positive secrecy capacity."""
-    return 1.0 - sopl_case2(bob, eve, SecrecyConfig(rate_rs=0.0))
+    Builds both links' expansions once, then evaluates ASC and each
+    distinct (theta, z) problem of ``cfg.outage_problems`` once.  Returns
+    the metrics named in ``metrics``, in that order.  Raises
+    CaseMismatchError when an exponent is not an integer, and
+    ConvergenceError when an expansion or a value cannot be trusted.
+    """
+    check_metrics(metrics)
+    exp_d, exp_e = link_expansion(bob), link_expansion(eve)
+    problems = cfg.outage_problems(metrics)
+    prob = {pz: _outage(exp_d, exp_e, *pz) for pz in set(problems.values())}
+    values = {k: outage_value(k, prob[pz]) for k, pz in problems.items()}
+    if "asc" in metrics:
+        values["asc"] = _asc(exp_d, exp_e)
+    return {k: values[k] for k in metrics}

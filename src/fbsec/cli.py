@@ -28,7 +28,6 @@ import warnings
 from statistics import NormalDist
 
 from . import casetwo, inversion, montecarlo
-from .casetwo import SecrecyConfig, link_expansion
 from .errors import (
     CaseMismatchError,
     ConvergenceError,
@@ -39,7 +38,10 @@ from .errors import (
 from .inversion import InversionControl
 from .montecarlo import MCConfig
 from .params import (
+    METRICS,
     FBParams,
+    SecrecyConfig,
+    check_metrics,
     db_to_linear,
     from_beckmann,
     from_eta_mu,
@@ -49,7 +51,6 @@ from .params import (
     from_rician_shadowed,
 )
 
-METRICS = ("asc", "sop", "sopl", "spsc")
 LN2 = math.log(2.0)
 
 _LINK_KEYS = ("mu", "m", "kappa", "eta", "rho2", "snr_db")
@@ -99,30 +100,12 @@ def _metric_list(text: str) -> list[str]:
     wanted = [m.strip() for m in text.split(",") if m.strip()]
     if "all" in wanted:
         return list(METRICS)
-    for m in wanted:
-        if m not in METRICS:
-            raise ParameterError("--metric", f"unknown metric {m!r}; valid: {list(METRICS) + ['all']}")
+    check_metrics(wanted, "--metric")
     return wanted
 
 
 def _control(args) -> InversionControl:
     return InversionControl(talbot_nodes=args.talbot_nodes, quad_rel_tol=args.quad_rel_tol)
-
-
-def _closed_metrics(bob, eve, cfg, wanted):
-    exp_d = link_expansion(bob)
-    exp_e = link_expansion(eve)
-    vals = {}
-    for name in wanted:
-        if name == "asc":
-            vals[name] = casetwo.asc_case2(exp_d, exp_e)
-        elif name == "sop":
-            vals[name] = casetwo.sop_case2(exp_d, exp_e, cfg)
-        elif name == "sopl":
-            vals[name] = casetwo.sopl_case2(exp_d, exp_e, cfg)
-        else:
-            vals[name] = casetwo.spsc_case2(exp_d, exp_e)
-    return vals
 
 
 def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
@@ -135,7 +118,7 @@ def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
     """
     cfg = SecrecyConfig(rate_rs=rate_rs)
     try:
-        return _closed_metrics(bob, eve, cfg, wanted), "case2", None
+        return casetwo.closed_metrics(bob, eve, cfg, wanted), "case2", None
     except (CaseMismatchError, ConvergenceError):
         pass
     vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
@@ -274,7 +257,7 @@ def cmd_validate(args) -> int:
 
     numeric, _ = inversion.numeric_metrics(bob, eve, scfg, ctrl)
     try:
-        closed = _closed_metrics(bob, eve, scfg, METRICS)
+        closed = casetwo.closed_metrics(bob, eve, scfg)
     except (CaseMismatchError, ConvergenceError):
         closed = None
     mc = montecarlo.estimate(bob, eve, scfg, cfg)

@@ -6,7 +6,8 @@ rational-power transform along a deformed (cotangent) contour.  ASC comes
 from an adaptive Gauss-Kronrod quadrature of those distributions, whose
 refinement rounds each evaluate every new node in one kernel call per
 link.  The outage metrics come from one Bromwich integral of the product
-transform each, taken through its real saddle point (:func:`outage_metrics`).
+transform per (theta, z) problem, taken through its real saddle point
+(:class:`_Bromwich`).
 The same routines also serve as the independent cross-check for the
 Case-2 closed forms.
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .casetwo import SecrecyConfig
 from .errors import (
     AccuracyWarning,
     ConvergenceError,
@@ -38,19 +38,23 @@ from .errors import (
     InversionInstabilityError,
     ParameterError,
 )
-from .params import DerivedParams, FBParams, derive, merge_rate_groups
+from .params import (
+    METRICS,
+    DerivedParams,
+    FBParams,
+    SecrecyConfig,
+    check_metrics,
+    derive,
+    merge_rate_groups,
+    outage_value,
+)
 
 __all__ = [
     "InversionControl",
     "mgf",
     "pdf_numeric",
     "cdf_numeric",
-    "asc_numeric",
-    "sop_numeric",
-    "sopl_numeric",
-    "spsc_numeric",
     "numeric_metrics",
-    "outage_metrics",
 ]
 
 _LAM_CAP = 10.0
@@ -68,33 +72,31 @@ _KERNEL_NOISE = 1e-11
 # check.  Panels frozen at the noise floor can leave more than the
 # requested tolerance on links whose probe disagreement nears _PROBE_RTOL.
 _NOISE_BOUND = 1e-6
-_METRICS = ("asc", "sop", "sopl", "spsc")
+# panel budget of the ASC quadrature, and the survival probability past
+# which its integral is cut
+_MAX_PANELS = 2000
+_TAIL_CUTOFF_PROB = 1e-10
 
 
 @dataclass(frozen=True)
 class InversionControl:
     """Knobs for the inversion and quadrature paths.
 
-    ``quad_rel_tol`` is the relative tolerance of the ASC quadrature and of
-    the outage contours (relative to the smaller of P and 1 - P there).
-    ``quad_max_subdiv`` is the panel budget and ``tail_cutoff_prob`` the
-    truncation of the ASC quadrature; the outage contours use neither.
+    ``talbot_nodes`` is the node count of the contour that inverts each
+    link's distribution.  ``quad_rel_tol`` is the relative tolerance of the
+    ASC quadrature and of the outage contours (relative to the smaller of
+    P and 1 - P there).  The quadrature's panel budget (2000) and its tail
+    cut (survival probability 1e-10) are fixed.
     """
 
     talbot_nodes: int = 48
     quad_rel_tol: float = 1e-8
-    quad_max_subdiv: int = 2000
-    tail_cutoff_prob: float = 1e-10
 
     def __post_init__(self):
         if self.talbot_nodes < 16 or self.talbot_nodes % 2:
             raise ParameterError("talbot_nodes", f"must be even and >= 16, got {self.talbot_nodes!r}")
-        for name in ("quad_rel_tol", "tail_cutoff_prob"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1e-3):
-                raise ParameterError(name, f"must be in (0, 1e-3], got {v!r}")
-        if self.quad_max_subdiv < 10:
-            raise ParameterError("quad_max_subdiv", f"must be >= 10, got {self.quad_max_subdiv!r}")
+        if not (0.0 < self.quad_rel_tol <= 1e-3):
+            raise ParameterError("quad_rel_tol", f"must be in (0, 1e-3], got {self.quad_rel_tol!r}")
 
 
 def _lam_for(nodes: int) -> float:
@@ -382,14 +384,14 @@ def _asc(inv_d: _Inverter, inv_e: _Inverter, ctrl: InversionControl) -> tuple[fl
     """ASC = int F_E (1 - F_D) du over u = log1p(g), with its achieved error.
 
     The layer-cake form of E[(ln(1+g_D) - ln(1+g_E))^+].  The integral runs
-    up to an exponential tail bound at the configured cutoff probability,
+    up to an exponential tail bound at survival probability _TAIL_CUTOFF_PROB,
     on a mesh in v with u = v^q, q = max(1, 1/mu_E).  Both links' contour
     sums are probe-checked first.
     """
     inv_d.probe_check()
     inv_e.probe_check()
-    upper_e = inv_e.upper_limit(ctrl.tail_cutoff_prob)
-    upper = max(inv_d.upper_limit(ctrl.tail_cutoff_prob), upper_e)
+    upper_e = inv_e.upper_limit(_TAIL_CUTOFF_PROB)
+    upper = max(inv_d.upper_limit(_TAIL_CUTOFF_PROB), upper_e)
     q = max(1.0, 1.0 / inv_e.mu)
 
     def integrand(v):
@@ -402,12 +404,11 @@ def _asc(inv_d: _Inverter, inv_e: _Inverter, ctrl: InversionControl) -> tuple[fl
     hi = math.log1p(upper)
     marks = [math.log1p(s) for s in (inv_d.avg_snr, inv_e.avg_snr, upper_e) if 0.0 < math.log1p(s) < hi]
     breaks = np.unique([0.0, *marks, hi]) ** (1.0 / q)
-    total, err = _adaptive_gk21(integrand, breaks, ctrl.quad_rel_tol, ctrl.quad_max_subdiv)
+    total, err = _adaptive_gk21(integrand, breaks, ctrl.quad_rel_tol, _MAX_PANELS)
     return float(total[0]), float(err[0])
 
 
 # Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
-_OUTAGE = ("sop", "sopl", "spsc")
 # crossing-point search: fractions of the way from the origin to the strip
 # edge, geometric toward both ends, which keep c in the inner 99% of its
 # interval (a 70% bound left sums 1e15 times their value on wide-box pairs
@@ -653,44 +654,15 @@ class _Bromwich:
         return value, err, c < 0.0
 
     def metrics(self, cfg: SecrecyConfig, rel_tol: float, metrics):
-        """(values, errors) of the outage metrics named in ``metrics``."""
-        theta = cfg.theta
-        problem = {"sop": (theta, theta - 1.0), "sopl": (theta, 0.0), "spsc": (1.0, 0.0)}
-        keys = sorted({problem[k] for k in metrics})
+        """(values, errors) of the outage metrics named in ``metrics``, one integral per problem."""
+        problems = cfg.outage_problems(metrics)
+        keys = sorted(set(problems.values()))
         tail, err, upper = self.integrals(np.array([k[0] for k in keys]), np.array([k[1] for k in keys]),
                                           rel_tol)
         prob = dict(zip(keys, np.where(upper, 1.0 + tail, tail).tolist()))
         error = dict(zip(keys, err.tolist()))
-        values = {k: prob[problem[k]] for k in metrics}
-        if "spsc" in values:
-            values["spsc"] = 1.0 - values["spsc"]
-        return values, {k: error[problem[k]] for k in metrics}
-
-
-def outage_metrics(
-    bob: FBParams,
-    eve: FBParams,
-    cfg: SecrecyConfig,
-    ctrl: InversionControl | None = None,
-    metrics=_OUTAGE,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """SOP, SOP^L and SPSC from saddle-point contours of the product transform.
-
-    Each metric is P(g_D - theta g_E < z) for SOP (theta, theta - 1),
-    SOP^L (theta, 0) and 1 - SPSC (1, 0), with theta = exp(R_s); problems
-    with equal (theta, z) are computed once, so at R_s = 0 ``sop == sopl``
-    and ``spsc == 1 - sopl`` hold exactly.  See :class:`_Bromwich` for the
-    integral.  The step halves until two successive trapezoid sums agree
-    within ``quad_rel_tol`` of the smaller of P and 1 - P, or within the
-    rounding floor that the terms' log-space magnitudes set.  Returns
-    ``(values, errors)``; each error is that last difference plus the
-    floor.  Raises ConvergenceError past a fixed node budget.
-    """
-    unknown = sorted(set(metrics) - set(_OUTAGE))
-    if unknown:
-        raise ParameterError("metrics", f"unknown {unknown}; valid: {list(_OUTAGE)}")
-    ctrl = ctrl or InversionControl()
-    return _Bromwich(*_links(bob, eve, ctrl)).metrics(cfg, ctrl.quad_rel_tol, metrics)
+        return ({k: outage_value(k, prob[pz]) for k, pz in problems.items()},
+                {k: error[pz] for k, pz in problems.items()})
 
 
 def numeric_metrics(
@@ -698,7 +670,7 @@ def numeric_metrics(
     eve: FBParams,
     cfg: SecrecyConfig,
     ctrl: InversionControl | None = None,
-    metrics=_METRICS,
+    metrics=METRICS,
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) for any parameters.
 
@@ -706,14 +678,18 @@ def numeric_metrics(
     the metric and to its achieved absolute error.  ASC comes from an
     adaptive quadrature of contour-inverted distributions (:func:`_asc`),
     whose error is within ``max(1e-12, quad_rel_tol * |ASC|)`` unless
-    contour-sum noise stops the refinement first; ``tail_cutoff_prob``
-    bounds that integral only.  The outage metrics come from
-    :func:`outage_metrics`.  An error above ``1e-6 * max(|value|, 1e-2)``
-    comes with an AccuracyWarning.
+    contour-sum noise stops the refinement first.  The outage metrics are
+    P(g_D - theta g_E < z) at the (theta, z) problems of
+    ``cfg.outage_problems``, each one saddle-point contour of the product
+    transform (:class:`_Bromwich`); problems with equal (theta, z) are
+    computed once.  Each contour's step halves until two successive
+    trapezoid sums agree within ``quad_rel_tol`` of the smaller of P and
+    1 - P, or within the rounding floor that the terms' log-space
+    magnitudes set; its error is that last difference plus the floor, and
+    past a fixed node budget it raises ConvergenceError.  An error above
+    ``1e-6 * max(|value|, 1e-2)`` comes with an AccuracyWarning.
     """
-    unknown = sorted(set(metrics) - set(_METRICS))
-    if unknown:
-        raise ParameterError("metrics", f"unknown {unknown}; valid: {list(_METRICS)}")
+    check_metrics(metrics)
     ctrl = ctrl or InversionControl()
     inv_d, inv_e = _links(bob, eve, ctrl)
     values, errors = {}, {}
@@ -732,27 +708,3 @@ def numeric_metrics(
     if noisy:
         warnings.warn("limited by contour-sum noise: " + ", ".join(noisy), AccuracyWarning, stacklevel=2)
     return {k: values[k] for k in metrics}, {k: errors[k] for k in metrics}
-
-
-def asc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = None) -> float:
-    """Average secrecy capacity (nats) by quadrature; see :func:`numeric_metrics`."""
-    return numeric_metrics(bob, eve, SecrecyConfig(rate_rs=0.0), ctrl, ("asc",))[0]["asc"]
-
-
-def sop_numeric(
-    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, ctrl: InversionControl | None = None
-) -> float:
-    """Secrecy outage probability from the saddle-point contour."""
-    return numeric_metrics(bob, eve, cfg, ctrl, ("sop",))[0]["sop"]
-
-
-def sopl_numeric(
-    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, ctrl: InversionControl | None = None
-) -> float:
-    """Lower bound of the outage probability (threshold shift dropped)."""
-    return numeric_metrics(bob, eve, cfg, ctrl, ("sopl",))[0]["sopl"]
-
-
-def spsc_numeric(bob: FBParams, eve: FBParams, ctrl: InversionControl | None = None) -> float:
-    """Probability of strictly positive secrecy capacity (= 1 - lower bound at theta 1)."""
-    return numeric_metrics(bob, eve, SecrecyConfig(rate_rs=0.0), ctrl, ("spsc",))[0]["spsc"]

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casetwo import SecrecyConfig
 from .errors import ParameterError
-from .params import FBParams
+from .params import METRICS, FBParams, SecrecyConfig, outage_value
 
 __all__ = [
     "MCConfig",
@@ -122,20 +121,21 @@ def _pairwise(values: list[float]) -> float:
 def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCConfig) -> dict[str, MCEstimate]:
     """Estimates of ``asc``, ``sop``, ``sopl`` and ``spsc`` from one sampling pass.
 
-    ASC is the mean positive capacity gap E[(ln(1+g_D) - ln(1+g_E))^+].  SOP
-    is P(g_D < theta*g_E + theta - 1) and SOP^L drops the shift.  SPSC is
-    the complement of SOP^L at theta 1, P(g_D >= g_E), and shares its
+    ASC is the mean positive capacity gap E[(ln(1+g_D) - ln(1+g_E))^+].
+    Each outage metric counts the event g_D < theta*g_E + z of its
+    (theta, z) problem in ``secrecy_cfg.outage_problems``, once per
+    distinct problem; SPSC is the complement of P at (1, 0) and shares its
     standard error.
     """
     model_d, model_e = physical_model(bob), physical_model(eve)
-    theta = secrecy_cfg.theta
+    problems = secrecy_cfg.outage_problems(METRICS)
+    keys = sorted(set(problems.values()))
 
     def one_stream(idx: int, length: int) -> list[float]:
-        # capacity-gap sum and sum of squares, then the SOP, SOP^L and
-        # theta-1 SOP^L event counts
+        # capacity-gap sum and sum of squares, then one event count per problem
         rng_d = _stream_rng(cfg.seed, idx, 0)
         rng_e = _stream_rng(cfg.seed, idx, 1)
-        sums = [0.0] * 5
+        sums = [0.0] * (2 + len(keys))
         left = length
         while left > 0:
             take = min(_CHUNK, left)
@@ -145,28 +145,22 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
             np.maximum(gap, 0.0, out=gap)
             sums[0] += float(np.sum(gap))
             sums[1] += float(np.sum(gap * gap))
-            sums[2] += float(np.count_nonzero(gd < theta * ge + (theta - 1.0)))
-            sums[3] += float(np.count_nonzero(gd < theta * ge))
-            sums[4] += float(np.count_nonzero(gd < ge))
+            for i, (theta, z) in enumerate(keys):
+                sums[2 + i] += float(np.count_nonzero(gd < theta * ge + z))
             left -= take
         return sums
 
     parts = [one_stream(i, length) for i, length in enumerate(_stream_lengths(cfg.n_samples, cfg.n_streams))]
-    gap_sum, gap_sq, sop_hits, sopl_hits, low_hits = (_pairwise([p[k] for p in parts]) for k in range(5))
+    gap_sum, gap_sq, *hits = (_pairwise([p[k] for p in parts]) for k in range(2 + len(keys)))
     n = cfg.n_samples
 
     def result(mean: float, se: float) -> MCEstimate:
         return MCEstimate(mean=mean, std_error=se, n=n, seed=cfg.seed)
 
-    def probability(hits: float) -> MCEstimate:
-        mean = hits / n
-        return result(mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n))
-
     asc_mean = gap_sum / n
-    low = probability(low_hits)
-    return {
-        "asc": result(asc_mean, math.sqrt(max(gap_sq / n - asc_mean * asc_mean, 0.0) / n)),
-        "sop": probability(sop_hits),
-        "sopl": probability(sopl_hits),
-        "spsc": result(1.0 - low.mean, low.std_error),
-    }
+    out = {"asc": result(asc_mean, math.sqrt(max(gap_sq / n - asc_mean * asc_mean, 0.0) / n))}
+    prob = {key: h / n for key, h in zip(keys, hits)}
+    for k, pz in problems.items():
+        mean = prob[pz]
+        out[k] = result(outage_value(k, mean), math.sqrt(max(mean * (1.0 - mean), 0.0) / n))
+    return out

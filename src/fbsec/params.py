@@ -11,7 +11,9 @@ rational-power Laplace representation of the SNR law,
 
 with four rate/exponent pairs ``(theta_k, a_k)``.  Everything downstream
 (closed forms, numerical inversion, Monte Carlo validation) works off this
-representation.
+representation.  The secrecy side is here too: the metric names and
+:class:`SecrecyConfig`, which maps each outage metric to the (theta, z) of
+P(g_D - theta g_E < z) for all three routes.
 
 The quadratic whose roots give the first two rates always has a
 non-negative discriminant (it can be rearranged into A^2 + 2*A*B*w + B^2
@@ -24,13 +26,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
+    "METRICS",
+    "SecrecyConfig",
+    "check_metrics",
+    "outage_value",
     "FBParams",
     "DerivedParams",
     "derive",
@@ -67,10 +73,6 @@ def _check(field: str, value: float, *, positive: bool = False) -> float:
     return value
 
 
-def _is_integer(x: float) -> bool:
-    return abs(x - round(x)) <= _INT_RTOL * max(1.0, abs(x))
-
-
 @dataclass(frozen=True)
 class FBParams:
     """Fading parameters of one link (all dimensionless, SNR linear)."""
@@ -89,10 +91,6 @@ class FBParams:
         object.__setattr__(self, "eta", _check("eta", self.eta, positive=True))
         object.__setattr__(self, "rho2", _check("rho2", self.rho2))
         object.__setattr__(self, "avg_snr", _check("avg_snr", self.avg_snr, positive=True))
-
-    def is_case2(self) -> bool:
-        """True when ``mu/2`` and ``m`` are both integers (closed forms apply)."""
-        return _is_integer(self.mu / 2.0) and _is_integer(self.m)
 
     def with_snr(self, avg_snr: float) -> "FBParams":
         return FBParams(self.mu, self.m, self.kappa, self.eta, self.rho2, avg_snr)
@@ -120,10 +118,6 @@ class DerivedParams:
     n_groups: int
     mu: float
     ln_omega: float
-
-    def merged_rates(self, rtol: float = 1e-9) -> list[tuple[complex, float]]:
-        """Distinct (rate, net exponent) pairs, zero-exponent groups dropped."""
-        return merge_rate_groups(self.theta_rates, self.exponents, rtol=rtol)
 
 
 def merge_rate_groups(
@@ -202,6 +196,54 @@ def derive(params: FBParams) -> DerivedParams:
         mu=mu,
         ln_omega=lno,
     )
+
+
+# ---------------------------------------------------------------------------
+# secrecy metrics
+# ---------------------------------------------------------------------------
+
+METRICS = ("asc", "sop", "sopl", "spsc")
+
+
+def check_metrics(metrics, name: str = "metrics") -> None:
+    """Raise a ParameterError for ``name`` when ``metrics`` names an unknown metric."""
+    unknown = sorted(set(metrics) - set(METRICS))
+    if unknown:
+        raise ParameterError(name, f"unknown {unknown}; valid: {list(METRICS)}")
+
+
+@dataclass(frozen=True)
+class SecrecyConfig:
+    """Target secrecy rate R_s (nats) and the derived threshold theta = exp(R_s).
+
+    Every outage metric is P(g_D - theta g_E < z) at one (theta, z)
+    problem: SOP at (theta, theta - 1), SOP^L at (theta, 0), and SPSC is
+    1 - P at (1, 0).  :meth:`outage_problems` and :func:`outage_value`
+    are that table, for every route.
+    """
+
+    rate_rs: float
+    theta: float = field(init=False)
+
+    def __post_init__(self):
+        if not math.isfinite(self.rate_rs) or self.rate_rs < 0.0:
+            raise ParameterError("rate_rs", f"must be a finite value >= 0, got {self.rate_rs!r}")
+        object.__setattr__(self, "theta", math.exp(self.rate_rs))
+
+    def outage_problems(self, metrics) -> dict[str, tuple[float, float]]:
+        """The (theta, z) problem of each outage metric in ``metrics`` (ASC has none).
+
+        Metrics that share a problem map to equal tuples, so a route that
+        solves each distinct one once gives ``sop == sopl`` and
+        ``spsc == 1 - sopl`` exactly at R_s = 0.
+        """
+        table = {"sop": (self.theta, self.theta - 1.0), "sopl": (self.theta, 0.0), "spsc": (1.0, 0.0)}
+        return {k: table[k] for k in metrics if k != "asc"}
+
+
+def outage_value(metric: str, prob: float) -> float:
+    """An outage metric from P(g_D - theta g_E < z) at its problem: SPSC is 1 - P."""
+    return 1.0 - prob if metric == "spsc" else prob
 
 
 # ---------------------------------------------------------------------------

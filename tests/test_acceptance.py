@@ -21,22 +21,16 @@ from fbsec import (
     InversionControl,
     MCConfig,
     SecrecyConfig,
-    asc_case2,
-    asc_numeric,
     cdf_case2,
     cdf_numeric,
+    closed_metrics,
     derive,
     estimate,
     link_expansion,
+    numeric_metrics,
     pdf_case2,
     physical_model,
     sample_snr,
-    sop_case2,
-    sop_numeric,
-    sopl_case2,
-    sopl_numeric,
-    spsc_case2,
-    spsc_numeric,
 )
 
 from conftest import draw_params
@@ -53,7 +47,7 @@ def report(num, name, ok, detail=""):
 
 def numeric_then_mc_anchor(bob, eve, anchor, seed):
     t0 = time.monotonic()
-    val = asc_numeric(bob, eve)
+    val = numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("asc",))[0]["asc"]
     t_numeric = time.monotonic() - t0
     t0 = time.monotonic()
     est = estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=10_000_000, seed=seed))["asc"]
@@ -108,19 +102,8 @@ def test_criterion_3_closed_form_exactness():
         eve = draw_params(rng, case2=True)
         rs = float(rng.choice([0.0, 1.0]))
         cfg = SecrecyConfig(rs)
-        eb, ee = link_expansion(bob), link_expansion(eve)
-        closed = {
-            "asc": asc_case2(eb, ee),
-            "sop": sop_case2(eb, ee, cfg),
-            "sopl": sopl_case2(eb, ee, cfg),
-            "spsc": spsc_case2(eb, ee),
-        }
-        numeric = {
-            "asc": asc_numeric(bob, eve),
-            "sop": sop_numeric(bob, eve, cfg),
-            "sopl": sopl_numeric(bob, eve, cfg),
-            "spsc": spsc_numeric(bob, eve),
-        }
+        closed = closed_metrics(bob, eve, cfg)
+        numeric, _ = numeric_metrics(bob, eve, cfg)
         for k in closed:
             # relative above the 1e-2 metric scale, the matching absolute
             # floor below it (a 1e-8-nat capacity is numerically zero)
@@ -224,17 +207,17 @@ def test_criterion_6_ordering_and_limits():
         bob = draw_params(rng, case2=True)
         eve = draw_params(rng, case2=True)
         cfg = SecrecyConfig(float(rng.uniform(0.1, 3.0)))
-        eb, ee = link_expansion(bob), link_expansion(eve)
-        assert sopl_case2(eb, ee, cfg) <= sop_case2(eb, ee, cfg) + 1e-12
-        assert spsc_case2(eb, ee) == pytest.approx(
-            1.0 - sopl_case2(eb, ee, SecrecyConfig(0.0)), abs=1e-14
-        )
+        closed = closed_metrics(bob, eve, cfg, ("sop", "sopl"))
+        assert closed["sopl"] <= closed["sop"] + 1e-12
+        at_zero = closed_metrics(bob, eve, SecrecyConfig(0.0), ("sopl", "spsc"))
+        assert at_zero["spsc"] == pytest.approx(1.0 - at_zero["sopl"], abs=1e-14)
     # the numeric positive-capacity probability is the complement by construction
     bob = FBParams(2.3, 1.2, 0.8, 0.6, 0.4, 10.0)
     eve = FBParams(1.7, 2.2, 1.5, 1.4, 2.0, 4.0)
-    assert spsc_numeric(bob, eve) == 1.0 - sopl_numeric(bob, eve, SecrecyConfig(0.0))
+    spsc = numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("spsc",))[0]["spsc"]
+    assert spsc == 1.0 - numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("sopl",))[0]["sopl"]
     ident = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10.0)
-    half = spsc_numeric(ident, ident)
+    half = numeric_metrics(ident, ident, SecrecyConfig(0.0), metrics=("spsc",))[0]["spsc"]
     assert half == pytest.approx(0.5, abs=1e-6)
     report(6, "ordering and limit properties", True, f"identical-link spsc={half:.8f}")
 
@@ -265,14 +248,14 @@ def test_criterion_7_resolved_erratum_guard():
         # asymmetric pairs; their combined integrand avoids that loss
         j23 = q(lambda g: math.log1p(g) * pdf_case2(ee, g) * (cdf_case2(eb, g) - 1.0))
         asc_ref = i1 + j23
-        val = asc_case2(eb, ee)
+        val = closed_metrics(bob, eve, SecrecyConfig(0.0), ("asc",))["asc"]
         rel = abs(val - asc_ref) / max(abs(asc_ref), abs(val), SCALE_FLOOR)
         worst = max(worst, rel)
         assert rel < 1e-7, (bob, eve, val, asc_ref)
 
         cfg = SecrecyConfig(1.0)
         sop_ref = q(lambda g: cdf_case2(eb, cfg.theta * g + cfg.theta - 1.0) * pdf_case2(ee, g))
-        val = sop_case2(eb, ee, cfg)
+        val = closed_metrics(bob, eve, cfg, ("sop",))["sop"]
         rel = abs(val - sop_ref) / max(abs(sop_ref), abs(val), SCALE_FLOOR)
         worst = max(worst, rel)
         assert rel < 1e-7, (bob, eve, val, sop_ref)

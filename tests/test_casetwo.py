@@ -11,15 +11,12 @@ from fbsec import (
     FBParams,
     MCConfig,
     SecrecyConfig,
-    asc_case2,
     cdf_case2,
+    closed_metrics,
     derive,
     link_expansion,
     partial_fractions,
     pdf_case2,
-    sop_case2,
-    sopl_case2,
-    spsc_case2,
 )
 from fbsec.casetwo import _mixture_value, _transform_value
 from fbsec.errors import CaseMismatchError, ParameterError
@@ -53,10 +50,6 @@ class TestSecrecyConfig:
     def test_negative_rate_rejected(self):
         with pytest.raises(ParameterError, match="rate_rs"):
             SecrecyConfig(rate_rs=-0.5)
-
-    def test_inconsistent_theta_rejected(self):
-        with pytest.raises(ParameterError, match="theta"):
-            SecrecyConfig(rate_rs=1.0, theta=2.0)
 
 
 class TestPartialFractions:
@@ -163,8 +156,9 @@ class TestDistributions:
 
 class TestMetrics:
     def test_asc_matches_quadrature_identical_links(self):
-        exp = link_expansion(FBParams(2, 1, 1, 0.5, 0.5, 10.0))
-        closed = asc_case2(exp, exp)
+        p = FBParams(2, 1, 1, 0.5, 0.5, 10.0)
+        exp = link_expansion(p)
+        closed = closed_metrics(p, p, SecrecyConfig(0.0), ("asc",))["asc"]
         oracle = quad_asc(exp, exp, 600.0)
         assert closed == pytest.approx(oracle, rel=1e-7)
         assert closed > 0
@@ -174,14 +168,14 @@ class TestMetrics:
             bob = draw_params(rng, case2=True)
             eve = draw_params(rng, case2=True)
             eb, ee = link_expansion(bob), link_expansion(eve)
-            closed = asc_case2(eb, ee)
+            closed = closed_metrics(bob, eve, SecrecyConfig(0.0), ("asc",))["asc"]
             upper = 100.0 * max(bob.avg_snr, eve.avg_snr)
             assert closed == pytest.approx(quad_asc(eb, ee, upper), rel=1e-7)
 
     def test_asc_nakagami_pair_against_sampling(self):
         bob = fbsec.from_nakagami(2.0, 1.0)
         eve = fbsec.from_nakagami(2.0, 1.0)
-        closed = asc_case2(link_expansion(bob), link_expansion(eve))
+        closed = closed_metrics(bob, eve, SecrecyConfig(0.0), ("asc",))["asc"]
         est = fbsec.estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=10_000_000, seed=31))["asc"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
@@ -190,40 +184,40 @@ class TestMetrics:
         # minus the eavesdropper capacity), so keep both small
         bob = fbsec.from_nakagami(2.0, 1e6)
         eve = fbsec.from_nakagami(2.0, 0.05)
-        closed = asc_case2(link_expansion(bob), link_expansion(eve))
+        closed = closed_metrics(bob, eve, SecrecyConfig(0.0), ("asc",))["asc"]
         assert closed / math.log(1e6) == pytest.approx(1.0, rel=0.05)
         grow = [
-            asc_case2(link_expansion(bob.with_snr(s)), link_expansion(eve))
+            closed_metrics(bob.with_snr(s), eve, SecrecyConfig(0.0), ("asc",))["asc"]
             for s in (1e2, 1e4, 1e6)
         ]
         assert grow[0] < grow[1] < grow[2]
 
     def test_sop_identical_links_half(self):
-        exp = link_expansion(FBParams(4, 2, 1.5, 0.4, 0.3, 10**0.8))
-        assert sop_case2(exp, exp, SecrecyConfig(0.0)) == pytest.approx(0.5, abs=1e-10)
+        p = FBParams(4, 2, 1.5, 0.4, 0.3, 10**0.8)
+        assert closed_metrics(p, p, SecrecyConfig(0.0), ("sop",))["sop"] == pytest.approx(0.5, abs=1e-10)
 
     def test_sop_matches_quadrature_and_simulation(self, rng):
         bob = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
         eve = FBParams(2, 1, 0.7, 2.0, 1.5, 10**0.3)
         eb, ee = link_expansion(bob), link_expansion(eve)
         cfg = SecrecyConfig(1.0)
-        closed = sop_case2(eb, ee, cfg)
+        closed = closed_metrics(bob, eve, cfg, ("sop",))["sop"]
         assert closed == pytest.approx(quad_sop(eb, ee, cfg.theta, 400.0), rel=1e-9)
         est = fbsec.estimate(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=77))["sop"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
     def test_sop_saturates_at_large_rate(self):
-        eb = link_expansion(FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2))
-        ee = link_expansion(FBParams(2, 1, 0.7, 2.0, 1.5, 10**0.3))
-        assert sop_case2(eb, ee, SecrecyConfig(20.0)) == pytest.approx(1.0, abs=1e-6)
+        bob = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
+        eve = FBParams(2, 1, 0.7, 2.0, 1.5, 10**0.3)
+        assert closed_metrics(bob, eve, SecrecyConfig(20.0), ("sop",))["sop"] == pytest.approx(1.0, abs=1e-6)
 
     def test_lower_bound_orders_below_sop(self, rng):
         for _ in range(8):
             bob = draw_params(rng, case2=True)
             eve = draw_params(rng, case2=True)
-            eb, ee = link_expansion(bob), link_expansion(eve)
             cfg = SecrecyConfig(1.0)
-            low, full = sopl_case2(eb, ee, cfg), sop_case2(eb, ee, cfg)
+            vals = closed_metrics(bob, eve, cfg, ("sopl", "sop"))
+            low, full = vals["sopl"], vals["sop"]
             assert low <= full + 1e-12
             assert low < full  # strict when supports overlap and theta > 1
 
@@ -231,34 +225,37 @@ class TestMetrics:
         bob = FBParams(2, 2, 1.0, 0.8, 0.2, 10**0.9)
         eve = FBParams(4, 1, 2.0, 1.5, 3.0, 10**0.2)
         cfg = SecrecyConfig(1.0)
-        closed = sopl_case2(link_expansion(bob), link_expansion(eve), cfg)
+        closed = closed_metrics(bob, eve, cfg, ("sopl",))["sopl"]
         est = fbsec.estimate(bob, eve, cfg, MCConfig(n_samples=10_000_000, seed=13))["sopl"]
         assert abs(closed - est.mean) < 3 * est.std_error
 
     def test_spsc_identical_links(self):
-        exp = link_expansion(FBParams(6, 3, 0.9, 0.6, 0.4, 10.0))
-        assert spsc_case2(exp, exp) == pytest.approx(0.5, abs=1e-10)
+        p = FBParams(6, 3, 0.9, 0.6, 0.4, 10.0)
+        assert closed_metrics(p, p, SecrecyConfig(0.0), ("spsc",))["spsc"] == pytest.approx(0.5, abs=1e-10)
 
     def test_sop_at_zero_rate_complements_spsc(self, rng):
         for _ in range(6):
-            eb = link_expansion(draw_params(rng, case2=True))
-            ee = link_expansion(draw_params(rng, case2=True))
-            sop0 = sop_case2(eb, ee, SecrecyConfig(0.0))
-            assert sop0 == pytest.approx(1.0 - spsc_case2(eb, ee), abs=1e-10)
-            assert sop0 == pytest.approx(sopl_case2(eb, ee, SecrecyConfig(0.0)), abs=1e-12)
+            bob = draw_params(rng, case2=True)
+            eve = draw_params(rng, case2=True)
+            vals = closed_metrics(bob, eve, SecrecyConfig(0.0), ("sop", "sopl", "spsc"))
+            sop0 = vals["sop"]
+            assert sop0 == pytest.approx(1.0 - vals["spsc"], abs=1e-10)
+            assert sop0 == pytest.approx(vals["sopl"], abs=1e-12)
 
     def test_swap_symmetry_at_unit_threshold(self, rng):
         bob = draw_params(rng, case2=True)
         eve = draw_params(rng, case2=True)
-        eb, ee = link_expansion(bob), link_expansion(eve)
         cfg = SecrecyConfig(0.0)
-        assert sopl_case2(eb, ee, cfg) == pytest.approx(1.0 - sopl_case2(ee, eb, cfg), abs=1e-7)
+        assert closed_metrics(bob, eve, cfg, ("sopl",))["sopl"] == pytest.approx(
+            1.0 - closed_metrics(eve, bob, cfg, ("sopl",))["sopl"], abs=1e-7
+        )
 
     def test_metrics_real_and_in_range_on_draws(self, rng):
         for _ in range(10):
-            eb = link_expansion(draw_params(rng, case2=True))
-            ee = link_expansion(draw_params(rng, case2=True))
+            bob = draw_params(rng, case2=True)
+            eve = draw_params(rng, case2=True)
             cfg = SecrecyConfig(float(rng.choice([0.0, 1.0])))
-            for v in (sop_case2(eb, ee, cfg), sopl_case2(eb, ee, cfg), spsc_case2(eb, ee)):
+            vals = closed_metrics(bob, eve, cfg)
+            for v in (vals["sop"], vals["sopl"], vals["spsc"]):
                 assert 0.0 <= v <= 1.0
-            assert math.isfinite(asc_case2(eb, ee))
+            assert math.isfinite(vals["asc"])

@@ -11,21 +11,17 @@ import fbsec
 from fbsec import (
     FBParams,
     InversionControl,
+    MCConfig,
     SecrecyConfig,
-    asc_case2,
-    asc_numeric,
     cdf_case2,
     cdf_numeric,
+    closed_metrics,
     derive,
     link_expansion,
     mgf,
+    numeric_metrics,
     pdf_case2,
     pdf_numeric,
-    sop_case2,
-    sop_numeric,
-    sopl_case2,
-    sopl_numeric,
-    spsc_numeric,
 )
 from fbsec import _kernels
 from fbsec.errors import (
@@ -38,6 +34,7 @@ from fbsec.errors import (
 from fbsec.inversion import _Bromwich, _Inverter, _adaptive_gk21, _gk21, _links
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
+from oracles import phi2_4_series
 
 GAMMA_LINK = FBParams(2, 1, 0, 1, 1, 1)
 
@@ -50,12 +47,10 @@ class TestControl:
         ctrl = InversionControl()
         assert ctrl.talbot_nodes == 48
         assert ctrl.quad_rel_tol == 1e-8
-        assert ctrl.quad_max_subdiv == 2000
-        assert ctrl.tail_cutoff_prob == 1e-10
 
     @pytest.mark.parametrize(
         "kw", [dict(talbot_nodes=15), dict(talbot_nodes=21), dict(quad_rel_tol=0.1),
-               dict(quad_rel_tol=0.0), dict(tail_cutoff_prob=1.0), dict(quad_max_subdiv=1)],
+               dict(quad_rel_tol=0.0)],
     )
     def test_validation(self, kw):
         with pytest.raises(ParameterError):
@@ -185,21 +180,21 @@ class TestNumericMetrics:
         for _ in range(3):
             bob = draw_params(rng, case2=True)
             eve = draw_params(rng, case2=True)
-            eb, ee = link_expansion(bob), link_expansion(eve)
             cfg = SecrecyConfig(1.0)
-            assert asc_numeric(bob, eve) == pytest.approx(asc_case2(eb, ee), rel=1e-6)
-            assert sop_numeric(bob, eve, cfg) == pytest.approx(sop_case2(eb, ee, cfg), rel=1e-6, abs=1e-9)
-            assert sopl_numeric(bob, eve, cfg) == pytest.approx(sopl_case2(eb, ee, cfg), rel=1e-6, abs=1e-9)
-            assert spsc_numeric(bob, eve) == pytest.approx(
-                fbsec.spsc_case2(eb, ee), rel=1e-6, abs=1e-9
-            )
+            closed = closed_metrics(bob, eve, cfg)
+            numeric, _ = numeric_metrics(bob, eve, cfg)
+            assert numeric["asc"] == pytest.approx(closed["asc"], rel=1e-6)
+            assert numeric["sop"] == pytest.approx(closed["sop"], rel=1e-6, abs=1e-9)
+            assert numeric["sopl"] == pytest.approx(closed["sopl"], rel=1e-6, abs=1e-9)
+            assert numeric["spsc"] == pytest.approx(closed["spsc"], rel=1e-6, abs=1e-9)
 
     def test_identical_links_half(self):
         p = FBParams(2.2, 1.7, 1.0, 0.4, 0.6, 10.0)
         cfg = SecrecyConfig(0.0)
-        assert sop_numeric(p, p, cfg) == pytest.approx(0.5, abs=1e-6)
-        assert sopl_numeric(p, p, cfg) == pytest.approx(0.5, abs=1e-6)
-        assert spsc_numeric(p, p) == pytest.approx(0.5, abs=1e-6)
+        values, _ = numeric_metrics(p, p, cfg, metrics=("sop", "sopl", "spsc"))
+        assert values["sop"] == pytest.approx(0.5, abs=1e-6)
+        assert values["sopl"] == pytest.approx(0.5, abs=1e-6)
+        assert values["spsc"] == pytest.approx(0.5, abs=1e-6)
 
     def test_outage_ordering_along_sweep(self):
         eve = EVE_REFERENCE
@@ -207,16 +202,19 @@ class TestNumericMetrics:
         prev_sop = prev_low = 1.1
         for lam_db in (0.0, 10.0, 20.0, 30.0):
             bob = FBParams(3.5, 2.5, 1, 0.1, 0.1, 10 ** ((5.0 + lam_db) / 10.0))
-            s = sop_numeric(bob, eve, cfg)
-            lo = sopl_numeric(bob, eve, cfg)
+            values, _ = numeric_metrics(bob, eve, cfg, metrics=("sop", "sopl"))
+            s, lo = values["sop"], values["sopl"]
             assert lo <= s + 1e-9
             assert s <= prev_sop + 1e-9 and lo <= prev_low + 1e-9
             prev_sop, prev_low = s, lo
 
-    def test_asc_tail_control_insensitive(self):
+    def test_asc_tail_control_insensitive(self, monkeypatch):
         bob = FBParams(3.5, 2.5, 1, 0.5, 0.1, 100.0)
-        a = asc_numeric(bob, EVE_REFERENCE, InversionControl(tail_cutoff_prob=1e-10))
-        b = asc_numeric(bob, EVE_REFERENCE, InversionControl(tail_cutoff_prob=1e-6))
+        cfg = SecrecyConfig(0.0)
+        monkeypatch.setattr("fbsec.inversion._TAIL_CUTOFF_PROB", 1e-10)
+        a = numeric_metrics(bob, EVE_REFERENCE, cfg, metrics=("asc",))[0]["asc"]
+        monkeypatch.setattr("fbsec.inversion._TAIL_CUTOFF_PROB", 1e-6)
+        b = numeric_metrics(bob, EVE_REFERENCE, cfg, metrics=("asc",))[0]["asc"]
         assert a == pytest.approx(b, rel=1e-5)
 
     def test_quadrature_non_convergence_reported(self):
@@ -233,7 +231,8 @@ class TestNumericMetrics:
                        eta=65.90421204955531, rho2=0.947533815409728, avg_snr=19409.34218515452)
         eve = FBParams(mu=0.17750350321743388, m=25.17139771285187, kappa=0.07183853607312338,
                        eta=0.003513785046535817, rho2=5.199937347021686, avg_snr=53.623558470642394)
-        assert sop_numeric(bob, eve, SecrecyConfig(1.0)) == pytest.approx(3.347551e-05, rel=1e-5)
+        sop = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))[0]["sop"]
+        assert sop == pytest.approx(3.347551e-05, rel=1e-5)
 
     def test_asc_dominant_eavesdropper_cheap_and_stable(self, monkeypatch):
         # the same lambda = -17.5 dB written two ways, down to the last bit of Bob's SNR
@@ -249,7 +248,8 @@ class TestNumericMetrics:
         values = []
         for snr in (10**2.2 * 10**-1.75, 10**0.45):
             abscissae.clear()
-            values.append(asc_numeric(FBParams(3.28, 7.96, 0.39, 6.402, 1.194, snr), eve))
+            bob = FBParams(3.28, 7.96, 0.39, 6.402, 1.194, snr)
+            values.append(numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("asc",))[0]["asc"])
             assert sum(abscissae) < 20_000
         assert abs(values[0] - values[1]) < 1e-12
 
@@ -293,7 +293,7 @@ class TestNumericMetrics:
         bob, eve = BOB_REFERENCE, EVE_REFERENCE
         values, errors = fbsec.numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("asc",))
         assert list(values) == list(errors) == ["asc"]
-        assert values["asc"] == asc_numeric(bob, eve)
+        assert values["asc"] == numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("asc",))[0]["asc"]
         with pytest.raises(ParameterError, match="metrics"):
             fbsec.numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("capacity",))
 
@@ -418,6 +418,16 @@ WIDE_BOX_TAILS = [
 ]
 
 
+# the outage metrics of each route's entry point, for a Case-2 pair
+OUTAGE_ROUTES = {
+    "closed": lambda bob, eve, cfg: closed_metrics(bob, eve, cfg, ("sop", "sopl", "spsc")),
+    "numeric": lambda bob, eve, cfg: numeric_metrics(bob, eve, cfg, metrics=("sop", "sopl", "spsc"))[0],
+    "montecarlo": lambda bob, eve, cfg: {
+        k: est.mean for k, est in fbsec.estimate(bob, eve, cfg, MCConfig(n_samples=100_000, seed=5)).items()
+    },
+}
+
+
 class TestOutageContour:
     @pytest.mark.parametrize("metric,rs,bob,eve", WIDE_BOX_TAILS)
     def test_wide_box_tails_against_mpmath(self, metric, rs, bob, eve):
@@ -435,7 +445,7 @@ class TestOutageContour:
     def test_readme_pair_rare_event(self):
         # lambda = 70 dB: Bob at 73 dB against Eve at 3 dB
         bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**7.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
-        values, errors = fbsec.outage_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
+        values, errors = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
         assert values["sop"] == pytest.approx(3.967120884e-24, rel=1e-9)
         assert errors["sop"] <= 1e-8 * values["sop"]
 
@@ -444,7 +454,7 @@ class TestOutageContour:
                        1.393824739097366, 2971.7187056386624)
         eve = FBParams(1.016549903295445, 0.43598089504962273, 0.05862182828884876, 780.8339891646935,
                        31.939850515416996, 0.49896057234167596)
-        values, _ = fbsec.outage_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
+        values, _ = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
         assert values["sop"] == pytest.approx(1.05504945579e-26, rel=1e-9)
 
     def test_saddle_near_the_strip_edge(self):
@@ -453,7 +463,7 @@ class TestOutageContour:
                        0.001291526453643308, 1757.8159628917706)
         eve = FBParams(0.10063765485551365, 3.2215626949755696, 0.1525229726006337, 0.01657742289849315,
                        0.08905449955472923, 6875.305272369598)
-        values, _ = fbsec.outage_metrics(bob, eve, SecrecyConfig(0.0), metrics=("spsc",))
+        values, _ = numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("spsc",))
         assert 1.0 - values["spsc"] == pytest.approx(0.2482571731, rel=1e-7)
 
     def test_slow_algebraic_decay(self):
@@ -462,20 +472,25 @@ class TestOutageContour:
                        0.01069489611830008, 1741.4988619567787)
         eve = FBParams(7.815274071330153, 0.20706588105626555, 35.59012186807502, 0.0034948251088359147,
                        0.068808095509938, 82.81540599711818)
-        values, _ = fbsec.outage_metrics(bob, eve, SecrecyConfig(0.5))
+        values, _ = numeric_metrics(bob, eve, SecrecyConfig(0.5), metrics=("sop", "sopl", "spsc"))
         assert values["sop"] == pytest.approx(0.3812465372, rel=1e-7)
         assert values["sopl"] == pytest.approx(0.3773642232, rel=1e-7)
         assert values["spsc"] == pytest.approx(0.6568678315, rel=1e-7)
 
-    def test_equal_problems_are_computed_once(self):
-        values, _ = fbsec.outage_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(0.0))
-        assert values["sop"] == values["sopl"]
-        assert values["spsc"] == 1.0 - values["sopl"]
+    @pytest.mark.parametrize("route", sorted(OUTAGE_ROUTES))
+    def test_equal_problems_are_computed_once(self, route):
+        # every route solves each distinct (theta, z) of the shared table once
+        bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        at_zero = OUTAGE_ROUTES[route](bob, eve, SecrecyConfig(0.0))
+        assert at_zero["sop"] == at_zero["sopl"]
+        assert at_zero["spsc"] == 1.0 - at_zero["sopl"]
+        at_one = OUTAGE_ROUTES[route](bob, eve, SecrecyConfig(1.0))
+        assert at_one["sopl"] <= at_one["sop"]
 
     def test_too_slow_decay_is_refused(self):
         bob, eve = FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 10.0), FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConvergenceError, match="decays too slowly"):
-            fbsec.outage_metrics(bob, eve, SecrecyConfig(1.0))
+            numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop", "sopl", "spsc"))
 
 
 class TestIntegrator:
@@ -588,7 +603,7 @@ class TestPhi24AgainstInversion:
         a = np.array([0.5, 0.5, 1.0, 1.0])
         x = np.array([0.3, 0.2, 0.1, 0.05])
         b = 2.0
-        series = fbsec.phi2_4_series(a, b, -x)
+        series = phi2_4_series(a, b, -x)
         lam = 14.0
         base, w = _kernels.contour_nodes(48, lam)
         val = _kernels.talbot_sum(

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import fbsec
 from fbsec import (
     FBParams,
     MCConfig,
     SecrecyConfig,
-    asc_case2,
+    closed_metrics,
     estimate,
-    link_expansion,
+    numeric_metrics,
     physical_model,
     sample_snr,
 )
@@ -96,16 +95,11 @@ class TestEstimators:
     def test_case2_pair_brackets_closed_forms(self):
         bob = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
         eve = FBParams(2, 1, 0.7, 2.0, 1.5, 10**0.3)
-        eb, ee = link_expansion(bob), link_expansion(eve)
         cfg = MCConfig(n_samples=1_000_000, seed=17)
         scfg = SecrecyConfig(1.0)
         ests = estimate(bob, eve, scfg, cfg)
-        checks = [
-            (ests["asc"], asc_case2(eb, ee)),
-            (ests["sop"], fbsec.sop_case2(eb, ee, scfg)),
-            (ests["sopl"], fbsec.sopl_case2(eb, ee, scfg)),
-            (ests["spsc"], fbsec.spsc_case2(eb, ee)),
-        ]
+        closed_values = closed_metrics(bob, eve, scfg)
+        checks = [(ests[k], closed_values[k]) for k in ("asc", "sop", "sopl", "spsc")]
         for est, closed in checks:
             assert abs(est.mean - closed) < 3 * est.std_error + 1e-9
 
@@ -113,7 +107,7 @@ class TestEstimators:
         bob = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**1.5)
         eve = FBParams(1.5, 1.5, 1.0, 0.1, 0.1, 10**0.5)
         est = estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=2_000_000, seed=29))["asc"]
-        numeric = fbsec.asc_numeric(bob, eve)
+        numeric = numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("asc",))[0]["asc"]
         assert abs(est.mean - numeric) < 3 * est.std_error
 
     def test_quoted_mid_snr_capacity_value(self):

@@ -37,12 +37,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="mu"):
             FBParams(mu=math.nan, m=1, kappa=0, eta=1, rho2=1, avg_snr=1)
 
-    def test_is_case2(self):
-        assert FBParams(2, 1, 0, 1, 1, 1).is_case2()
-        assert FBParams(4, 3, 2, 0.5, 0.5, 1).is_case2()
-        assert not FBParams(2.5, 1, 0, 1, 1, 1).is_case2()
-        assert not FBParams(2, 1.5, 0, 1, 1, 1).is_case2()
-
 
 class TestDerive:
     def test_gamma_reduction_constants(self):
@@ -123,7 +117,7 @@ class TestDerive:
     def test_kappa_zero_makes_m_and_rho2_inert(self):
         def canon(m, rho2):
             dp = derive(FBParams(3.0, m, 0.0, 0.4, rho2, 2.0))
-            groups = sorted(dp.merged_rates(), key=lambda g: g[0].real)
+            groups = sorted(merge_rate_groups(dp.theta_rates, dp.exponents), key=lambda g: g[0].real)
             return groups
 
         ref = canon(0.7, 0.3)
