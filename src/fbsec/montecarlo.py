@@ -3,13 +3,21 @@
 The instantaneous SNR is sampled from its physical construction rather
 than from the transform: conditional on a unit-mean gamma shadowing factor
 xi^2 ~ Gamma(m, 1/m), the received power is the sum of two independent
-scaled noncentral chi-squares (in-phase and quadrature clusters), each
-drawn through the Poisson-mixture representation
+scaled noncentral chi-squares (in-phase and quadrature clusters).  With
+nu clusters, per-cluster variance sigma^2 and aggregate dominant
+amplitude xi*a, each part is drawn as
 
-    chi'^2(nu, lam) ~ Gamma(nu/2 + J, 2),   J ~ Poisson(lam/2),
+    sigma^2 chi'^2(nu, xi^2 a^2 / sigma^2) = (sigma Z + xi a)^2 + sigma^2 chi^2(nu - 1),
 
-which supports any real number of clusters.  The draw is normalised by the
-mean received power, so E[snr] = avg_snr by construction.
+one standard normal Z and one gamma of fixed shape (nu - 1)/2, the gamma
+term vanishing at nu = 1.  For nu < 1 clusters the Poisson mixture
+
+    chi'^2(nu, lam) ~ Gamma(nu/2 + J, 2),   J ~ Poisson(lam/2)
+
+is used instead, so any real number of clusters is supported; nu alone
+selects the construction.  Both give the noncentral chi-square law
+exactly.  The draw is normalised by the mean received power, so
+E[snr] = avg_snr by construction.
 
 One sampling pass feeds all four metrics: each (g_D, g_E) chunk is drawn
 once and every statistic is accumulated from it.
@@ -18,13 +26,18 @@ Reproducibility contract: estimates are bit-exact for a fixed
 (seed, n_streams, n_samples).  Each stream is a counter-based generator
 keyed by (seed, stream index, link role) with a private 2^128 counter
 block, streams are processed in fixed-size chunks, and partial sums
-combine over streams by a fixed-shape pairwise tree.
+combine over streams by a fixed-shape pairwise tree.  The streams run on
+up to one thread per usable CPU and each stream's sums are kept in a slot
+of its own, so the results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from numbers import Integral
+from threading import Thread
 
 import numpy as np
 
@@ -52,6 +65,10 @@ class MCConfig:
     n_streams: int = 8
 
     def __post_init__(self):
+        for field in ("n_samples", "seed", "n_streams"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(field, f"must be an integer, got {value!r}")
         if self.n_samples < 10_000:
             raise ParameterError("n_samples", f"must be >= 1e4 for meaningful errors, got {self.n_samples!r}")
         if self.n_streams < 1:
@@ -86,18 +103,35 @@ def physical_model(params: FBParams) -> PhysicalModel:
     )
 
 
-def _noncentral_chi2(rng, nu: float, lam, size: int):
-    shape = nu / 2.0 + rng.poisson(np.asarray(lam) / 2.0, size=size)
-    return rng.gamma(shape, 2.0)
+def _scaled_noncentral_chi2(rng, nu: float, sigma2: float, shift: np.ndarray) -> np.ndarray:
+    """Draw sigma2 * chi'^2(nu, shift**2 / sigma2), one value per entry of ``shift``.
+
+    ``shift`` (float64) is used as scratch space and overwritten.
+    """
+    if nu < 1.0:
+        np.square(shift, out=shift)
+        shift *= 0.5 / sigma2
+        return rng.gamma(nu / 2.0 + rng.poisson(shift), 2.0 * sigma2)
+    out = rng.standard_normal(shift.size)
+    out *= math.sqrt(sigma2)
+    out += shift
+    np.square(out, out=out)
+    if nu > 1.0:
+        rest = rng.standard_gamma((nu - 1.0) / 2.0, shift.size, out=shift)
+        rest *= 2.0 * sigma2
+        out += rest
+    return out
 
 
 def sample_snr(params: FBParams, model: PhysicalModel, rng, size=None):
     """Draw instantaneous SNR values (scalar when ``size`` is None)."""
     n = 1 if size is None else int(size)
-    xi2 = rng.gamma(params.m, 1.0 / params.m, size=n)
-    x_part = model.sigma_x2 * _noncentral_chi2(rng, params.mu, xi2 * model.p2 / model.sigma_x2, n)
-    y_part = _noncentral_chi2(rng, params.mu, xi2 * model.q2, n)
-    snr = params.avg_snr * (x_part + y_part) / model.mean_power
+    xi = rng.gamma(params.m, 1.0 / params.m, size=n)
+    np.sqrt(xi, out=xi)
+    snr = _scaled_noncentral_chi2(rng, params.mu, model.sigma_x2, xi * math.sqrt(model.p2))
+    xi *= math.sqrt(model.q2)
+    snr += _scaled_noncentral_chi2(rng, params.mu, 1.0, xi)
+    snr *= params.avg_snr / model.mean_power
     return float(snr[0]) if size is None else snr
 
 
@@ -110,6 +144,13 @@ def _stream_rng(seed: int, stream: int, role: int):
 def _stream_lengths(n: int, streams: int) -> list[int]:
     base, extra = divmod(n, streams)
     return [base + (1 if i < extra else 0) for i in range(streams)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
 
 
 def _pairwise(values: list[float]) -> float:
@@ -150,7 +191,29 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
             left -= take
         return sums
 
-    parts = [one_stream(i, length) for i, length in enumerate(_stream_lengths(cfg.n_samples, cfg.n_streams))]
+    lengths = _stream_lengths(cfg.n_samples, cfg.n_streams)
+    parts: list = [None] * cfg.n_streams
+    errors: list[Exception] = []
+    workers = min(cfg.n_streams, _usable_cpus())
+
+    def work(first: int) -> None:
+        # round-robin; each stream's sums go to its own slot, so the
+        # pairwise combine below sees the same list for any worker count
+        try:
+            for i in range(first, cfg.n_streams, workers):
+                parts[i] = one_stream(i, lengths[i])
+        except Exception as exc:  # raised in the caller after the join
+            errors.append(exc)
+
+    # the calling thread is worker 0
+    threads = [Thread(target=work, args=(w,), name=f"fbsec-mc-{w}") for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     gap_sum, gap_sq, *hits = (_pairwise([p[k] for p in parts]) for k in range(2 + len(keys)))
     n = cfg.n_samples
 

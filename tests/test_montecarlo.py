@@ -1,6 +1,8 @@
 """Sampler correctness, estimator contracts, and reproducibility."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +18,26 @@ from fbsec import (
     physical_model,
     sample_snr,
 )
+from fbsec import montecarlo
 from fbsec.errors import ParameterError
+from fbsec.montecarlo import _scaled_noncentral_chi2
 
 from conftest import draw_params, EVE_REFERENCE
+
+
+def poisson_mixture_snr(p, rng, n, weights=(1.0,)):
+    """SNR draws built per cluster group from Poisson-mixture noncentral
+    chi-squares, with the dominant power split over the groups by ``weights``."""
+    m = physical_model(p)
+    weights = np.asarray(weights) / np.sum(weights)
+    xi2 = rng.gamma(p.m, 1.0 / p.m, size=n)
+    total = np.zeros(n)
+    for w in weights:  # per-cluster pair of in-phase/quadrature parts
+        jx = rng.poisson(xi2 * w * m.p2 / m.sigma_x2 / 2.0)
+        total += m.sigma_x2 * rng.gamma(p.mu / len(weights) / 2.0 + jx, 2.0)
+        jy = rng.poisson(xi2 * w * m.q2 / 2.0)
+        total += rng.gamma(p.mu / len(weights) / 2.0 + jy, 2.0)
+    return p.avg_snr * total / m.mean_power
 
 
 class TestPhysicalModel:
@@ -34,10 +53,16 @@ class TestPhysicalModel:
             assert m.mean_power == pytest.approx(p.mu * (1 + p.eta) * (1 + p.kappa), rel=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError, match="n_samples"):
-            MCConfig(n_samples=100)
-        with pytest.raises(ParameterError, match="n_streams"):
-            MCConfig(n_streams=0)
+        bad = [
+            ("n_samples", dict(n_samples=100)),
+            ("n_streams", dict(n_streams=0)),
+            ("n_streams", dict(n_streams=2.5)),
+            ("seed", dict(seed=1.5)),
+            ("n_samples", dict(n_samples=1e5)),
+        ]
+        for field, kwargs in bad:
+            with pytest.raises(ParameterError, match=field):
+                MCConfig(**kwargs)
 
 
 class TestSampler:
@@ -63,27 +88,42 @@ class TestSampler:
 
     def test_cluster_splitting_invariance(self):
         # sampling per cluster with the dominant power split arbitrarily
-        # must give the same law as the aggregate draw
+        # must give the same law as the aggregate draw, and so must the
+        # library's sampler
         p = FBParams(3.0, 2.0, 1.5, 0.7, 0.4, 2.0)
-        m = physical_model(p)
         n = 200_000
         rng = np.random.default_rng(21)
-
-        def split_sampler(weights):
-            weights = np.asarray(weights) / np.sum(weights)
-            xi2 = rng.gamma(p.m, 1.0 / p.m, size=n)
-            total = np.zeros(n)
-            for w in weights:  # per-cluster pair of in-phase/quadrature parts
-                jx = rng.poisson(xi2 * w * m.p2 / m.sigma_x2 / 2.0)
-                total += m.sigma_x2 * rng.gamma(p.mu / len(weights) / 2.0 + jx, 2.0)
-                jy = rng.poisson(xi2 * w * m.q2 / 2.0)
-                total += rng.gamma(p.mu / len(weights) / 2.0 + jy, 2.0)
-            return p.avg_snr * total / m.mean_power
-
-        lopsided = split_sampler([0.9, 0.05, 0.05])
-        even = split_sampler([1 / 3, 1 / 3, 1 / 3])
+        lopsided = poisson_mixture_snr(p, rng, n, [0.9, 0.05, 0.05])
+        even = poisson_mixture_snr(p, rng, n, [1 / 3, 1 / 3, 1 / 3])
         ks = stats.ks_2samp(lopsided, even)
         assert ks.pvalue > 0.01
+        library = sample_snr(p, physical_model(p), rng, size=n)
+        assert stats.ks_2samp(library, even).pvalue > 0.01
+
+    @pytest.mark.parametrize("nu", [0.6, 1.0, 1.5, 2.0, 6.5])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 12.0])
+    def test_noncentral_chi2_against_scipy(self, nu, lam):
+        # both constructions (nu < 1 and nu >= 1), the nu = 1 edge where
+        # the central part vanishes, and a zero noncentrality (kappa = 0)
+        sigma2 = 0.3
+        rng = np.random.default_rng(31)
+        shift = np.full(100_000, math.sqrt(lam * sigma2))
+        draws = _scaled_noncentral_chi2(rng, nu, sigma2, shift)
+        assert stats.kstest(draws, stats.ncx2(nu, lam, scale=sigma2).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            FBParams(1.0, 1e6, 1.5, 0.3, 0.64, 100.0),  # stiff Beckmann surrogate
+            FBParams(0.3, 0.4, 20.0, 150.0, 0.002, 10.0),  # wide-box link, mu < 1
+        ],
+        ids=["stiff", "mu0.3"],
+    )
+    def test_matches_poisson_mixture(self, p):
+        rng = np.random.default_rng(37)
+        library = sample_snr(p, physical_model(p), rng, size=200_000)
+        reference = poisson_mixture_snr(p, rng, 200_000)
+        assert stats.ks_2samp(library, reference).pvalue > 0.01
 
 
 class TestEstimators:
@@ -149,3 +189,57 @@ class TestReproducibility:
         again = estimate(bob, eve, scfg, MCConfig(n_samples=50_000, seed=7, n_streams=4))["asc"]
         assert four.mean == again.mean
         assert one.mean != four.mean  # layout is part of the contract
+
+    @pytest.mark.parametrize("cpus", [None, 5], ids=["default", "five"])
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch, cpus):
+        bob, eve = EVE_REFERENCE.with_snr(10.0), EVE_REFERENCE
+        scfg = SecrecyConfig(1.0)
+
+        def fingerprint(n_streams):
+            ests = estimate(bob, eve, scfg, MCConfig(n_samples=30_000, seed=7, n_streams=n_streams))
+            return {k: (e.mean.hex(), e.std_error.hex()) for k, e in ests.items()}
+
+        serial = {}  # one worker
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "_usable_cpus", lambda: 1)
+            for n_streams in (1, 3, 8):
+                serial[n_streams] = fingerprint(n_streams)
+        if cpus is not None:
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        for n_streams in (1, 3, 8):
+            assert fingerprint(n_streams) == serial[n_streams]
+
+    def test_workers_capped_by_cpu_count(self, monkeypatch):
+        requested = []
+
+        class InlineThread:
+            # records the request and runs the work on start, so no
+            # operating-system thread is started
+            def __init__(self, target, args, name=None):
+                self.target, self.args = target, args
+                requested.append(name)
+
+            def start(self):
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(montecarlo, "Thread", InlineThread)
+        cfg = MCConfig(n_samples=10_000, seed=3, n_streams=10_000)
+        est = estimate(EVE_REFERENCE, EVE_REFERENCE, SecrecyConfig(0.0), cfg)["sop"]
+        assert est.n == 10_000 and 0.0 < est.mean < 1.0
+        assert 1 + len(requested) <= (os.cpu_count() or 1)
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        orig = montecarlo.sample_snr
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_snr", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            estimate(EVE_REFERENCE, EVE_REFERENCE, SecrecyConfig(0.0), MCConfig(n_samples=10_000, n_streams=2))

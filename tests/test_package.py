@@ -8,13 +8,25 @@ from pathlib import Path
 import fbsec
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; the runtime path must not pull it in
+def fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's fbsec."""
     src = str(Path(fbsec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, fbsec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime path must not pull it in
+    code = "import sys, fbsec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    # Monte Carlo workers are started per estimate, never at import, and
+    # without the executor machinery of concurrent.futures
+    code = "import sys, threading, fbsec.cli; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    assert fresh_interpreter(code) == "1 False"
 
 
 def test_every_exported_name_resolves():
