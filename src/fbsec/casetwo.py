@@ -9,7 +9,8 @@ finite exponential-polynomial mixtures
 
 and the four secrecy metrics reduce to finite sums over the coefficient
 tables: one for ASC, and one for P(g_D - theta g_E < z), which gives each
-outage metric at its (theta, z) (see :func:`closed_metrics`).  The
+outage metric at its (theta, z) (see :func:`closed_metrics`).  Each sum
+runs as one array operation over flat per-term tables.  The
 ``A_ij``/``B_ij`` are extracted by high-order residue computation on the
 transform: the Taylor coefficients of the co-factor around each pole
 follow from the logarithmic-derivative recurrence, which handles merged
@@ -23,8 +24,7 @@ real to within a small residue, which is asserted before returning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from math import lgamma
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,11 @@ __all__ = [
 _IMAG_TOL = 1e-9
 _MAX_TOTAL_MULT = 64
 _RECON_TOL = 1e-9
+# ln k! for every k the sums index: powers run to _MAX_TOTAL_MULT per link
+_LN_FACT = np.array([math.lgamma(k + 1) for k in range(2 * _MAX_TOTAL_MULT)])
+_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, _MAX_TOTAL_MULT)])  # k! for k < _MAX_TOTAL_MULT
+_PROBE = np.linspace(0.0, 1.0, 20)  # log-spaced probe points, as fractions of the span
+_POWERS = np.arange(1, _MAX_TOTAL_MULT + 1)  # power j of a pole's terms: _POWERS[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +68,8 @@ class PartialFractionExpansion:
     SNR), ``mults`` their multiplicities, and ``A``/``B`` the ragged
     coefficient rows for the density and distribution mixtures.
     ``omega_norm`` is carried alongside so the expansion is self-contained.
+    The same tables, flat with one entry per term ``coef / (s + pole)^j``,
+    are built once here: ``term_pole``, ``term_j``, ``term_A``, ``term_B``.
     """
 
     poles: np.ndarray
@@ -70,6 +77,16 @@ class PartialFractionExpansion:
     A: tuple
     B: tuple
     omega_norm: float
+    term_pole: np.ndarray = field(init=False, repr=False)
+    term_j: np.ndarray = field(init=False, repr=False)
+    term_A: np.ndarray = field(init=False, repr=False)
+    term_B: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "term_pole", np.repeat(self.poles, self.mults))
+        object.__setattr__(self, "term_j", np.concatenate([_POWERS[:n] for n in self.mults]))
+        object.__setattr__(self, "term_A", np.concatenate(self.A))
+        object.__setattr__(self, "term_B", np.concatenate(self.B))
 
     @property
     def total_mult(self) -> int:
@@ -102,37 +119,23 @@ def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
 
 
 def _mixture_value(poles, mults, rows, omega, s, with_cond: bool = False):
-    s = np.asarray(s, dtype=complex)
-    total = np.zeros_like(s)
-    cond = np.zeros(s.shape)
-    for p, n, row in zip(poles, mults, rows):
-        for j in range(1, n + 1):
-            term = row[j - 1] / (s + p) ** j
-            total += term
-            cond += np.abs(term)
+    s = np.asarray(s, dtype=complex)[..., None]
+    powers = np.concatenate([_POWERS[:n] for n in mults])
+    terms = np.concatenate(rows) / (s + np.repeat(poles, mults)) ** powers
     if with_cond:
-        return omega * total, abs(omega) * cond
-    return omega * total
+        return omega * terms.sum(-1), abs(omega) * np.abs(terms).sum(-1)
+    return omega * terms.sum(-1)
 
 
 def _transform_value(factors, ln_omega, s):
-    s = np.asarray(s, dtype=complex)
-    acc = np.full(s.shape, ln_omega, dtype=complex)
-    for x, a in factors:
-        acc -= a * np.log(s + x)
-    return np.exp(acc)
+    x, a = np.array(factors, dtype=complex).T
+    return np.exp(ln_omega - (a * np.log(np.asarray(s, dtype=complex)[..., None] + x)).sum(-1))
 
 
-def partial_fractions(
-    dp: DerivedParams,
-    avg_snr: float,
-    *,
-    merge_rtol: float = 1e-9,
-    validate: bool = True,
-) -> PartialFractionExpansion:
+def partial_fractions(dp: DerivedParams, avg_snr: float) -> PartialFractionExpansion:
     """Decompose the link transform over its distinct poles.
 
-    Rates closer than ``merge_rtol`` (relative) are coalesced, summing
+    Rates closer than 1e-9 (relative) are coalesced, summing
     multiplicities; net-negative groups become numerator factors and the
     decomposition runs over the remaining poles only.  Raises a
     case-mismatch error when the exponents are not integers (or are too
@@ -140,7 +143,7 @@ def partial_fractions(
     """
     # merge before the integer test: coinciding rates can sum fractional
     # exponents to integers (e.g. the no-dominant-component reductions)
-    groups = merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents, rtol=merge_rtol)
+    groups = merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)
     net = [a for _, a in groups]
     if any(abs(a - round(a)) > 1e-9 for a in net):
         raise CaseMismatchError(
@@ -166,8 +169,7 @@ def partial_fractions(
         B=B,
         omega_norm=dp.omega_norm,
     )
-    if validate:
-        _validate_expansion(pfe, factors, dp.ln_omega)
+    _validate_expansion(pfe, factors, dp.ln_omega)
     return pfe
 
 
@@ -176,7 +178,7 @@ def _validate_expansion(pfe, factors, ln_omega):
     # moments, so errors are measured against the term-magnitude sum
     # (backward error); a wrong coefficient still shows up at full size.
     mags = np.abs(pfe.poles)
-    s = np.geomspace(0.3 * mags.min(), 3.0 * mags.max(), 20)
+    s = 0.3 * mags.min() * (10.0 * mags.max() / mags.min()) ** _PROBE
     direct = _transform_value(factors, ln_omega, s)
     recon, cond = _mixture_value(pfe.poles, pfe.mults, pfe.A, pfe.omega_norm, s, with_cond=True)
     err = np.max(np.abs(recon - direct) / np.maximum(np.abs(direct), cond))
@@ -194,25 +196,19 @@ def _validate_expansion(pfe, factors, ln_omega):
         )
 
 
-def link_expansion(params: FBParams, **kwargs) -> PartialFractionExpansion:
+def link_expansion(params: FBParams) -> PartialFractionExpansion:
     """Expansion straight from user-facing parameters."""
-    return partial_fractions(derive(params), params.avg_snr, **kwargs)
+    return partial_fractions(derive(params), params.avg_snr)
 
 
-def _mixture_time_domain(pfe, rows, g):
+def _mixture_time_domain(pfe, coef, g):
+    """omega * sum over terms of coef g^(j-1) / (j-1)! e^(-pole g), at each g >= 0."""
     g = np.asarray(g, dtype=float)
     if np.any(g < 0):
         raise DomainError("snr values must be >= 0")
-    total = np.zeros(g.shape, dtype=complex)
-    for p, n, row in zip(pfe.poles, pfe.mults, rows):
-        poly = np.zeros(g.shape, dtype=complex)
-        fact = 1.0
-        for j in range(1, n + 1):
-            if j > 1:
-                fact *= j - 1
-            poly += row[j - 1] * g ** (j - 1) / fact
-        total += np.exp(-p * g) * poly
-    return pfe.omega_norm * total
+    g = g[..., None]
+    k = pfe.term_j - 1
+    return pfe.omega_norm * (coef * g**k / _FACT[k] * np.exp(-pfe.term_pole * g)).sum(-1)
 
 
 def _realify(z, what: str):
@@ -224,39 +220,37 @@ def _realify(z, what: str):
 
 def pdf_case2(pfe: PartialFractionExpansion, g):
     """Density of the instantaneous SNR (vectorised over ``g >= 0``)."""
-    scalar = np.isscalar(g) or np.asarray(g).ndim == 0
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    vals = _mixture_time_domain(pfe, pfe.A, g_arr)
-    out = np.clip(vals.real, 0.0, None)
-    return float(out[0]) if scalar else out
+    out = np.clip(_mixture_time_domain(pfe, pfe.term_A, g).real, 0.0, None)
+    return out if out.ndim else float(out)
 
 
 def cdf_case2(pfe: PartialFractionExpansion, g):
     """Distribution of the instantaneous SNR (vectorised over ``g >= 0``)."""
-    scalar = np.isscalar(g) or np.asarray(g).ndim == 0
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    vals = 1.0 + _mixture_time_domain(pfe, pfe.B, g_arr)
-    out = np.clip(vals.real, 0.0, 1.0)
-    out[g_arr == 0.0] = 0.0  # exact by construction
-    return float(out[0]) if scalar else out
+    g = np.asarray(g, dtype=float)
+    vals = 1.0 + _mixture_time_domain(pfe, pfe.term_B, g)
+    out = np.where(g == 0.0, 0.0, np.clip(vals.real, 0.0, 1.0))  # 0 at g = 0 exactly, by construction
+    return out if out.ndim else float(out)
 
 
 def _asc(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:
-    """Average secrecy capacity in nats."""
-    total = 0.0 + 0j
-    for p, n, arow in zip(bob.poles, bob.mults, bob.A):
-        T = ln1p_moment_table(int(n), p)
-        total += bob.omega_norm * np.dot(arow, T)
+    """Average secrecy capacity in nats.
 
-    for pd, nd, a_d, b_d in zip(bob.poles, bob.mults, bob.A, bob.B):
-        for pe, ne, a_e, b_e in zip(eve.poles, eve.mults, eve.A, eve.B):
-            T = ln1p_moment_table(int(nd + ne - 1), pd + pe)
-            cross = 0.0 + 0j
-            for jd in range(1, int(nd) + 1):
-                for je in range(1, int(ne) + 1):
-                    w = math.exp(lgamma(jd + je - 1) - lgamma(jd) - lgamma(je))
-                    cross += w * (a_d[jd - 1] * b_e[je - 1] + a_e[je - 1] * b_d[jd - 1]) * T[jd + je - 2]
-            total += bob.omega_norm * eve.omega_norm * cross
+    The cross term's moment tables, one per pole-pair sum p_D + p_E, are
+    padded into one array and read per term pair at power jd + je - 1.
+    """
+    own = np.concatenate([ln1p_moment_table(int(n), p) for p, n in zip(bob.poles, bob.mults)])
+    total = bob.omega_norm * np.dot(bob.term_A, own)
+
+    tables = np.zeros((bob.poles.size, eve.poles.size, bob.mults.max() + eve.mults.max() - 1), dtype=complex)
+    for i, (pd, nd) in enumerate(zip(bob.poles, bob.mults)):
+        for k, (pe, ne) in enumerate(zip(eve.poles, eve.mults)):
+            tables[i, k, : nd + ne - 1] = ln1p_moment_table(int(nd + ne - 1), pd + pe)
+    jd, je = bob.term_j[:, None], eve.term_j[None, :]
+    gd, ge = (np.repeat(np.arange(x.poles.size), x.mults) for x in (bob, eve))
+    T = tables[gd[:, None], ge[None, :], jd + je - 2]
+    w = np.exp(_LN_FACT[jd + je - 2] - _LN_FACT[jd - 1] - _LN_FACT[je - 1])
+    cross = w * (bob.term_A[:, None] * eve.term_B + eve.term_A * bob.term_B[:, None]) * T
+    total += bob.omega_norm * eve.omega_norm * cross.sum()
     return _realify(total, "average secrecy capacity")
 
 
@@ -269,29 +263,24 @@ def _outage(
     binomial expansion of (theta g + z)^(jd-1) runs over r = 0..jd-1, and
     at z = 0 only its top term r = jd - 1 survives the vanishing z powers.
     """
-    ln_theta = math.log(theta)
-    acc = 0.0 + 0j
-    for pd, nd, b_d in zip(bob.poles, bob.mults, bob.B):
-        for pe, ne, a_e in zip(eve.poles, eve.mults, eve.A):
-            den = np.log(theta * pd + pe)
-            for jd in range(1, int(nd) + 1):
-                for je in range(1, int(ne) + 1):
-                    coef = a_e[je - 1] * b_d[jd - 1]
-                    for r in range(jd) if z > 0.0 else (jd - 1,):
-                        # binomial(jd-1, r) and the rising factorial (je)_r,
-                        # with the 1/(jd-1)! prefactor folded in
-                        L = (
-                            -z * pd
-                            + r * ln_theta
-                            - lgamma(r + 1) - lgamma(jd - r)
-                            + lgamma(je + r) - lgamma(je)
-                            - (r + je) * den
-                        )
-                        pw = jd - 1 - r
-                        if pw:
-                            L += pw * math.log(z)
-                        acc += coef * np.exp(L)
-    val = 1.0 + bob.omega_norm * eve.omega_norm * acc
+    # axes: Bob's term, Eve's term, binomial index r (only r < jd is a term)
+    pd, jd = bob.term_pole[:, None, None], bob.term_j[:, None, None]
+    pe, je = eve.term_pole[None, :, None], eve.term_j[None, :, None]
+    r = np.arange(jd.max()) if z > 0.0 else jd - 1
+    pw = jd - 1 - r
+    # binomial(jd-1, r) and the rising factorial (je)_r, with the 1/(jd-1)!
+    # prefactor folded in
+    L = (
+        -z * pd
+        + r * math.log(theta)
+        - _LN_FACT[r] - _LN_FACT[np.maximum(pw, 0)]
+        + _LN_FACT[je + r - 1] - _LN_FACT[je - 1]
+        - (r + je) * np.log(theta * pd + pe)
+    )
+    if z > 0.0:
+        L = L + pw * math.log(z)
+    terms = eve.term_A[None, :, None] * bob.term_B[:, None, None] * np.exp(np.where(pw >= 0, L, -np.inf))
+    val = 1.0 + bob.omega_norm * eve.omega_norm * terms.sum()
     return min(1.0, max(0.0, _realify(val, "secrecy outage probability")))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -195,6 +196,9 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
 def cmd_sweep(args) -> int:
     bob, eve = _links_from_args(args)
     wanted = _metric_list(args.metrics)
+    for flag, value in (("--start-db", args.start_db), ("--stop-db", args.stop_db), ("--step-db", args.step_db)):
+        if not math.isfinite(value):
+            raise ParameterError(flag, f"must be finite, got {value!r}")
     if args.step_db <= 0:
         raise ParameterError("--step-db", f"must be > 0, got {args.step_db!r}")
     if args.start_db > args.stop_db:
@@ -253,7 +257,7 @@ def cmd_validate(args) -> int:
     bob, eve = _links_from_args(args)
     ctrl = _control(args)
     scfg = SecrecyConfig(rate_rs=args.rs)
-    cfg = MCConfig(n_samples=args.mc_samples or 1_000_000, seed=args.seed, n_streams=args.mc_streams)
+    cfg = MCConfig(n_samples=args.mc_samples, seed=args.seed, n_streams=args.mc_streams)
 
     numeric, _ = inversion.numeric_metrics(bob, eve, scfg, ctrl)
     try:
@@ -368,7 +372,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p_val = sub.add_parser("validate", help="three-way agreement report")
     _add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, mc_samples=1_000_000)
 
     p_red = sub.add_parser("reduce", help="classical-family parameter embedding")
     p_red.add_argument("family", help="|".join(sorted(_FAMILIES)))
@@ -385,13 +389,16 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     return parser
 
 
+# the parser of the built-in defaults: built by main's first call, then shared
+_default_parser = functools.cache(build_parser)
+
+
 def _print_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
+    args, remaining = _default_parser().parse_known_args(argv)
     if remaining:
         print(f"unrecognised arguments: {remaining}", file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 The upper incomplete gamma function at any real order, the ``ln(1+x)``
 moment integral as a scalar, Pochhammer symbols, binomial coefficients,
-and a direct power-series evaluator for the four-variable confluent
+a direct power-series evaluator for the four-variable confluent
 hypergeometric function, which cross-checks the SNR law at small
-arguments.  They reuse the continued fraction and the exponential-integral
+arguments, and the term-by-term loops of the closed-form sums.  They reuse the continued fraction and the exponential-integral
 anchor of :mod:`fbsec.special`, and scipy where the package needs none.
 """
 
@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
 import scipy.special as sc
 
+from fbsec.casetwo import _realify
 from fbsec.errors import ConvergenceError, DomainError
 from fbsec.special import (
     _CF_SWITCH,
@@ -203,3 +205,85 @@ def phi2_4_series(a, b: float, x, ctrl: EvalControl | None = None) -> float:
             f"series lost all significant digits (cancellation ratio {peak / max(abs(total), _TINY):.1e})"
         )
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form sums, one term at a time
+# ---------------------------------------------------------------------------
+# casetwo evaluates these sums as array operations, in another order.  Each
+# loop also returns the sum of its terms' magnitudes, which bounds what the
+# reordering can move: within a small multiple of eps times that sum
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).
+
+
+def outage_loops(bob, eve, theta: float, z: float) -> tuple[float, float]:
+    """P(g_D - theta g_E < z) of two expansions, and 1 + |omega_D omega_E| sum |terms|."""
+    ln_theta = math.log(theta)
+    acc = 0.0 + 0j
+    mag = 0.0
+    for pd, nd, b_d in zip(bob.poles, bob.mults, bob.B):
+        for pe, ne, a_e in zip(eve.poles, eve.mults, eve.A):
+            den = np.log(theta * pd + pe)
+            for jd in range(1, int(nd) + 1):
+                for je in range(1, int(ne) + 1):
+                    coef = a_e[je - 1] * b_d[jd - 1]
+                    for r in range(jd) if z > 0.0 else (jd - 1,):
+                        L = (
+                            -z * pd
+                            + r * ln_theta
+                            - lgamma(r + 1) - lgamma(jd - r)
+                            + lgamma(je + r) - lgamma(je)
+                            - (r + je) * den
+                        )
+                        pw = jd - 1 - r
+                        if pw:
+                            L += pw * math.log(z)
+                        term = coef * np.exp(L)
+                        acc += term
+                        mag += abs(term)
+    val = 1.0 + bob.omega_norm * eve.omega_norm * acc
+    prob = min(1.0, max(0.0, _realify(val, "secrecy outage probability")))
+    return prob, 1.0 + abs(bob.omega_norm * eve.omega_norm) * mag
+
+
+def asc_loops(bob, eve) -> tuple[float, float]:
+    """Average secrecy capacity (nats) of two expansions, and the sum of its terms' magnitudes."""
+    total = 0.0 + 0j
+    mag = 0.0
+    for p, n, arow in zip(bob.poles, bob.mults, bob.A):
+        T = ln1p_moment_table(int(n), p)
+        total += bob.omega_norm * np.dot(arow, T)
+        mag += abs(bob.omega_norm) * float(np.sum(np.abs(arow * T)))
+
+    for pd, nd, a_d, b_d in zip(bob.poles, bob.mults, bob.A, bob.B):
+        for pe, ne, a_e, b_e in zip(eve.poles, eve.mults, eve.A, eve.B):
+            T = ln1p_moment_table(int(nd + ne - 1), pd + pe)
+            cross = 0.0 + 0j
+            cross_mag = 0.0
+            for jd in range(1, int(nd) + 1):
+                for je in range(1, int(ne) + 1):
+                    w = math.exp(lgamma(jd + je - 1) - lgamma(jd) - lgamma(je))
+                    cross += w * (a_d[jd - 1] * b_e[je - 1] + a_e[je - 1] * b_d[jd - 1]) * T[jd + je - 2]
+                    cross_mag += w * (abs(a_d[jd - 1] * b_e[je - 1]) + abs(a_e[je - 1] * b_d[jd - 1])) * abs(T[jd + je - 2])
+            total += bob.omega_norm * eve.omega_norm * cross
+            mag += abs(bob.omega_norm * eve.omega_norm) * cross_mag
+    return _realify(total, "average secrecy capacity"), mag
+
+
+def mixture_time_domain_loops(pfe, rows, g) -> tuple[np.ndarray, np.ndarray]:
+    """omega * sum_i e^(-p_i g) sum_j row_ij g^(j-1) / (j-1)! at each g >= 0, and the sum of |terms|."""
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise DomainError("snr values must be >= 0")
+    total = np.zeros(g.shape, dtype=complex)
+    mag = np.zeros(g.shape)
+    for p, n, row in zip(pfe.poles, pfe.mults, rows):
+        poly = np.zeros(g.shape, dtype=complex)
+        fact = 1.0
+        for j in range(1, n + 1):
+            if j > 1:
+                fact *= j - 1
+            poly += row[j - 1] * g ** (j - 1) / fact
+            mag += np.abs(row[j - 1] * g ** (j - 1) / fact * np.exp(-p * g))
+        total += np.exp(-p * g) * poly
+    return pfe.omega_norm * total, abs(pfe.omega_norm) * mag

@@ -19,9 +19,13 @@ from fbsec import (
     pdf_case2,
 )
 from fbsec.casetwo import _mixture_value, _transform_value
-from fbsec.errors import CaseMismatchError, ParameterError
+from fbsec.errors import CaseMismatchError, FbsecError, ParameterError
+from fbsec.params import METRICS, outage_value
 
+import oracles
 from conftest import draw_params
+
+EPS = np.finfo(float).eps
 
 
 def quad_asc(bob, eve, upper):
@@ -259,3 +263,66 @@ class TestMetrics:
             for v in (vals["sop"], vals["sopl"], vals["spsc"]):
                 assert 0.0 <= v <= 1.0
             assert math.isfinite(vals["asc"])
+
+
+class TestArraySumsMatchLoops:
+    """The array sums of casetwo against the term-by-term loops of ``oracles``.
+
+    Reordering a sum moves it by a small multiple of eps times the sum of
+    its terms' magnitudes, which each loop returns; near-double-pole pairs
+    (such as pair 92) have a large one and stay in the draw.
+    """
+
+    BOUND = 64 * EPS
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(7)
+        return [(draw_params(rng, case2=True), draw_params(rng, case2=True)) for _ in range(396)]
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except FbsecError as exc:
+            return type(exc)
+
+    @staticmethod
+    def loop_metrics(bob, eve, cfg):
+        exp_d, exp_e = link_expansion(bob), link_expansion(eve)
+        out = {}
+        for name, pz in cfg.outage_problems(METRICS).items():
+            prob, mag = oracles.outage_loops(exp_d, exp_e, *pz)
+            out[name] = (outage_value(name, prob), mag)
+        out["asc"] = oracles.asc_loops(exp_d, exp_e)
+        return out
+
+    def test_closed_metrics(self, pairs):
+        compared = 0
+        for bob, eve in pairs:
+            for rs in (0.0, 0.5, 1.0, 2.0):
+                cfg = SecrecyConfig(rs)
+                new = self.outcome(lambda: closed_metrics(bob, eve, cfg))
+                old = self.outcome(lambda: self.loop_metrics(bob, eve, cfg))
+                if isinstance(new, type) or isinstance(old, type):
+                    assert new is old
+                    continue
+                for name in METRICS:
+                    value, mag = old[name]
+                    assert abs(new[name] - value) <= self.BOUND * mag, (bob, eve, rs, name)
+                compared += 1
+        assert compared > 1400
+
+    def test_pdf_and_cdf(self, pairs):
+        grid = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+        for link in (p for pair in pairs for p in pair):
+            try:
+                exp = link_expansion(link)
+            except FbsecError:
+                continue
+            g = link.avg_snr * grid
+            mix, mag = oracles.mixture_time_domain_loops(exp, exp.A, g)
+            assert np.all(np.abs(pdf_case2(exp, g) - np.clip(mix.real, 0.0, None)) <= self.BOUND * mag)
+            mix, mag = oracles.mixture_time_domain_loops(exp, exp.B, g)
+            cdf = np.where(g == 0.0, 0.0, np.clip(1.0 + mix.real, 0.0, 1.0))
+            assert np.all(np.abs(cdf_case2(exp, g) - cdf) <= self.BOUND * (1.0 + mag))

@@ -93,6 +93,12 @@ class TestEval:
         bits = json.loads(out_b)["asc"]
         assert bits == pytest.approx(nats / math.log(2), rel=1e-12)
 
+    def test_units_do_not_reach_the_next_call(self, capsys):
+        # main shares one parser between calls
+        run(capsys, "eval", "--bob", CASE2_BOB, "--eve", CASE2_EVE, "--units", "bits")
+        _, out, _ = run(capsys, "eval", "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert json.loads(out)["units"] == "nats"
+
     def test_bad_link_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--bob", "mu=2,bogus=1", "--eve", "same")
         assert code == 2
@@ -175,6 +181,15 @@ class TestSweep:
                          "--start-db", "0", "--stop-db", "10", "--step-db", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--start-db", "--stop-db", "--step-db"])
+    def test_non_finite_bound_exits_2(self, capsys, flag, value):
+        bounds = {"--start-db": "0", "--stop-db": "10", "--step-db": "5", flag: value}
+        code, _, err = run(capsys, "sweep", "--bob", BOB, "--eve", "same",
+                           *(item for pair in bounds.items() for item in pair))
+        assert code == 2
+        assert err.startswith("parameter error:") and flag in err
+
 
 class TestValidate:
     def test_case2_pair_passes(self, capsys):
@@ -225,6 +240,13 @@ class TestValidate:
         verdict = {c["metric"]: c["pass"] for c in _holm_comparisons(rows, 0.0027)}
         assert verdict == {"asc": True, "sop": True, "sopl": False, "spsc": True}
         assert not _holm_comparisons(rows[3:], 0.0027)[0]["pass"]
+
+    def test_zero_mc_samples_exits_2(self, capsys):
+        # 0 is a value, not an absent flag: MCConfig rejects it
+        code, out, err = run(capsys, "validate", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                             "--mc-samples", "0")
+        assert code == 2
+        assert out == "" and "n_samples" in err
 
     def test_corrupted_tolerance_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "--bob", BOB, "--eve", "same",
@@ -295,6 +317,17 @@ class TestConfigFile:
         code, out, _ = run(capsys, "eval", "--config", str(cfg), "--metric", "sop")
         assert code == 0
         assert "sop" in json.loads(out)
+
+    def test_config_defaults_do_not_reach_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rs": 1.0, "metric": "sopl", "units": "bits"}))
+        code, out, _ = run(capsys, "eval", "--config", str(cfg), "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert code == 0 and json.loads(out)["units"] == "bits"
+        code, out, _ = run(capsys, "eval", "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["rs"], rec["units"]) == (0.0, "nats")
+        assert {"asc", "sop", "sopl", "spsc"} <= set(rec)
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--config", "/nonexistent.json")

@@ -29,6 +29,12 @@ def test_cli_import_starts_no_thread():
     assert fresh_interpreter(code) == "1 False"
 
 
+def test_cli_import_builds_no_parser():
+    # the shared parser is built by the first main call, not at import
+    code = "import fbsec.cli; print(fbsec.cli._default_parser.cache_info().currsize)"
+    assert fresh_interpreter(code) == "0"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fbsec.__all__ if not hasattr(fbsec, name)]
     assert missing == []
