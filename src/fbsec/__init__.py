@@ -10,11 +10,9 @@ Monte Carlo (:func:`estimate`).
 
 from .casetwo import (
     PartialFractionExpansion,
-    cdf_case2,
     closed_metrics,
     link_expansion,
     partial_fractions,
-    pdf_case2,
 )
 from .errors import (
     AccuracyWarning,
@@ -22,16 +20,9 @@ from .errors import (
     ConvergenceError,
     DomainError,
     FbsecError,
-    InversionInstabilityError,
     ParameterError,
 )
-from .inversion import (
-    InversionControl,
-    cdf_numeric,
-    mgf,
-    numeric_metrics,
-    pdf_numeric,
-)
+from .inversion import InversionControl, numeric_metrics
 from .montecarlo import (
     MCConfig,
     MCEstimate,
@@ -66,10 +57,10 @@ __all__ = [
     "db_to_linear", "linear_to_db",
     "METRICS", "SecrecyConfig",
     "PartialFractionExpansion", "partial_fractions", "link_expansion",
-    "pdf_case2", "cdf_case2", "closed_metrics",
-    "InversionControl", "mgf", "pdf_numeric", "cdf_numeric", "numeric_metrics",
+    "closed_metrics",
+    "InversionControl", "numeric_metrics",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",
     "sample_snr", "estimate",
     "FbsecError", "ParameterError", "DomainError", "CaseMismatchError",
-    "ConvergenceError", "InversionInstabilityError",
+    "ConvergenceError",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CaseMismatchError, ConvergenceError, DomainError
+from .errors import CaseMismatchError, ConvergenceError
 from .params import (
     METRICS,
     DerivedParams,
@@ -45,8 +45,6 @@ __all__ = [
     "PartialFractionExpansion",
     "partial_fractions",
     "link_expansion",
-    "pdf_case2",
-    "cdf_case2",
     "closed_metrics",
 ]
 
@@ -55,7 +53,6 @@ _MAX_TOTAL_MULT = 64
 _RECON_TOL = 1e-9
 # ln k! for every k the sums index: powers run to _MAX_TOTAL_MULT per link
 _LN_FACT = np.array([math.lgamma(k + 1) for k in range(2 * _MAX_TOTAL_MULT)])
-_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, _MAX_TOTAL_MULT)])  # k! for k < _MAX_TOTAL_MULT
 _PROBE = np.linspace(0.0, 1.0, 20)  # log-spaced probe points, as fractions of the span
 _POWERS = np.arange(1, _MAX_TOTAL_MULT + 1)  # power j of a pole's terms: _POWERS[:n]
 
@@ -201,35 +198,11 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
     return partial_fractions(derive(params), params.avg_snr)
 
 
-def _mixture_time_domain(pfe, coef, g):
-    """omega * sum over terms of coef g^(j-1) / (j-1)! e^(-pole g), at each g >= 0."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise DomainError("snr values must be >= 0")
-    g = g[..., None]
-    k = pfe.term_j - 1
-    return pfe.omega_norm * (coef * g**k / _FACT[k] * np.exp(-pfe.term_pole * g)).sum(-1)
-
-
 def _realify(z, what: str):
     z = complex(z)
     if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z.real)):
         raise ConvergenceError(f"{what} has non-negligible imaginary residue {z.imag:.2e}")
     return z.real
-
-
-def pdf_case2(pfe: PartialFractionExpansion, g):
-    """Density of the instantaneous SNR (vectorised over ``g >= 0``)."""
-    out = np.clip(_mixture_time_domain(pfe, pfe.term_A, g).real, 0.0, None)
-    return out if out.ndim else float(out)
-
-
-def cdf_case2(pfe: PartialFractionExpansion, g):
-    """Distribution of the instantaneous SNR (vectorised over ``g >= 0``)."""
-    g = np.asarray(g, dtype=float)
-    vals = 1.0 + _mixture_time_domain(pfe, pfe.term_B, g)
-    out = np.where(g == 0.0, 0.0, np.clip(vals.real, 0.0, 1.0))  # 0 at g = 0 exactly, by construction
-    return out if out.ndim else float(out)
 
 
 def _asc(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:

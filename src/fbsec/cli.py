@@ -29,13 +29,7 @@ import warnings
 from statistics import NormalDist
 
 from . import casetwo, inversion, montecarlo
-from .errors import (
-    CaseMismatchError,
-    ConvergenceError,
-    FbsecError,
-    InversionInstabilityError,
-    ParameterError,
-)
+from .errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
 from .inversion import InversionControl
 from .montecarlo import MCConfig
 from .params import (
@@ -106,7 +100,7 @@ def _metric_list(text: str) -> list[str]:
 
 
 def _control(args) -> InversionControl:
-    return InversionControl(talbot_nodes=args.talbot_nodes, quad_rel_tol=args.quad_rel_tol)
+    return InversionControl(quad_rel_tol=args.quad_rel_tol)
 
 
 def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
@@ -157,7 +151,6 @@ def cmd_eval(args) -> int:
     if path == "numeric":
         record["error_estimates"] = {
             "quad_rel_tol": ctrl.quad_rel_tol,
-            "talbot_nodes": ctrl.talbot_nodes,
             "achieved": _apply_units(errs, args.units),
         }
     else:
@@ -336,6 +329,13 @@ def cmd_reduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _node_count(text: str) -> int:
+    nodes = int(text)
+    if nodes < 16 or nodes % 2:
+        raise argparse.ArgumentTypeError(f"must be even and >= 16, got {nodes}")
+    return nodes
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--bob", help="Bob link spec: mu=..,m=..,kappa=..,eta=..,rho2=..,snr_db=..")
     p.add_argument("--eve", help="Eve link spec (same keys), or 'same'")
@@ -343,7 +343,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--mc-streams", type=int, default=8)
-    p.add_argument("--talbot-nodes", type=int, default=48)
+    p.add_argument("--talbot-nodes", type=_node_count, default=48,
+                   help="accepted for compatibility; it no longer steers anything")
     p.add_argument("--quad-rel-tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, InversionInstabilityError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except FbsecError as exc:

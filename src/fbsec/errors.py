@@ -37,9 +37,5 @@ class ConvergenceError(FbsecError):
         super().__init__(message)
 
 
-class InversionInstabilityError(FbsecError):
-    """Two node counts of the transform inversion disagree materially."""
-
-
 class AccuracyWarning(UserWarning):
     """A result is returned with less accuracy than the package's checks demand."""

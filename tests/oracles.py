@@ -1,4 +1,4 @@
-"""Special-function oracles that only the tests use.
+"""Reference code that only the tests use.
 
 The upper incomplete gamma function at any real order, the ``ln(1+x)``
 moment integral as a scalar, Pochhammer symbols, binomial coefficients,
@@ -6,6 +6,11 @@ a direct power-series evaluator for the four-variable confluent
 hypergeometric function, which cross-checks the SNR law at small
 arguments, and the term-by-term loops of the closed-form sums.  They reuse the continued fraction and the exponential-integral
 anchor of :mod:`fbsec.special`, and scipy where the package needs none.
+
+One link's density and distribution, which no metric needs: the
+exponential-polynomial mixtures of a Case-2 expansion, and for any
+parameters a Talbot inversion of the link's transform (a fixed-shape
+cotangent contour), with the transform itself.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from math import lgamma
 import numpy as np
 import scipy.special as sc
 
-from fbsec.casetwo import _realify
-from fbsec.errors import ConvergenceError, DomainError
+from fbsec.casetwo import _MAX_TOTAL_MULT, _realify
+from fbsec.errors import ConvergenceError, DomainError, FbsecError
+from fbsec.inversion import _Link, _stable_factors
+from fbsec._kernels import log_transform
 from fbsec.special import (
     _CF_SWITCH,
     _TINY,
@@ -287,3 +294,212 @@ def mixture_time_domain_loops(pfe, rows, g) -> tuple[np.ndarray, np.ndarray]:
             mag += np.abs(row[j - 1] * g ** (j - 1) / fact * np.exp(-p * g))
         total += np.exp(-p * g) * poly
     return pfe.omega_norm * total, abs(pfe.omega_norm) * mag
+
+
+# ---------------------------------------------------------------------------
+# one link's density and distribution
+# ---------------------------------------------------------------------------
+
+_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, _MAX_TOTAL_MULT)])  # k! for k < _MAX_TOTAL_MULT
+
+
+def _mixture_time_domain(pfe, coef, g):
+    """omega * sum over terms of coef g^(j-1) / (j-1)! e^(-pole g), at each g >= 0."""
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise DomainError("snr values must be >= 0")
+    g = g[..., None]
+    k = pfe.term_j - 1
+    return pfe.omega_norm * (coef * g**k / _FACT[k] * np.exp(-pfe.term_pole * g)).sum(-1)
+
+
+def pdf_case2(pfe, g):
+    """Density of the instantaneous SNR of a Case-2 expansion (vectorised over ``g >= 0``)."""
+    out = np.clip(_mixture_time_domain(pfe, pfe.term_A, g).real, 0.0, None)
+    return out if out.ndim else float(out)
+
+
+def cdf_case2(pfe, g):
+    """Distribution of the instantaneous SNR of a Case-2 expansion (vectorised over ``g >= 0``)."""
+    g = np.asarray(g, dtype=float)
+    vals = 1.0 + _mixture_time_domain(pfe, pfe.term_B, g)
+    out = np.where(g == 0.0, 0.0, np.clip(vals.real, 0.0, 1.0))  # 0 at g = 0 exactly, by construction
+    return out if out.ndim else float(out)
+
+
+def mgf(dp, avg_snr: float, s):
+    """Transform value omega * prod_k (s + theta_k/avg_snr)^(-a_k).
+
+    Analytic for Re(s) > 0; evaluated in log space, with near-cancelling
+    factor pairs combined so the huge-``m`` reductions stay accurate.
+    """
+    factors = _stable_factors(dp, avg_snr)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
+    re, im = log_transform(s_arr.real, s_arr.imag, 1.0, 0.0, *factors, dp.ln_omega)
+    out = np.exp(re) * (np.cos(im) + 1j * np.sin(im))
+    return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
+
+
+# The Talbot inversion: for each abscissa t,
+#
+#     (lam / (N t)) * sum_k Re[ w_k * exp(L(s_k)) ],    s_k = base_k / t,
+#
+# with L the log of the transform times s^-s_pow, in real arithmetic only.
+# Every factor is taken in the scaled variable z = tau (s + p), tau =
+# min(t, 1), whose imaginary part all factors share: for t <= 1, z = base_k
+# + p t has modulus at least lam * pi / N, so the square neither underflows
+# nor overflows however small t is.  The amplitude lam (= Re(s t) at the
+# contour apex) is capped at 10: past it the exp(lam) * eps rounding floor,
+# not the trapezoid truncation, limits double precision.
+
+_LAM_CAP = 10.0
+_NODE_FRACTION = 0.4  # classical amplitude rule lam = 0.4 * nodes, here capped
+_PROBE_FRACTIONS = (0.3, 0.7, 1.0, 1.5, 2.5)
+_PROBE_RTOL = 1e-6
+# least relative noise of a contour-sum distribution value: the exp(lam) *
+# eps floor of the capped contour (1e-13 to 1e-12 on ordinary links)
+_KERNEL_NOISE = 1e-11
+_BATCH = 256  # abscissae per broadcast: keeps the (batch x nodes) temporaries cache-sized
+
+
+class InversionInstabilityError(FbsecError):
+    """Two node counts of the Talbot inversion disagree materially."""
+
+
+def lam_for(nodes: int) -> float:
+    return min(_NODE_FRACTION * nodes, _LAM_CAP)
+
+
+def contour_nodes(n_nodes: int, lam: float):
+    """Contour points (times t) and trapezoid weights.
+
+    ``base_k = lam * theta_k * (cot(theta_k) + i)`` is the product s*t along
+    the contour, which is abscissa-independent.
+    """
+    k = np.arange(n_nodes)
+    th = k * math.pi / n_nodes
+    base = np.empty(n_nodes, dtype=np.complex128)
+    base[0] = lam
+    cot = 1.0 / np.tan(th[1:])
+    base[1:] = lam * th[1:] * (cot + 1j)
+    w = np.empty(n_nodes, dtype=np.complex128)
+    w[0] = 0.5 * math.exp(lam)
+    sigma = th[1:] + (th[1:] * cot - 1.0) * cot
+    x, y = base[1:].real, base[1:].imag
+    w[1:] = np.exp(x) * (np.cos(y) + 1j * np.sin(y)) * (1.0 + 1j * sigma)
+    return base, w
+
+
+def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, s_pow, lam):
+    """Contour sum at every abscissa in ``ts`` (s_pow 0: density, 1: distribution)."""
+    ts = np.asarray(ts, dtype=np.float64)
+    out = np.empty(ts.size)
+    n_nodes = len(base)
+    live = w != 0  # nodes whose weight underflowed add exactly nothing
+    base, w = base[live], w[live]
+    ln_w, arg_w = np.log(np.abs(w)), np.angle(w)
+    ln_b, arg_b = np.log(np.abs(base)), np.angle(base)
+    for lo in range(0, ts.size, _BATCH):
+        t = ts[lo:lo + _BATCH, None]
+        ln_t = np.log(t)
+        tau = np.minimum(t, 1.0)
+        r = tau / t
+        # the sum's lam / (N t) is lam / (N tau) inside the log, which keeps
+        # every term at its final size at tiny t, and tau / t = r after it
+        ln_tau = np.log(tau)
+        ln_c = ln_omega + math.log(lam / n_nodes) - ln_tau
+        re, im = log_transform(base.real * r, base.imag * r, tau, ln_tau, poles, exps, pair_x,
+                               pair_delta, pair_coef, ln_c)
+        re = re + ln_w
+        im = im + arg_w
+        if s_pow != 0.0:
+            re -= s_pow * (ln_b - ln_t)  # log s = log|base| - log t + i arg(base)
+            im -= s_pow * arg_b
+        terms = np.exp(re)
+        terms *= np.cos(im)
+        out[lo:lo + _BATCH] = terms.sum(axis=1) * r[:, 0]
+    return out
+
+
+class TalbotLink(_Link):
+    """One link with its Talbot contour: density, distribution and a node-doubling probe."""
+
+    def __init__(self, dp, avg_snr: float, nodes: int = 48):
+        super().__init__(dp, avg_snr)
+        self.nodes = nodes
+        self.lam = lam_for(nodes)
+        self.base, self.w = contour_nodes(nodes, self.lam)
+        self.noise = _KERNEL_NOISE  # relative noise of a distribution value; see probe_check
+
+    def _eval(self, g, s_pow, nodes=None):
+        if nodes is None:
+            base, w, lam = self.base, self.w, self.lam
+        else:
+            lam = lam_for(nodes)
+            base, w = contour_nodes(nodes, lam)
+        return talbot_sum(g, base, w, *self.factors, self.ln_omega, s_pow, lam)
+
+    def pdf(self, g):
+        g = np.atleast_1d(np.asarray(g, dtype=float))
+        out = np.zeros(g.shape)
+        pos = g > 0
+        out[pos] = self._eval(g[pos], 0.0)
+        return np.clip(out, 0.0, None)
+
+    def cdf(self, g, band_check: bool = False):
+        g = np.atleast_1d(np.asarray(g, dtype=float))
+        out = np.zeros(g.shape)
+        pos = g > 0
+        raw = self._eval(g[pos], 1.0)
+        if band_check and raw.size and (raw.min() < -1e-7 or raw.max() > 1.0 + 1e-7):
+            raise InversionInstabilityError(
+                f"distribution value outside [0,1] band: [{raw.min():.3e}, {raw.max():.3e}]"
+            )
+        out[pos] = np.clip(raw, 0.0, 1.0)
+        return out
+
+    def probe_check(self):
+        """Compare the configured node count against twice the nodes.
+
+        Relative disagreement beyond 1e-6 at body abscissae means the
+        contour sum cannot be trusted for these parameters.  A floor tied
+        to the largest probed density keeps far-tail jitter (absolute
+        noise on a vanishing value) from tripping the check.  The
+        disagreement, when above ``_KERNEL_NOISE``, becomes the link's
+        noise level.
+        """
+        g = self.avg_snr * np.asarray(_PROBE_FRACTIONS)
+        v1 = self._eval(g, 0.0)
+        v2 = self._eval(g, 0.0, nodes=2 * self.nodes)
+        floor = 1e-3 * float(np.max(np.abs(v1))) + 1e-300
+        rel = np.abs(v1 - v2) / np.maximum(np.maximum(np.abs(v1), np.abs(v2)), floor)
+        worst = float(rel.max())
+        self.noise = max(_KERNEL_NOISE, worst)
+        if worst > _PROBE_RTOL:
+            raise InversionInstabilityError(
+                f"node counts {self.nodes} and {2 * self.nodes} disagree by {worst:.2e} (> {_PROBE_RTOL:g})"
+            )
+
+
+def _scalar_or_array(x, out):
+    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+
+
+def pdf_numeric(dp, avg_snr: float, g, nodes: int = 48):
+    """Density by Talbot inversion of the transform (g > 0, vectorised)."""
+    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    if np.any(g_arr <= 0):
+        raise DomainError("pdf_numeric requires g > 0")
+    link = TalbotLink(dp, avg_snr, nodes)
+    link.probe_check()
+    return _scalar_or_array(g, link.pdf(g_arr))
+
+
+def cdf_numeric(dp, avg_snr: float, g, nodes: int = 48):
+    """Distribution by Talbot inversion of transform/s (g >= 0, vectorised)."""
+    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    if np.any(g_arr < 0):
+        raise DomainError("cdf_numeric requires g >= 0")
+    link = TalbotLink(dp, avg_snr, nodes)
+    link.probe_check()
+    return _scalar_or_array(g, link.cdf(g_arr, band_check=True))

@@ -18,22 +18,19 @@ from scipy import integrate, stats
 import fbsec
 from fbsec import (
     FBParams,
-    InversionControl,
     MCConfig,
     SecrecyConfig,
-    cdf_case2,
-    cdf_numeric,
     closed_metrics,
     derive,
     estimate,
     link_expansion,
     numeric_metrics,
-    pdf_case2,
     physical_model,
     sample_snr,
 )
 
 from conftest import draw_params
+from oracles import TalbotLink, cdf_case2, cdf_numeric, pdf_case2
 
 
 # metrics are O(1)-scaled (nats, probabilities); below this the relative
@@ -136,7 +133,6 @@ def test_criterion_4_distributional_correctness():
     """
     t0 = time.monotonic()
     rng = np.random.default_rng(44000)
-    ctrl = InversionControl()
     probs = np.arange(0.1, 0.91, 0.1)
     n = 1_000_000
     crossings = 0
@@ -144,9 +140,7 @@ def test_criterion_4_distributional_correctness():
     for i in range(200):
         p = draw_params(rng)
         dp = derive(p)
-        from fbsec.inversion import _Inverter
-
-        inv = _Inverter(dp, p.avg_snr, ctrl)
+        inv = TalbotLink(dp, p.avg_snr)
         upper = inv.upper_limit(1e-12)
         mass, _ = integrate.quad(
             lambda u: float(inv.pdf([math.expm1(u)])[0]) * (math.expm1(u) + 1.0),

@@ -11,12 +11,10 @@ from fbsec import (
     FBParams,
     MCConfig,
     SecrecyConfig,
-    cdf_case2,
     closed_metrics,
     derive,
     link_expansion,
     partial_fractions,
-    pdf_case2,
 )
 from fbsec.casetwo import _mixture_value, _transform_value
 from fbsec.errors import CaseMismatchError, FbsecError, ParameterError
@@ -24,6 +22,7 @@ from fbsec.params import METRICS, outage_value
 
 import oracles
 from conftest import draw_params
+from oracles import cdf_case2, pdf_case2
 
 EPS = np.finfo(float).eps
 

@@ -69,6 +69,21 @@ class TestEval:
         assert rec["path"] == "numeric"
         assert rec["error_estimates"]["achieved"]["sop"] <= 1e-6 * rec["sop"]
 
+    @pytest.mark.parametrize("nodes", ["15", "21"])
+    def test_talbot_nodes_still_checked(self, capsys, nodes):
+        # the flag steers nothing now, but an odd value or one below 16 stays a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--talbot-nodes", nodes])
+        assert exc.value.code == 2
+        assert "--talbot-nodes" in capsys.readouterr().err
+
+    def test_talbot_nodes_inert(self, capsys):
+        _, default, _ = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--metric", "asc")
+        _, doubled, _ = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--metric", "asc",
+                            "--talbot-nodes", "96")
+        assert doubled == default
+        assert "talbot_nodes" not in json.loads(default)["error_estimates"]
+
     @pytest.mark.filterwarnings("default::fbsec.errors.AccuracyWarning")
     def test_accuracy_warning_is_printed(self, capsys, monkeypatch):
         import warnings

@@ -57,7 +57,6 @@ def test_wide_box_properties(bob, eve, rate_rs, step_db):
         if at_theta_1 is not None:
             assert low[0]["spsc"] == 1.0 - at_theta_1[0]["sopl"]
     if low is not None and high is not None:
-        # a stronger main link cannot lower ASC or SPSC; ASC's quadrature
-        # works to an absolute tolerance of 1e-12 besides its achieved error
-        for k, floor in (("asc", 1e-12), ("spsc", 0.0)):
-            assert high[0][k] >= low[0][k] - (high[1][k] + low[1][k] + floor), k
+        # a stronger main link cannot lower ASC or SPSC, beyond their achieved errors
+        for k in ("asc", "spsc"):
+            assert high[0][k] >= low[0][k] - (high[1][k] + low[1][k]), k
