@@ -196,6 +196,8 @@ def cmd_sweep(args) -> int:
         raise ParameterError("--step-db", f"must be > 0, got {args.step_db!r}")
     if args.start_db > args.stop_db:
         raise ParameterError("--start-db", "must be <= --stop-db")
+    if not math.isfinite((args.stop_db - args.start_db) / args.step_db):
+        raise ParameterError("--step-db", f"too small for the range: {args.step_db!r}")
     ctrl = _control(args)
     rows = _sweep_rows(args, bob, eve, wanted, ctrl)
     if args.format == "json":
@@ -353,16 +355,19 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+    # with config defaults, a value that its flag's type rejects raises
+    # ArgumentError, which main reports as the config's
+    kw = {"exit_on_error": config_defaults is None}
     parser = argparse.ArgumentParser(prog="fbsec", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+                                     formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate metrics for one configuration")
+    p_eval = sub.add_parser("eval", help="evaluate metrics for one configuration", **kw)
     _add_common(p_eval)
     p_eval.add_argument("--metric", default="all", help="asc|sop|sopl|spsc|all (comma list ok)")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="metrics along a dB axis")
+    p_sweep = sub.add_parser("sweep", help="metrics along a dB axis", **kw)
     _add_common(p_sweep)
     p_sweep.add_argument("--axis", choices=("lambda_db", "snr_bob_db"), default="lambda_db")
     p_sweep.add_argument("--start-db", type=float, required=True)
@@ -371,11 +376,11 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_sweep.add_argument("--metrics", default="all", help="comma list of metrics (default all)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="three-way agreement report")
+    p_val = sub.add_parser("validate", help="three-way agreement report", **kw)
     _add_common(p_val)
     p_val.set_defaults(func=cmd_validate, mc_samples=1_000_000)
 
-    p_red = sub.add_parser("reduce", help="classical-family parameter embedding")
+    p_red = sub.add_parser("reduce", help="classical-family parameter embedding", **kw)
     p_red.add_argument("family", help="|".join(sorted(_FAMILIES)))
     p_red.add_argument("--params", default="", help="family parameters, k=v comma list")
     p_red.add_argument("--out", default=None)
@@ -394,6 +399,22 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 _default_parser = functools.cache(build_parser)
 
 
+def _read_config(path: str) -> dict:
+    """The defaults of a ``--config`` file: a JSON object of strings and numbers.
+
+    Each number becomes the text of a flag, so the flag's own type converts
+    and checks it as it would on the command line.
+    """
+    with open(path) as fh:
+        defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise ValueError(f"expected a JSON object, got {json.dumps(defaults)[:40]}")
+    for key, value in defaults.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{key!r}: expected a string or a number, got {json.dumps(value)[:40]}")
+    return {key: value if isinstance(value, str) else repr(value) for key, value in defaults.items()}
+
+
 def _print_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
@@ -405,12 +426,10 @@ def main(argv=None) -> int:
         return 2
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            args, _ = build_parser(_read_config(args.config)).parse_known_args(argv)
+        except (OSError, ValueError, argparse.ArgumentError) as exc:
             print(f"--config: {exc}", file=sys.stderr)
             return 2
-        args, _ = build_parser(defaults).parse_known_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning

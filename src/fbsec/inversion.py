@@ -149,7 +149,10 @@ def _links(bob: FBParams, eve: FBParams) -> tuple[_Link, _Link]:
 _EDGE_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-18.0, math.log(99.0), 64)))
 _NEWTON_STEPS = 4
 _DECAY = 40.0       # e-folds of algebraic decay past the largest rate
-_STEP = 0.1         # first trapezoid step in t; the first round also evaluates _STEP / 2
+# first trapezoid step in t, checked against the sum at 2 _STEP of its even nodes;
+# the rule converges exponentially on this analytic path, so the first pass
+# mostly meets the tolerance and the rest take one halving
+_STEP = 0.1
 _MAX_NODES = 1 << 16  # per problem and step size
 _LN_REACH = math.log(1e150)  # |s| stays below this, so |s|^2 stays finite
 _OPENINGS = 4.0 ** -np.arange(5)  # z > 0 path openings tried, per unit of w
@@ -174,6 +177,12 @@ def _rates(factors) -> tuple[float, float]:
     members = [*pair_x, *(pair_x + pair_delta)]
     singular = [p for p, a in zip(poles, exps) if a > 0 or abs(a - round(a)) > 1e-9]
     return min(singular + members), max([*poles, *members])
+
+
+def _ragged(counts):
+    """(owner, index) of each entry of a ragged layout in which owner i holds 0 .. counts[i] - 1."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _log_derivatives(factors, y):
@@ -284,44 +293,52 @@ class _Bromwich:
         or a stiff pair (the no-shadowing surrogates) makes M_D grow by many
         orders: the sum would then cancel far beyond its value.  The openings
         are probed from the widest down, each on the problems that every
-        wider one failed.
+        wider one failed and on each problem's nodes t = 0, 0.5, ... up to
+        its own truncation there.  The probes read magnitudes only
+        (:meth:`log_magnitude`).
         """
         n, k = len(c), len(_OPENINGS)
         beta = w[:, None] * _OPENINGS  # (n, k)
         t_max = self._truncation(w[:, None], beta, theta[:, None], z[:, None])
-        top = min(t_max.max(), (_LN_REACH - np.log(w)).min())
-        t = _PROBE_STEP * np.arange(int(np.ceil(top / _PROBE_STEP)) + 1)  # t[0] = 0: the saddle
+        reach = np.ceil((_LN_REACH - np.log(w)).min() / _PROBE_STEP)
+        last = np.minimum(np.floor(t_max / _PROBE_STEP), reach).astype(int)  # (n, k): the last probe
         j = np.full(n, k - 1)  # the narrowest, when every wider one grows
         live = np.arange(n)
         for i in range(k - 1):
-            shape = (live.size, t.size)
-
-            def grid(x):
-                return np.broadcast_to(x[live, None], shape)
-
-            with np.errstate(over="ignore"):  # only the logs are read: a grown term may overflow
-                _, _, re = self.terms(np.broadcast_to(t, shape), grid(c), grid(w),
-                                      grid(beta[:, i]), grid(theta), grid(z))
+            owner, node = _ragged(last[live, i] + 1)
+            p = live[owner]
+            re = self.log_magnitude(_PROBE_STEP * node, c[p], w[p], beta[p, i], theta[p], z[p])
+            saddle = np.flatnonzero(node == 0)  # each problem's t = 0, the same for every opening
             if i == 0:
-                limit = re[:, 0] + math.log(_GROWTH)  # the term at t = 0 is the same for every opening
-            peak = np.max(np.where(t <= t_max[live, i, None], re, -np.inf), axis=-1)
-            flat = ~(peak > limit[live])
+                limit = re[saddle] + math.log(_GROWTH)
+            flat = ~(np.maximum.reduceat(re, saddle) > limit[live])
             j[live[flat]] = i
             live = live[~flat]
             if not live.size:
                 break
         return beta[np.arange(n), j]
 
-    def terms(self, t, c, w, beta, theta, z):
-        """Im[F(s) s'(t)] at every node, a bound on its rounding error, and log|F(s) s'(t)|."""
+    @staticmethod
+    def _path(t, c, w, beta):
+        """s(t) = c - beta (cosh t - 1) + i w sinh t: (sinh t, s, s'(t), |s|, log|s|, log|s'(t)|)."""
         sh = np.sinh(t)
         sr = c - beta * (2.0 * np.sinh(0.5 * t) ** 2)  # cosh t - 1 without cancellation
         si = w * sh
-        dr, di = -beta * sh, w * np.cosh(t)  # s'(t)
-        re, im = self._log_m(sr, si, theta)
+        dr, di = -beta * sh, w * np.cosh(t)
         abs_s = np.hypot(sr, si)
-        ln_s = np.log(abs_s)
-        ln_ds = np.log(np.hypot(dr, di))
+        return sh, sr, si, dr, di, abs_s, np.log(abs_s), np.log(np.hypot(dr, di))
+
+    def log_magnitude(self, t, c, w, beta, theta, z):
+        """log|F(s) s'(t)| at every node: the third output of :meth:`terms`, without its phase,
+        its exponential or its rounding bound."""
+        _, sr, si, _, _, _, ln_s, ln_ds = self._path(t, c, w, beta)
+        re, _ = self._log_m(sr, si, theta)
+        return re + z * sr - ln_s + ln_ds
+
+    def terms(self, t, c, w, beta, theta, z):
+        """Im[F(s) s'(t)] at every node, a bound on its rounding error, and log|F(s) s'(t)|."""
+        sh, sr, si, dr, di, abs_s, ln_s, ln_ds = self._path(t, c, w, beta)
+        re, im = self._log_m(sr, si, theta)
         re = re + z * sr - ln_s + ln_ds
         im = im + z * si - np.arctan2(si, sr) + np.arctan2(di, dr)
         mag = np.exp(re)
@@ -355,8 +372,8 @@ class _Bromwich:
                 f"{_DECAY / self.decay:.3g})"
             )
         n = len(theta)
-        step = np.full(n, 0.5 * _STEP)
-        count = 2 * np.ceil(t_max / _STEP).astype(int)  # intervals at the current step
+        step = np.full(n, _STEP)
+        count = 2 * np.ceil(t_max / (2.0 * _STEP)).astype(int)  # intervals at the current step
         coarse = np.zeros(n)  # trapezoid sums at steps 2 * step and step, unscaled
         fine = np.zeros(n)
         noise = np.zeros(n)
@@ -368,9 +385,11 @@ class _Bromwich:
             if np.any(count[live] > _MAX_NODES):
                 raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem")
             # the nodes new at this step, all of them at first and then the odd ones
-            k = [np.arange(0, count[i] + 1) if first else np.arange(1, count[i], 2) for i in live]
-            pos = np.repeat(np.arange(live.size), [len(ki) for ki in k])
-            k = np.concatenate(k)
+            if first:
+                pos, k = _ragged(count[live] + 1)
+            else:
+                pos, k = _ragged(count[live] // 2)
+                k = 2 * k + 1
             j = live[pos]
             f, bound, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
             if first:

@@ -11,6 +11,9 @@ One link's density and distribution, which no metric needs: the
 exponential-polynomial mixtures of a Case-2 expansion, and for any
 parameters a Talbot inversion of the link's transform (a fixed-shape
 cotangent contour), with the transform itself.
+
+The outage contour's choice of opening, probed through the full terms on
+one rectangular grid of nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import scipy.special as sc
 
 from fbsec.casetwo import _MAX_TOTAL_MULT, _realify
 from fbsec.errors import ConvergenceError, DomainError, FbsecError
-from fbsec.inversion import _Link, _stable_factors
+from fbsec.inversion import _GROWTH, _LN_REACH, _OPENINGS, _PROBE_STEP, _Link, _stable_factors
 from fbsec._kernels import log_transform
 from fbsec.special import (
     _CF_SWITCH,
@@ -503,3 +506,36 @@ def cdf_numeric(dp, avg_snr: float, g, nodes: int = 48):
     link = TalbotLink(dp, avg_snr, nodes)
     link.probe_check()
     return _scalar_or_array(g, link.cdf(g_arr, band_check=True))
+
+
+def opening_reference(contour, c, w, theta, z):
+    """beta of ``_Bromwich._opening``, from the full ``terms`` on one grid of nodes.
+
+    Every live problem is probed at t = 0, 0.5, ... up to the batch's
+    largest truncation, and nodes past its own truncation are masked out.
+    """
+    n, k = len(c), len(_OPENINGS)
+    beta = w[:, None] * _OPENINGS
+    t_max = contour._truncation(w[:, None], beta, theta[:, None], z[:, None])
+    top = min(t_max.max(), (_LN_REACH - np.log(w)).min())
+    t = _PROBE_STEP * np.arange(int(np.ceil(top / _PROBE_STEP)) + 1)
+    j = np.full(n, k - 1)
+    live = np.arange(n)
+    for i in range(k - 1):
+        shape = (live.size, t.size)
+
+        def grid(x):
+            return np.broadcast_to(x[live, None], shape)
+
+        with np.errstate(over="ignore"):  # only the logs are read: a grown term may overflow
+            _, _, re = contour.terms(np.broadcast_to(t, shape), grid(c), grid(w),
+                                     grid(beta[:, i]), grid(theta), grid(z))
+        if i == 0:
+            limit = re[:, 0] + math.log(_GROWTH)
+        peak = np.max(np.where(t <= t_max[live, i, None], re, -np.inf), axis=-1)
+        flat = ~(peak > limit[live])
+        j[live[flat]] = i
+        live = live[~flat]
+        if not live.size:
+            break
+    return beta[np.arange(n), j]

@@ -196,6 +196,12 @@ class TestSweep:
                          "--start-db", "0", "--stop-db", "10", "--step-db", "-1")
         assert code == 2
 
+    def test_too_many_rows_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--bob", BOB, "--eve", "same",
+                           "--start-db", "0", "--stop-db", "1e300", "--step-db", "1e-300")
+        assert code == 2
+        assert err.startswith("parameter error:") and "--step-db" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--start-db", "--stop-db", "--step-db"])
     def test_non_finite_bound_exits_2(self, capsys, flag, value):
@@ -347,3 +353,24 @@ class TestConfigFile:
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--config", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"rs": [1]}', '{"quad_rel_tol": null}', '{"units": true}',  # not a string or a number
+        '{"rs": "abc"}', '{"seed": 1.5}',  # what the flag's own type rejects
+        '[1]', '"rs"', '0', 'null',  # not an object
+    ])
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "eval", "--config", str(cfg), "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert code == 2
+        assert err.startswith("--config: ")
+
+    def test_config_values_pass_the_flags_checks(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"talbot_nodes": 15}))
+        code, _, err = run(capsys, "eval", "--config", str(cfg), "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert code == 2 and "--talbot-nodes" in err
+        cfg.write_text(json.dumps({"rs": 1, "seed": 7, "quad_rel_tol": "1e-9"}))
+        code, out, _ = run(capsys, "eval", "--config", str(cfg), "--bob", CASE2_BOB, "--eve", CASE2_EVE)
+        assert code == 0 and json.loads(out)["rs"] == 1.0

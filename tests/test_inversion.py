@@ -18,10 +18,11 @@ from fbsec import (
     numeric_metrics,
 )
 from fbsec.errors import AccuracyWarning, ConvergenceError, ParameterError
-from fbsec.inversion import _Bromwich, _links
+from fbsec.inversion import _AscRule, _Bromwich, _links
+from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
-from oracles import TalbotLink, mgf
+from oracles import TalbotLink, mgf, opening_reference
 
 class TestControl:
     def test_defaults(self):
@@ -351,6 +352,30 @@ OUTAGE_ROUTES = {
 }
 
 
+# Pairs of TestOutageContour that go through numeric_metrics
+README_RARE_EVENT = (FBParams(4, 2, 1.5, 0.4, 0.3, 10**7.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3))  # lambda = 70 dB
+WIDE_BOX_RARE_EVENT = (
+    FBParams(13.20101172828917, 0.29464645435524633, 0.007184483719157476, 0.8359411203020278,
+             1.393824739097366, 2971.7187056386624),
+    FBParams(1.016549903295445, 0.43598089504962273, 0.05862182828884876, 780.8339891646935,
+             31.939850515416996, 0.49896057234167596),
+)
+SADDLE_NEAR_EDGE = (
+    FBParams(10.048465430076718, 0.7016591319871176, 30.00828646829595, 171.06958749127267,
+             0.001291526453643308, 1757.8159628917706),
+    FBParams(0.10063765485551365, 3.2215626949755696, 0.1525229726006337, 0.01657742289849315,
+             0.08905449955472923, 6875.305272369598),
+)
+SLOW_DECAY = (
+    FBParams(0.1936799239326128, 1.4084319105801713, 0.04247220638234632, 0.5226813067381675,
+             0.01069489611830008, 1741.4988619567787),
+    FBParams(7.815274071330153, 0.20706588105626555, 35.59012186807502, 0.0034948251088359147,
+             0.068808095509938, 82.81540599711818),
+)
+TOO_SLOW_DECAY = (FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 10.0), FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 1.0))
+README_PAIR = (FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3))  # Case 2
+
+
 class TestOutageContour:
     @pytest.mark.parametrize("metric,rs,bob,eve", WIDE_BOX_TAILS)
     def test_wide_box_tails_against_mpmath(self, metric, rs, bob, eve):
@@ -367,34 +392,25 @@ class TestOutageContour:
 
     def test_readme_pair_rare_event(self):
         # lambda = 70 dB: Bob at 73 dB against Eve at 3 dB
-        bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**7.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        bob, eve = README_RARE_EVENT
         values, errors = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
         assert values["sop"] == pytest.approx(3.967120884e-24, rel=1e-9)
         assert errors["sop"] <= 1e-8 * values["sop"]
 
     def test_wide_box_rare_event(self):
-        bob = FBParams(13.20101172828917, 0.29464645435524633, 0.007184483719157476, 0.8359411203020278,
-                       1.393824739097366, 2971.7187056386624)
-        eve = FBParams(1.016549903295445, 0.43598089504962273, 0.05862182828884876, 780.8339891646935,
-                       31.939850515416996, 0.49896057234167596)
+        bob, eve = WIDE_BOX_RARE_EVENT
         values, _ = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop",))
         assert values["sop"] == pytest.approx(1.05504945579e-26, rel=1e-9)
 
     def test_saddle_near_the_strip_edge(self):
         # near-cancelling pole/zero pairs pull the saddle toward the strip edge
-        bob = FBParams(10.048465430076718, 0.7016591319871176, 30.00828646829595, 171.06958749127267,
-                       0.001291526453643308, 1757.8159628917706)
-        eve = FBParams(0.10063765485551365, 3.2215626949755696, 0.1525229726006337, 0.01657742289849315,
-                       0.08905449955472923, 6875.305272369598)
+        bob, eve = SADDLE_NEAR_EDGE
         values, _ = numeric_metrics(bob, eve, SecrecyConfig(0.0), metrics=("spsc",))
         assert 1.0 - values["spsc"] == pytest.approx(0.2482571731, rel=1e-7)
 
     def test_slow_algebraic_decay(self):
         # mu_D + mu_E = 0.6: the vertical-line integrand decays only past every rate
-        bob = FBParams(0.1936799239326128, 1.4084319105801713, 0.04247220638234632, 0.5226813067381675,
-                       0.01069489611830008, 1741.4988619567787)
-        eve = FBParams(7.815274071330153, 0.20706588105626555, 35.59012186807502, 0.0034948251088359147,
-                       0.068808095509938, 82.81540599711818)
+        bob, eve = SLOW_DECAY
         values, _ = numeric_metrics(bob, eve, SecrecyConfig(0.5), metrics=("sop", "sopl", "spsc"))
         assert values["sop"] == pytest.approx(0.3812465372, rel=1e-7)
         assert values["sopl"] == pytest.approx(0.3773642232, rel=1e-7)
@@ -403,7 +419,7 @@ class TestOutageContour:
     @pytest.mark.parametrize("route", sorted(OUTAGE_ROUTES))
     def test_equal_problems_are_computed_once(self, route):
         # every route solves each distinct (theta, z) of the shared table once
-        bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        bob, eve = README_PAIR
         at_zero = OUTAGE_ROUTES[route](bob, eve, SecrecyConfig(0.0))
         assert at_zero["sop"] == at_zero["sopl"]
         assert at_zero["spsc"] == 1.0 - at_zero["sopl"]
@@ -411,6 +427,128 @@ class TestOutageContour:
         assert at_one["sopl"] <= at_one["sop"]
 
     def test_too_slow_decay_is_refused(self):
-        bob, eve = FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 10.0), FBParams(0.01, 1.0, 1.0, 1.0, 1.0, 1.0)
+        bob, eve = TOO_SLOW_DECAY
         with pytest.raises(ConvergenceError, match="decays too slowly"):
             numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop", "sopl", "spsc"))
+
+
+# The pairs of the numeric-sweep benchmark workload (perfbench/workloads.py):
+# fig1, the stiff no-shadowing surrogate (m = 1e6) as Bob, and two pairs with
+# non-integer parameters.  Bob's SNR is a placeholder; lambda sets it.
+SWEEP_PAIRS = {
+    "fig1": (BOB_REFERENCE, EVE_REFERENCE),
+    "stiff": (FBParams(1.0, 1e6, 1.5, 0.3, 0.64, 1.0), EVE_REFERENCE),
+    "noninteger-a": (FBParams(2.7, 1.8, 3.2, 0.45, 2.5, 1.0), FBParams(1.3, 4.6, 0.35, 2.2, 0.6, 10**0.8)),
+    "noninteger-b": (FBParams(3.1, 0.75, 0.8, 1.7, 0.25, 1.0), FBParams(0.8, 2.3, 6.0, 0.6, 3.5, 10**0.2)),
+}
+SWEEP_LAMBDAS_DB = (-10.0, 10.0, 40.0)
+
+
+def _sweep_links(names=tuple(SWEEP_PAIRS)):
+    """(Bob, Eve) of the named sweep pairs at each of SWEEP_LAMBDAS_DB."""
+    return [(bob.with_snr(eve.avg_snr * 10 ** (lam / 10.0)), eve)
+            for bob, eve in (SWEEP_PAIRS[k] for k in names) for lam in SWEEP_LAMBDAS_DB]
+
+
+def _first_batch(bob, eve):
+    """The contour and the first batch of an all-metrics row at R_s = 1: the
+    outage problems and ASC's first nodes, as numeric_metrics sends them."""
+    links = _links(bob, eve)
+    contour = _Bromwich(*links)
+    keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
+    theta_r, z_r = _AscRule(contour, *links, 1e-8).problems()
+    return contour, np.r_[[k[0] for k in keys], theta_r], np.r_[[k[1] for k in keys], z_r]
+
+
+class TestContourWork:
+    """What each contour problem costs: magnitude-only probes and the first trapezoid pass."""
+
+    def test_log_magnitude_is_the_third_output_of_terms(self):
+        rng = np.random.default_rng(5)
+        for bob, eve in _sweep_links(("fig1", "stiff")):
+            contour, theta, z = _first_batch(bob, eve)
+            c, w, _, t_max = contour.contour(theta, z)
+            t = rng.uniform(0.0, 1.0, (theta.size, 32)) * t_max[:, None]
+            # at the widest opening, where the probes start
+            args = [x[:, None] for x in (c, w, np.where(z > 0.0, w, 0.0), theta, z)]
+            with np.errstate(over="ignore"):
+                _, _, ref = contour.terms(t, *args)
+            np.testing.assert_allclose(contour.log_magnitude(t, *args), ref, rtol=0.0, atol=1e-12)
+
+    def test_opening_matches_a_full_terms_reference(self):
+        rng = np.random.default_rng(2612)
+        pairs = _sweep_links(("fig1", "stiff")) + [(_wide_box_link(rng), _wide_box_link(rng)) for _ in range(120)]
+        checked = narrower = 0
+        for bob, eve in pairs:
+            try:
+                contour, theta, z = _first_batch(bob, eve)
+                c, w, beta, _ = contour.contour(theta, z)
+            except fbsec.FbsecError:
+                continue
+            pos = z > 0.0
+            ref = opening_reference(contour, c[pos], w[pos], theta[pos], z[pos])
+            assert np.array_equal(beta[pos], ref), (bob, eve)
+            narrower += np.count_nonzero(ref < w[pos])
+            checked += 1
+        assert checked >= 100 + 6
+        assert narrower > 0
+
+    def test_first_pass_at_half_the_step_agrees(self, monkeypatch):
+        # a first pass at 0.05 against 0.1 agrees within both runs' achieved
+        # errors and refuses the same problems
+        cases = [(BOB_REFERENCE, EVE_REFERENCE, 1.0, METRICS), (*README_PAIR, 1.0, METRICS)]
+        cases += [(bob, eve, 1.0, METRICS) for bob, eve in _sweep_links()]
+        cases += [(*README_RARE_EVENT, 1.0, ("sop",)), (*WIDE_BOX_RARE_EVENT, 1.0, ("sop",)),
+                  (*SADDLE_NEAR_EDGE, 0.0, ("spsc",)), (*SLOW_DECAY, 0.5, ("sop", "sopl", "spsc")),
+                  (*TOO_SLOW_DECAY, 1.0, ("sop", "sopl", "spsc"))]
+
+        def run():
+            out = []
+            for bob, eve, rs, metrics in cases:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", AccuracyWarning)  # the stiff surrogate's
+                        values, errors = numeric_metrics(bob, eve, SecrecyConfig(rs), metrics=metrics)
+                except ConvergenceError:
+                    out.append(None)
+                    continue
+                out += [(values[k], errors[k]) for k in metrics]
+            for metric, rs, bob, eve in WIDE_BOX_TAILS:
+                theta = 1.0 if metric == "spsc" else math.exp(rs)
+                z = theta - 1.0 if metric == "sop" else 0.0
+                tail, err, _ = _Bromwich(*_links(FBParams(*bob), FBParams(*eve))).integrals(
+                    np.array([theta]), np.array([z]), 1e-8)
+                out.append((tail[0], err[0]))
+            return out
+
+        coarse = run()
+        monkeypatch.setattr("fbsec.inversion._STEP", 0.05)
+        fine = run()
+        assert len(coarse) == len(fine) and coarse.count(None) == 1
+        for a, b in zip(coarse, fine):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert abs(a[0] - b[0]) <= a[1] + b[1], (a, b)
+
+    def test_terms_calls_per_integrals_call(self, monkeypatch):
+        # fig1 at R_s = 1 is one batch: its first pass and one halving; a first
+        # pass at 0.05 meets the tolerance at once
+        real_terms, real_integrals = _Bromwich.terms, _Bromwich.integrals
+        calls = []
+
+        def terms(self, *args):
+            calls[-1] += 1
+            return real_terms(self, *args)
+
+        def integrals(self, *args):
+            calls.append(0)
+            return real_integrals(self, *args)
+
+        monkeypatch.setattr(_Bromwich, "terms", terms)
+        monkeypatch.setattr(_Bromwich, "integrals", integrals)
+        numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
+        assert calls == [2]
+        monkeypatch.setattr("fbsec.inversion._STEP", 0.05)
+        calls.clear()
+        numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
+        assert calls == [1]
