@@ -15,7 +15,8 @@ runs as one array operation over flat per-term tables.  The
 transform: the Taylor coefficients of the co-factor around each pole
 follow from the logarithmic-derivative recurrence, which handles merged
 poles and negative exponents (numerator factors) uniformly.
-Every expansion is verified against the transform itself at construction.
+Every expansion is verified at construction against the transform itself,
+evaluated by the contour route's kernel (:mod:`fbsec._kernels`).
 
 All coefficient arithmetic is complex; the final metrics must come out
 real to within a small residue, which is asserted before returning.
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import log_transform
 from .errors import CaseMismatchError, ConvergenceError
 from .params import (
     METRICS,
@@ -85,10 +87,6 @@ class PartialFractionExpansion:
         object.__setattr__(self, "term_A", np.concatenate(self.A))
         object.__setattr__(self, "term_B", np.concatenate(self.B))
 
-    @property
-    def total_mult(self) -> int:
-        return int(self.mults.sum())
-
 
 def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
     """Expansion coefficients at pole group ``i`` of prod_k (s+x_k)^(-a_k).
@@ -115,18 +113,10 @@ def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
     return t[::-1].copy()
 
 
-def _mixture_value(poles, mults, rows, omega, s, with_cond: bool = False):
-    s = np.asarray(s, dtype=complex)[..., None]
-    powers = np.concatenate([_POWERS[:n] for n in mults])
-    terms = np.concatenate(rows) / (s + np.repeat(poles, mults)) ** powers
-    if with_cond:
-        return omega * terms.sum(-1), abs(omega) * np.abs(terms).sum(-1)
-    return omega * terms.sum(-1)
-
-
-def _transform_value(factors, ln_omega, s):
-    x, a = np.array(factors, dtype=complex).T
-    return np.exp(ln_omega - (a * np.log(np.asarray(s, dtype=complex)[..., None] + x)).sum(-1))
+def _mixture_value(pfe: PartialFractionExpansion, coef: np.ndarray, s):
+    """omega * sum coef / (s + pole)^j over the expansion's terms, and the sum of their magnitudes."""
+    terms = coef / (np.asarray(s, dtype=complex)[..., None] + pfe.term_pole) ** pfe.term_j
+    return pfe.omega_norm * terms.sum(-1), abs(pfe.omega_norm) * np.abs(terms).sum(-1)
 
 
 def partial_fractions(dp: DerivedParams, avg_snr: float) -> PartialFractionExpansion:
@@ -176,21 +166,20 @@ def _validate_expansion(pfe, factors, ln_omega):
     # (backward error); a wrong coefficient still shows up at full size.
     mags = np.abs(pfe.poles)
     s = 0.3 * mags.min() * (10.0 * mags.max() / mags.min()) ** _PROBE
-    direct = _transform_value(factors, ln_omega, s)
-    recon, cond = _mixture_value(pfe.poles, pfe.mults, pfe.A, pfe.omega_norm, s, with_cond=True)
-    err = np.max(np.abs(recon - direct) / np.maximum(np.abs(direct), cond))
-    if err > _RECON_TOL:
-        raise ConvergenceError(
-            f"partial-fraction reconstruction error {err:.2e} (near-degenerate poles?)",
-            achieved=float(err),
-        )
-    recon_c, cond_c = _mixture_value(pfe.poles, pfe.mults, pfe.B, pfe.omega_norm, s, with_cond=True)
-    target = direct / s
-    err_c = np.max(np.abs(recon_c + 1.0 / s - target) / np.maximum(np.abs(target), cond_c + 1.0 / s))
-    if err_c > _RECON_TOL:
-        raise ConvergenceError(
-            f"distribution-side reconstruction error {err_c:.2e}", achieved=float(err_c)
-        )
+    rates, exps = np.array(factors, dtype=complex).T
+    # real s right of every pole: the transform is real, and no factor is stiff
+    ln_direct, _ = log_transform(s, 0.0, 1.0, 0.0, rates, exps.real, (), (), (), ln_omega)
+    direct = np.exp(ln_direct)
+    # F = 1 + the B mixture, so the B mixture's transform plus 1/s is direct / s
+    for side, coef, target, unit in (("density", pfe.term_A, direct, 0.0),
+                                     ("distribution", pfe.term_B, direct / s, 1.0 / s)):
+        recon, cond = _mixture_value(pfe, coef, s)
+        err = np.max(np.abs(recon + unit - target) / np.maximum(np.abs(target), cond + unit))
+        if err > _RECON_TOL:
+            raise ConvergenceError(
+                f"{side}-side partial-fraction reconstruction error {err:.2e} (near-degenerate poles?)",
+                achieved=float(err),
+            )
 
 
 def link_expansion(params: FBParams) -> PartialFractionExpansion:

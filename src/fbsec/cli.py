@@ -49,6 +49,8 @@ from .params import (
 LN2 = math.log(2.0)
 
 _LINK_KEYS = ("mu", "m", "kappa", "eta", "rho2", "snr_db")
+# the flags with a fixed set of values, by destination
+_CHOICES = {"format": ("csv", "json"), "units": ("nats", "bits"), "axis": ("lambda_db", "snr_bob_db")}
 
 
 def _parse_kv(text: str, what: str) -> dict[str, float]:
@@ -121,6 +123,7 @@ def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
 
 
 def _apply_units(vals: dict, units: str) -> dict:
+    """``vals`` (metric name -> value or error) in ``units``; only ASC is a capacity."""
     if units != "bits":
         return vals
     return {k: (v / LN2 if k == "asc" else v) for k, v in vals.items()}
@@ -176,12 +179,11 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
         if args.mc_samples:
             cfg = MCConfig(n_samples=args.mc_samples, seed=args.seed + i, n_streams=args.mc_streams)
             mc = montecarlo.estimate(bob_i, eve, scfg, cfg)
+            means = _apply_units({name: mc[name].mean for name in wanted}, args.units)
+            errors = _apply_units({name: mc[name].std_error for name in wanted}, args.units)
             for name in wanted:
-                est = mc[name]
-                mean = est.mean / LN2 if (name == "asc" and args.units == "bits") else est.mean
-                se = est.std_error / LN2 if (name == "asc" and args.units == "bits") else est.std_error
-                row[f"mc_mean_{name}"] = mean
-                row[f"mc_se_{name}"] = se
+                row[f"mc_mean_{name}"] = means[name]
+                row[f"mc_se_{name}"] = errors[name]
         rows.append(row)
     return rows
 
@@ -273,18 +275,20 @@ def cmd_validate(args) -> int:
         sampled.append((name, "numeric-vs-mc", numeric[name], mc[name]))
     comparisons += _holm_comparisons(sampled, FAMILY_WISE_LEVEL)
 
-    ok = all(c["pass"] for c in comparisons)
+    ok = all(c["pass"] for c in comparisons)  # verdicts are taken in nats
+    for c in comparisons:
+        for key in ("delta", "threshold"):
+            c[key] = _apply_units({c["metric"]: c[key]}, args.units)[c["metric"]]
+    columns = {
+        "closed": _apply_units(closed, args.units) if closed is not None else dict.fromkeys(METRICS),
+        "numeric": _apply_units(numeric, args.units),
+        "mc_mean": _apply_units({name: mc[name].mean for name in METRICS}, args.units),
+        "mc_std_error": _apply_units({name: mc[name].std_error for name in METRICS}, args.units),
+    }
     report = {
         "path_closed": "case2" if closed is not None else "n/a (case 1)",
-        "metrics": {
-            name: {
-                "closed": closed[name] if closed is not None else None,
-                "numeric": numeric[name],
-                "mc_mean": mc[name].mean,
-                "mc_std_error": mc[name].std_error,
-            }
-            for name in METRICS
-        },
+        "units": args.units,
+        "metrics": {name: {col: vals[name] for col, vals in columns.items()} for name in METRICS},
         "mc_samples": cfg.n_samples,
         "seed": cfg.seed,
         "family_wise_level": FAMILY_WISE_LEVEL,
@@ -349,8 +353,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="accepted for compatibility; it no longer steers anything")
     p.add_argument("--quad-rel-tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    p.add_argument("--format", choices=_CHOICES["format"], default="csv")
+    p.add_argument("--units", choices=_CHOICES["units"], default="nats")
     p.add_argument("--config", default=None, help="JSON file of defaults; flags override")
 
 
@@ -369,7 +373,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p_sweep = sub.add_parser("sweep", help="metrics along a dB axis", **kw)
     _add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("lambda_db", "snr_bob_db"), default="lambda_db")
+    p_sweep.add_argument("--axis", choices=_CHOICES["axis"], default="lambda_db")
     p_sweep.add_argument("--start-db", type=float, required=True)
     p_sweep.add_argument("--stop-db", type=float, required=True)
     p_sweep.add_argument("--step-db", type=float, required=True)
@@ -403,7 +407,8 @@ def _read_config(path: str) -> dict:
     """The defaults of a ``--config`` file: a JSON object of strings and numbers.
 
     Each number becomes the text of a flag, so the flag's own type converts
-    and checks it as it would on the command line.
+    and checks it as it would on the command line.  argparse does not hold
+    defaults to a flag's choices, so those are checked here.
     """
     with open(path) as fh:
         defaults = json.load(fh)
@@ -412,6 +417,8 @@ def _read_config(path: str) -> dict:
     for key, value in defaults.items():
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"{key!r}: expected a string or a number, got {json.dumps(value)[:40]}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"{key!r}: invalid choice {json.dumps(value)[:40]}; valid: {list(_CHOICES[key])}")
     return {key: value if isinstance(value, str) else repr(value) for key, value in defaults.items()}
 
 

@@ -123,16 +123,15 @@ def _scaled_noncentral_chi2(rng, nu: float, sigma2: float, shift: np.ndarray) ->
     return out
 
 
-def sample_snr(params: FBParams, model: PhysicalModel, rng, size=None):
-    """Draw instantaneous SNR values (scalar when ``size`` is None)."""
-    n = 1 if size is None else int(size)
-    xi = rng.gamma(params.m, 1.0 / params.m, size=n)
+def sample_snr(params: FBParams, model: PhysicalModel, rng, size: int) -> np.ndarray:
+    """Draw ``size`` instantaneous SNR values."""
+    xi = rng.gamma(params.m, 1.0 / params.m, size=int(size))
     np.sqrt(xi, out=xi)
     snr = _scaled_noncentral_chi2(rng, params.mu, model.sigma_x2, xi * math.sqrt(model.p2))
     xi *= math.sqrt(model.q2)
     snr += _scaled_noncentral_chi2(rng, params.mu, 1.0, xi)
     snr *= params.avg_snr / model.mean_power
-    return float(snr[0]) if size is None else snr
+    return snr
 
 
 def _stream_rng(seed: int, stream: int, role: int):

@@ -51,9 +51,6 @@ __all__ = [
     "linear_to_db",
 ]
 
-_INT_RTOL = 1e-12
-
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -103,8 +100,7 @@ class DerivedParams:
     ``theta_rates`` and ``exponents`` are aligned: the first two entries are
     the quadratic roots with exponent ``m`` each, the last two are the
     scattered-wave rates with exponent ``mu/2 - m`` each (possibly negative,
-    in which case they act as numerator factors).  ``n_groups`` counts the
-    rate groups left after groups with zero exponent are dropped.
+    in which case they act as numerator factors).
     """
 
     omega_norm: float
@@ -115,7 +111,6 @@ class DerivedParams:
     c2: complex
     theta_rates: np.ndarray
     exponents: np.ndarray
-    n_groups: int
     mu: float
     ln_omega: float
 
@@ -181,7 +176,6 @@ def derive(params: FBParams) -> DerivedParams:
         - (mu / 2.0) * math.log(alpha2)
         - mu * math.log(snr)
     )
-    n_groups = 2 if abs(mu / 2.0 - m) <= _INT_RTOL * max(1.0, m) else 4
 
     return DerivedParams(
         omega_norm=math.exp(lno),
@@ -192,7 +186,6 @@ def derive(params: FBParams) -> DerivedParams:
         c2=complex(c2),
         theta_rates=theta,
         exponents=exps,
-        n_groups=n_groups,
         mu=mu,
         ln_omega=lno,
     )

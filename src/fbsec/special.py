@@ -77,19 +77,14 @@ def _exp1_scaled(z: complex) -> complex:
     return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) - series)
 
 
-def _scaled_gamma_table(nmax: int, b) -> dict[int, complex]:
-    """exp(b)*Gamma(order, b) for order in [1-nmax, 0]."""
+def _scaled_gamma_table(nmax: int, b) -> list[complex]:
+    """exp(b)*Gamma(-k, b) for k = 0..nmax-1, at index k."""
     z = _require_right_half_plane(b)
-    table: dict[int, complex] = {}
     if abs(z) >= _CF_SWITCH:
-        for order in range(0, -nmax, -1):
-            table[order] = _cf_scaled(float(order), z)
-        return table
-    g = _exp1_scaled(z)
-    table[0] = g
+        return [_cf_scaled(float(-k), z) for k in range(nmax)]
+    table = [_exp1_scaled(z)]
     for k in range(1, nmax):
-        g = (g - z ** (-k)) / (-k)
-        table[-k] = g
+        table.append((table[-1] - z ** (-k)) / (-k))
     return table
 
 
@@ -97,14 +92,13 @@ def ln1p_moment_table(nmax: int, b) -> np.ndarray:
     """T[n-1] = exp(b) * sum_{k=1..n} Gamma(k-n, b) / b**k for n = 1..nmax.
 
     ``Gamma(n) * T[n-1]`` equals ``int_0^inf x^(n-1) ln(1+x) e^(-bx) dx``.
-    All terms are positive for b > 0, so the plain sum is stable.
+    The same sum, grouped from the innermost term out, is one pass:
+    T[n-1] = (exp(b) Gamma(1-n, b) + T[n-2]) / b.  For b > 0 every term is
+    positive, so the grouping keeps the plain sum's accuracy.
     """
     z = complex(b)
-    ug = _scaled_gamma_table(nmax, z)
-    powers = z ** -np.arange(1, nmax + 1)
     out = np.empty(nmax, dtype=complex)
-    for n in range(1, nmax + 1):
-        out[n - 1] = sum(ug[k - n] * powers[k - 1] for k in range(1, n + 1))
+    row = 0j
+    for n, g in enumerate(_scaled_gamma_table(nmax, z)):
+        row = out[n] = (g + row) / z
     return out
-
-

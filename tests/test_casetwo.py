@@ -16,8 +16,8 @@ from fbsec import (
     link_expansion,
     partial_fractions,
 )
-from fbsec.casetwo import _mixture_value, _transform_value
-from fbsec.errors import CaseMismatchError, FbsecError, ParameterError
+from fbsec.casetwo import _mixture_value, _validate_expansion
+from fbsec.errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
 from fbsec.params import METRICS, outage_value
 
 import oracles
@@ -75,21 +75,34 @@ class TestPartialFractions:
             p = draw_params(rng, case2=True)
             dp = derive(p)
             exp = partial_fractions(dp, p.avg_snr)
-            groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
             s = np.arange(0.5, 10.5, 0.5)
-            direct = _transform_value([(x, a) for x, a in groups], dp.ln_omega, s)
-            recon, cond = _mixture_value(exp.poles, exp.mults, exp.A, exp.omega_norm, s, with_cond=True)
+            direct = oracles.mgf(dp, p.avg_snr, s)
+            recon, cond = _mixture_value(exp, exp.term_A, s)
             assert np.max(np.abs(recon - direct) / np.maximum(np.abs(direct), cond)) < 1e-9
-            recon_c, cond_c = _mixture_value(exp.poles, exp.mults, exp.B, exp.omega_norm, s, with_cond=True)
+            recon_c, cond_c = _mixture_value(exp, exp.term_B, s)
             target = direct / s
             denom = np.maximum(np.abs(target), cond_c + 1.0 / s)
             assert np.max(np.abs(recon_c + 1.0 / s - target) / denom) < 1e-9
+
+    @pytest.mark.parametrize("side", ["density", "distribution"])
+    def test_corrupt_coefficient_refused(self, side):
+        # one wrong coefficient on either side fails the construction check, which names the side
+        p = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
+        dp = derive(p)
+        exp = partial_fractions(dp, p.avg_snr)
+        groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
+        factors = [(x, int(round(a))) for x, a in groups]
+        _validate_expansion(exp, factors, dp.ln_omega)
+        coef = exp.term_A if side == "density" else exp.term_B
+        coef[np.argmax(np.abs(coef))] *= 1.01
+        with pytest.raises(ConvergenceError, match=f"^{side}-side"):
+            _validate_expansion(exp, factors, dp.ln_omega)
 
     def test_negative_exponent_factorisation(self):
         # m > mu/2 puts numerator factors into the transform
         p = fbsec.from_kappa_mu_shadowed(2.0, 2.0, 3.0, 1.0)
         exp = link_expansion(p)
-        assert exp.total_mult == 3
+        assert exp.mults.sum() == 3
         val = integrate.quad(lambda g: pdf_case2(exp, g), 0, 80, limit=300)[0]
         assert val == pytest.approx(1.0, abs=1e-8)
 

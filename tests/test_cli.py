@@ -262,6 +262,28 @@ class TestValidate:
         assert verdict == {"asc": True, "sop": True, "sopl": False, "spsc": True}
         assert not _holm_comparisons(rows[3:], 0.0027)[0]["pass"]
 
+    def test_units_bits(self, capsys):
+        # capacity rows are in bits; verdicts are taken in nats, so they do not change
+        argv = ("validate", "--bob", CASE2_BOB, "--eve", CASE2_EVE, "--rs", "1",
+                "--mc-samples", "100000", "--seed", "5")
+        reps = {}
+        for units in ("nats", "bits"):
+            code, out, err = run(capsys, *argv, "--units", units)
+            assert code in (0, 4), err
+            reps[units] = json.loads(out)
+        nats, bits = reps["nats"], reps["bits"]
+        assert (nats["units"], bits["units"]) == ("nats", "bits")
+        for name, row in nats["metrics"].items():
+            scale = math.log(2.0) if name == "asc" else 1.0
+            for col, value in row.items():
+                assert bits["metrics"][name][col] == pytest.approx(value / scale, rel=1e-15)
+        for cn, cb in zip(nats["comparisons"], bits["comparisons"]):
+            scale = math.log(2.0) if cn["metric"] == "asc" else 1.0
+            assert cb["pass"] == cn["pass"]
+            for key in ("delta", "threshold"):
+                assert cb[key] == pytest.approx(cn[key] / scale, rel=1e-15)
+        assert bits["pass"] == nats["pass"]
+
     def test_zero_mc_samples_exits_2(self, capsys):
         # 0 is a value, not an absent flag: MCConfig rejects it
         code, out, err = run(capsys, "validate", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
@@ -357,6 +379,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("text", [
         '{"rs": [1]}', '{"quad_rel_tol": null}', '{"units": true}',  # not a string or a number
         '{"rs": "abc"}', '{"seed": 1.5}',  # what the flag's own type rejects
+        '{"units": "furlongs"}', '{"format": "xml"}', '{"axis": "x"}', '{"units": 2}',  # not a choice
         '[1]', '"rs"', '0', 'null',  # not an object
     ])
     def test_bad_config_value_exits_2(self, capsys, tmp_path, text):

@@ -81,11 +81,6 @@ class TestSampler:
             se = snr.std() / math.sqrt(len(snr))
             assert abs(snr.mean() - p.avg_snr) < 3 * se
 
-    def test_scalar_draw(self, rng):
-        p = draw_params(rng)
-        val = sample_snr(p, physical_model(p), rng)
-        assert isinstance(val, float) and val >= 0.0
-
     def test_cluster_splitting_invariance(self):
         # sampling per cluster with the dominant power split arbitrarily
         # must give the same law as the aggregate draw, and so must the

@@ -47,7 +47,6 @@ class TestDerive:
         assert dp.c2 == pytest.approx(2.0)
         assert np.allclose(dp.theta_rates, 2.0)
         assert dp.omega_norm == pytest.approx(4.0, rel=1e-13)
-        assert dp.n_groups == 2
         merged = merge_rate_groups(dp.theta_rates, dp.exponents)
         assert len(merged) == 1
         assert merged[0][0] == pytest.approx(2.0)
@@ -64,11 +63,7 @@ class TestDerive:
         assert dp.exponents.sum() == pytest.approx(2.5, rel=1e-12)
         assert dp.c1 * dp.c2 == pytest.approx(1.0 / dp.alpha1, rel=1e-12)
         assert dp.c1 + dp.c2 == pytest.approx(-dp.beta / dp.alpha1, rel=1e-12)
-        assert dp.n_groups == 4
-
-    def test_n_groups_drops_zero_exponents(self):
-        assert derive(FBParams(4, 2, 1, 0.5, 0.5, 1)).n_groups == 2
-        assert derive(FBParams(4, 1, 1, 0.5, 0.5, 1)).n_groups == 4
+        assert len(merge_rate_groups(dp.theta_rates, dp.exponents)) == 4
 
     def test_normalization_and_vieta_on_draws(self):
         rng = np.random.default_rng(7)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fbsec.errors import ConvergenceError, DomainError
-from fbsec.special import ln1p_moment_table
+from fbsec.special import _CF_SWITCH, ln1p_moment_table
 
 from oracles import (
     EvalControl,
@@ -122,13 +122,22 @@ class TestLogGammaIntegral:
         with pytest.raises(DomainError):
             log_gamma_integral(2, 0.0)
 
-    def test_moment_table_matches_scalar(self):
-        b = 0.8
-        tab = ln1p_moment_table(4, b)
-        for n in range(1, 5):
-            assert math.gamma(n) * tab[n - 1].real == pytest.approx(
-                log_gamma_integral(n, b), rel=1e-13
-            )
+    @pytest.mark.parametrize("b", [1e-3, 1e-2, 0.1, 0.5, 1.0, 1.99, 2.0, 2.01, 5.0, 10.0, 100.0, 1e3])
+    def test_moment_table_against_mpmath(self, b):
+        # every row of the table as the direct sum e^b sum_k Gamma(k-n, b) / b^k;
+        # b runs across the continued fraction's switch.  mpmath's gammainc
+        # loses most of 30 digits at order -62 and b = 100, so it runs at 80.
+        mp = pytest.importorskip("mpmath")
+        assert 1.99 < _CF_SWITCH < 2.01
+        nmax = 64
+        tab = ln1p_moment_table(nmax, b)
+        assert np.all(tab.imag == 0.0)
+        with mp.workdps(80):
+            bb = mp.mpf(b)
+            ug = [mp.exp(bb) * mp.gammainc(-j, bb) for j in range(nmax)]  # order -j
+            for n in range(1, nmax + 1):
+                ref = mp.fsum(ug[n - k] / bb**k for k in range(1, n + 1))
+                assert abs(tab[n - 1].real - ref) <= 1e-13 * ref, (n, tab[n - 1].real, ref)
 
 
 class TestPochhammerBinomial:
