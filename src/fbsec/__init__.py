@@ -8,12 +8,7 @@ numerical inversion for any parameters (:func:`numeric_metrics`), and
 Monte Carlo (:func:`estimate`).
 """
 
-from .casetwo import (
-    PartialFractionExpansion,
-    closed_metrics,
-    link_expansion,
-    partial_fractions,
-)
+from .casetwo import PartialFractionExpansion, closed_metrics, link_expansion
 from .errors import (
     AccuracyWarning,
     CaseMismatchError,
@@ -56,11 +51,11 @@ __all__ = [
     "from_rayleigh", "from_beckmann", "from_eta_mu",
     "db_to_linear", "linear_to_db",
     "METRICS", "SecrecyConfig",
-    "PartialFractionExpansion", "partial_fractions", "link_expansion",
+    "PartialFractionExpansion", "link_expansion",
     "closed_metrics",
     "InversionControl", "numeric_metrics",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",
     "sample_snr", "estimate",
     "FbsecError", "ParameterError", "DomainError", "CaseMismatchError",
-    "ConvergenceError",
+    "ConvergenceError", "AccuracyWarning",
 ]

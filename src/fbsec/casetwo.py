@@ -9,14 +9,16 @@ finite exponential-polynomial mixtures
 
 and the four secrecy metrics reduce to finite sums over the coefficient
 tables: one for ASC, and one for P(g_D - theta g_E < z), which gives each
-outage metric at its (theta, z) (see :func:`closed_metrics`).  Each sum
-runs as one array operation over flat per-term tables.  The
-``A_ij``/``B_ij`` are extracted by high-order residue computation on the
-transform: the Taylor coefficients of the co-factor around each pole
-follow from the logarithmic-derivative recurrence, which handles merged
-poles and negative exponents (numerator factors) uniformly.
-Every expansion is verified at construction against the transform itself,
-evaluated by the contour route's kernel (:mod:`fbsec._kernels`).
+outage metric at its (theta, z) (see :func:`closed_metrics`).
+:func:`link_expansion` builds one link's tables from its parameters, flat
+with one entry per term, and each sum runs as one array operation over
+them.  The ``A_ij``/``B_ij`` are extracted by high-order residue
+computation on the transform: the Taylor coefficients of the co-factor
+around each pole follow from the logarithmic-derivative recurrence, which
+handles merged poles and negative exponents (numerator factors)
+uniformly.  Every expansion is verified at construction against the
+transform itself, evaluated by the contour route's kernel
+(:mod:`fbsec._kernels`).
 
 All coefficient arithmetic is complex; the final metrics must come out
 real to within a small residue, which is asserted before returning.
@@ -24,8 +26,9 @@ real to within a small residue, which is asserted before returning.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from ._kernels import log_transform
 from .errors import CaseMismatchError, ConvergenceError
 from .params import (
     METRICS,
-    DerivedParams,
     FBParams,
     SecrecyConfig,
     check_metrics,
@@ -45,7 +47,6 @@ from .special import ln1p_moment_table
 
 __all__ = [
     "PartialFractionExpansion",
-    "partial_fractions",
     "link_expansion",
     "closed_metrics",
 ]
@@ -61,31 +62,24 @@ _POWERS = np.arange(1, _MAX_TOTAL_MULT + 1)  # power j of a pole's terms: _POWER
 
 @dataclass(frozen=True, eq=False)
 class PartialFractionExpansion:
-    """Pole/coefficient tables of one link's transform.
+    """Pole/coefficient tables of one link's transform (see :func:`link_expansion`).
 
     ``poles`` are the distinct decay rates (already divided by the mean
-    SNR), ``mults`` their multiplicities, and ``A``/``B`` the ragged
-    coefficient rows for the density and distribution mixtures.
-    ``omega_norm`` is carried alongside so the expansion is self-contained.
-    The same tables, flat with one entry per term ``coef / (s + pole)^j``,
-    are built once here: ``term_pole``, ``term_j``, ``term_A``, ``term_B``.
+    SNR) and ``mults`` their multiplicities.  The terms ``coef / (s +
+    pole)^j`` are flat, one entry each, grouped by pole in the order of
+    ``poles``: ``term_pole``, the power ``term_j`` (1 .. the pole's
+    multiplicity), and the coefficients of the density (``term_A``) and
+    distribution (``term_B``) mixtures.  ``omega_norm`` is carried
+    alongside so the expansion is self-contained.
     """
 
     poles: np.ndarray
     mults: np.ndarray
-    A: tuple
-    B: tuple
+    term_pole: np.ndarray
+    term_j: np.ndarray
+    term_A: np.ndarray
+    term_B: np.ndarray
     omega_norm: float
-    term_pole: np.ndarray = field(init=False, repr=False)
-    term_j: np.ndarray = field(init=False, repr=False)
-    term_A: np.ndarray = field(init=False, repr=False)
-    term_B: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "term_pole", np.repeat(self.poles, self.mults))
-        object.__setattr__(self, "term_j", np.concatenate([_POWERS[:n] for n in self.mults]))
-        object.__setattr__(self, "term_A", np.concatenate(self.A))
-        object.__setattr__(self, "term_B", np.concatenate(self.B))
 
 
 def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
@@ -119,8 +113,8 @@ def _mixture_value(pfe: PartialFractionExpansion, coef: np.ndarray, s):
     return pfe.omega_norm * terms.sum(-1), abs(pfe.omega_norm) * np.abs(terms).sum(-1)
 
 
-def partial_fractions(dp: DerivedParams, avg_snr: float) -> PartialFractionExpansion:
-    """Decompose the link transform over its distinct poles.
+def link_expansion(params: FBParams) -> PartialFractionExpansion:
+    """Decompose one link's transform over its distinct poles.
 
     Rates closer than 1e-9 (relative) are coalesced, summing
     multiplicities; net-negative groups become numerator factors and the
@@ -128,9 +122,10 @@ def partial_fractions(dp: DerivedParams, avg_snr: float) -> PartialFractionExpan
     case-mismatch error when the exponents are not integers (or are too
     large for a numerically meaningful expansion).
     """
+    dp = derive(params)
     # merge before the integer test: coinciding rates can sum fractional
     # exponents to integers (e.g. the no-dominant-component reductions)
-    groups = merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)
+    groups = merge_rate_groups(dp.theta_rates / params.avg_snr, dp.exponents)
     net = [a for _, a in groups]
     if any(abs(a - round(a)) > 1e-9 for a in net):
         raise CaseMismatchError(
@@ -143,17 +138,16 @@ def partial_fractions(dp: DerivedParams, avg_snr: float) -> PartialFractionExpan
             f"total pole multiplicity {total} exceeds {_MAX_TOTAL_MULT}; use the numeric path"
         )
 
-    poles = [p for p, a in factors if a > 0]
-    mults = [a for _, a in factors if a > 0]
-    A = tuple(_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0)
+    poles = np.asarray([p for p, a in factors if a > 0], dtype=complex)
+    mults = np.asarray([a for _, a in factors if a > 0], dtype=int)
     with_origin = factors + [(0.0 + 0j, 1)]
-    B = tuple(_taylor_rows(with_origin, i) for i, (_, a) in enumerate(factors) if a > 0)
-
     pfe = PartialFractionExpansion(
-        poles=np.asarray(poles, dtype=complex),
-        mults=np.asarray(mults, dtype=int),
-        A=A,
-        B=B,
+        poles=poles,
+        mults=mults,
+        term_pole=np.repeat(poles, mults),
+        term_j=np.concatenate([_POWERS[:n] for n in mults]),
+        term_A=np.concatenate([_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0]),
+        term_B=np.concatenate([_taylor_rows(with_origin, i) for i, (_, a) in enumerate(factors) if a > 0]),
         omega_norm=dp.omega_norm,
     )
     _validate_expansion(pfe, factors, dp.ln_omega)
@@ -175,20 +169,17 @@ def _validate_expansion(pfe, factors, ln_omega):
                                      ("distribution", pfe.term_B, direct / s, 1.0 / s)):
         recon, cond = _mixture_value(pfe, coef, s)
         err = np.max(np.abs(recon + unit - target) / np.maximum(np.abs(target), cond + unit))
-        if err > _RECON_TOL:
+        if not err <= _RECON_TOL:  # a NaN error is refused too
             raise ConvergenceError(
                 f"{side}-side partial-fraction reconstruction error {err:.2e} (near-degenerate poles?)",
                 achieved=float(err),
             )
 
 
-def link_expansion(params: FBParams) -> PartialFractionExpansion:
-    """Expansion straight from user-facing parameters."""
-    return partial_fractions(derive(params), params.avg_snr)
-
-
 def _realify(z, what: str):
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ConvergenceError(f"{what} is not finite ({z}); a mean SNR near the float range?")
     if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z.real)):
         raise ConvergenceError(f"{what} has non-negligible imaginary residue {z.imag:.2e}")
     return z.real
@@ -255,13 +246,16 @@ def closed_metrics(
     distinct (theta, z) problem of ``cfg.outage_problems`` once.  Returns
     the metrics named in ``metrics``, in that order.  Raises
     CaseMismatchError when an exponent is not an integer, and
-    ConvergenceError when an expansion or a value cannot be trusted.
+    ConvergenceError when an expansion or a value cannot be trusted
+    (a non-finite value included).
     """
     check_metrics(metrics)
-    exp_d, exp_e = link_expansion(bob), link_expansion(eve)
-    problems = cfg.outage_problems(metrics)
-    prob = {pz: _outage(exp_d, exp_e, *pz) for pz in set(problems.values())}
-    values = {k: outage_value(k, prob[pz]) for k, pz in problems.items()}
-    if "asc" in metrics:
-        values["asc"] = _asc(exp_d, exp_e)
+    # what overflows comes out non-finite, and _realify refuses it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exp_d, exp_e = link_expansion(bob), link_expansion(eve)
+        problems = cfg.outage_problems(metrics)
+        prob = {pz: _outage(exp_d, exp_e, *pz) for pz in set(problems.values())}
+        values = {k: outage_value(k, prob[pz]) for k, pz in problems.items()}
+        if "asc" in metrics:
+            values["asc"] = _asc(exp_d, exp_e)
     return {k: values[k] for k in metrics}

@@ -69,6 +69,14 @@ def _parse_kv(text: str, what: str) -> dict[str, float]:
     return out
 
 
+def _snr(x_db: float, flag: str) -> float:
+    """``x_db`` as a linear SNR, or a ParameterError for ``flag`` past the float range."""
+    try:
+        return db_to_linear(x_db)
+    except OverflowError:
+        raise ParameterError(flag, f"a mean SNR of {x_db!r} dB is past the float range") from None
+
+
 def _parse_link(text: str, flag: str) -> FBParams:
     kv = _parse_kv(text, flag)
     unknown = set(kv) - set(_LINK_KEYS)
@@ -79,7 +87,7 @@ def _parse_link(text: str, flag: str) -> FBParams:
         raise ParameterError(flag, f"missing keys {sorted(missing)!r}")
     return FBParams(
         mu=kv["mu"], m=kv["m"], kappa=kv["kappa"], eta=kv["eta"], rho2=kv["rho2"],
-        avg_snr=db_to_linear(kv["snr_db"]),
+        avg_snr=_snr(kv["snr_db"], f"{flag}.snr_db"),
     )
 
 
@@ -93,11 +101,13 @@ def _links_from_args(args) -> tuple[FBParams, FBParams]:
     return bob, eve
 
 
-def _metric_list(text: str) -> list[str]:
+def _metric_list(text: str, flag: str) -> list[str]:
     wanted = [m.strip() for m in text.split(",") if m.strip()]
+    if not wanted:
+        raise ParameterError(flag, f"names no metric: {text!r}")
     if "all" in wanted:
         return list(METRICS)
-    check_metrics(wanted, "--metric")
+    check_metrics(wanted, flag)
     return wanted
 
 
@@ -105,19 +115,28 @@ def _control(args) -> InversionControl:
     return InversionControl(quad_rel_tol=args.quad_rel_tol)
 
 
-def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
-    """Closed form when both links support it, numeric otherwise.
+def _closed_or_none(bob, eve, cfg, wanted=METRICS):
+    """The closed route's metrics, or None where it refuses the pair.
 
     The closed path is attempted whenever the expansions exist (net integer
     exponents after pole merging, which covers slightly more than the plain
-    mu-even/m-integer test), and falls back on any numerical failure there.
+    mu-even/m-integer test), and refuses on any numerical failure there.
+    """
+    try:
+        return casetwo.closed_metrics(bob, eve, cfg, wanted)
+    except (CaseMismatchError, ConvergenceError):
+        return None
+
+
+def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
+    """Closed form when the closed route takes the pair, numeric otherwise.
+
     Returns (values, path, achieved quadrature errors or None).
     """
     cfg = SecrecyConfig(rate_rs=rate_rs)
-    try:
-        return casetwo.closed_metrics(bob, eve, cfg, wanted), "case2", None
-    except (CaseMismatchError, ConvergenceError):
-        pass
+    closed = _closed_or_none(bob, eve, cfg, wanted)
+    if closed is not None:
+        return closed, "case2", None
     vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
     return vals, "numeric", errs
 
@@ -143,7 +162,7 @@ def _emit(text: str, out_path: str | None):
 
 def cmd_eval(args) -> int:
     bob, eve = _links_from_args(args)
-    wanted = _metric_list(args.metric)
+    wanted = _metric_list(args.metric, "--metric")
     ctrl = _control(args)
     vals, path, errs = _compute_metrics(bob, eve, args.rs, wanted, ctrl)
     vals = _apply_units(vals, args.units)
@@ -157,7 +176,7 @@ def cmd_eval(args) -> int:
             "achieved": _apply_units(errs, args.units),
         }
     else:
-        record["error_estimates"] = {"reconstruction_rel_tol": 1e-9}
+        record["error_estimates"] = {"reconstruction_rel_tol": casetwo._RECON_TOL}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -169,10 +188,7 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
     rows = []
     for i in range(n_steps):
         x_db = args.start_db + i * args.step_db
-        if args.axis == "lambda_db":
-            bob_i = bob.with_snr(db_to_linear(eve_db + x_db))
-        else:
-            bob_i = bob.with_snr(db_to_linear(x_db))
+        bob_i = bob.with_snr(_snr(eve_db + x_db if args.axis == "lambda_db" else x_db, "--stop-db"))
         vals, _, _ = _compute_metrics(bob_i, eve, args.rs, wanted, ctrl)
         vals = _apply_units(vals, args.units)
         row = {"x_db": x_db, **{k: vals[k] for k in wanted}}
@@ -190,7 +206,7 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
 
 def cmd_sweep(args) -> int:
     bob, eve = _links_from_args(args)
-    wanted = _metric_list(args.metrics)
+    wanted = _metric_list(args.metrics, "--metrics")
     for flag, value in (("--start-db", args.start_db), ("--stop-db", args.stop_db), ("--step-db", args.step_db)):
         if not math.isfinite(value):
             raise ParameterError(flag, f"must be finite, got {value!r}")
@@ -257,10 +273,7 @@ def cmd_validate(args) -> int:
     cfg = MCConfig(n_samples=args.mc_samples, seed=args.seed, n_streams=args.mc_streams)
 
     numeric, _ = inversion.numeric_metrics(bob, eve, scfg, ctrl)
-    try:
-        closed = casetwo.closed_metrics(bob, eve, scfg)
-    except (CaseMismatchError, ConvergenceError):
-        closed = None
+    closed = _closed_or_none(bob, eve, scfg)
     mc = montecarlo.estimate(bob, eve, scfg, cfg)
 
     comparisons = []

@@ -116,11 +116,12 @@ def _stable_factors(dp: DerivedParams, avg_snr: float):
 class _Link:
     """One link's transform: its factors (see :func:`_stable_factors`), log scale and mean SNR."""
 
-    def __init__(self, dp: DerivedParams, avg_snr: float):
-        self.factors = _stable_factors(dp, avg_snr)
+    def __init__(self, params: FBParams):
+        dp = derive(params)
+        self.factors = _stable_factors(dp, params.avg_snr)
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
-        self.avg_snr = avg_snr
+        self.avg_snr = params.avg_snr
 
     def upper_limit(self, eps: float) -> float:
         """Abscissa beyond which the survival mass is below ``eps``.
@@ -132,13 +133,10 @@ class _Link:
         poles, exps, pair_x, *_ = self.factors
         x_min = min([p for p, a in zip(poles, exps) if a > 0] + list(pair_x))
         tau = x_min * np.array([0.3, 0.5, 0.7, 0.9])
-        ln_m, _ = _kernels.log_transform(-tau, 0.0, 1.0, 0.0, *self.factors, self.ln_omega)
+        with np.errstate(divide="ignore"):  # a distance that underflows makes the limit infinite
+            ln_m, _ = _kernels.log_transform(-tau, 0.0, 1.0, 0.0, *self.factors, self.ln_omega)
         best = float(np.min((ln_m - math.log(eps)) / tau))
         return float(max(best, 10.0 * self.avg_snr))
-
-
-def _links(bob: FBParams, eve: FBParams) -> tuple[_Link, _Link]:
-    return _Link(derive(bob), bob.avg_snr), _Link(derive(eve), eve.avg_snr)
 
 
 # Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
@@ -475,6 +473,9 @@ class _AscRule:
 
     def __init__(self, contour: _Bromwich, link_d: _Link, link_e: _Link, rel_tol: float):
         self.r_hi = math.log1p(link_d.upper_limit(_TAIL_CUTOFF_PROB))
+        if not math.isfinite(self.r_hi):
+            raise ConvergenceError(f"ASC quadrature: the tail cut in R is not finite (Bob's mean SNR "
+                                   f"{link_d.avg_snr:.3g} is too near the float range)")
         self.b = min(math.log1p(link_d.avg_snr), 0.5 * self.r_hi)
         self.grade = 2 if link_d.mu + link_e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol
@@ -554,7 +555,7 @@ def numeric_metrics(
     """
     check_metrics(metrics)
     ctrl = ctrl or InversionControl()
-    link_d, link_e = _links(bob, eve)
+    link_d, link_e = _Link(bob), _Link(eve)
     contour = _Bromwich(link_d, link_e)
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))

@@ -17,9 +17,9 @@ P(g_D - theta g_E < z) for all three routes.
 
 The quadratic whose roots give the first two rates always has a
 non-negative discriminant (it can be rearranged into A^2 + 2*A*B*w + B^2
-with |w| <= 1), so the roots are real and positive; they are nevertheless
-kept as complex numbers so that near-degenerate configurations and any
-future parameterisation are handled uniformly.
+with |w| <= 1), so the roots are real and positive.  They are kept as
+complex numbers for the closed route, whose coefficient arithmetic is
+complex and which checks every metric for a negligible imaginary residue.
 """
 
 from __future__ import annotations
@@ -104,23 +104,20 @@ class DerivedParams:
     """
 
     omega_norm: float
-    alpha2: float
-    alpha1: float
-    beta: float
-    c1: complex
-    c2: complex
     theta_rates: np.ndarray
     exponents: np.ndarray
     mu: float
     ln_omega: float
 
 
-def merge_rate_groups(
-    rates, exponents, rtol: float = 1e-9, drop_tol: float = 1e-9
-) -> list[tuple[complex, float]]:
-    """Coalesce rates that coincide to relative ``rtol``, summing exponents.
+_MERGE_RTOL = 1e-9  # rates this close (relative) form one group
+_DROP_TOL = 1e-9  # a group whose net exponent is this small is dropped
 
-    Groups whose net exponent has magnitude below ``drop_tol`` disappear
+
+def merge_rate_groups(rates, exponents) -> list[tuple[complex, float]]:
+    """Coalesce rates that coincide to relative ``_MERGE_RTOL``, summing exponents.
+
+    Groups whose net exponent has magnitude below ``_DROP_TOL`` disappear
     (their factor is identically 1).  The merged position is the plain mean
     of the member rates: exact when they coincide, and the correct limit
     for a near-double root (exponent-weighted means would amplify rounding
@@ -129,7 +126,7 @@ def merge_rate_groups(
     groups: list[list] = []  # [anchor rate, member rates, net exponent]
     for rate, a in zip(np.asarray(rates, dtype=complex), np.asarray(exponents, dtype=float)):
         for entry in groups:
-            if abs(rate - entry[0]) <= rtol * max(abs(rate), abs(entry[0])):
+            if abs(rate - entry[0]) <= _MERGE_RTOL * max(abs(rate), abs(entry[0])):
                 entry[1].append(rate)
                 entry[2] += a
                 break
@@ -138,7 +135,7 @@ def merge_rate_groups(
     return [
         (complex(sum(members) / len(members)), float(a))
         for _, members, a in groups
-        if abs(a) > drop_tol
+        if abs(a) > _DROP_TOL
     ]
 
 
@@ -179,11 +176,6 @@ def derive(params: FBParams) -> DerivedParams:
 
     return DerivedParams(
         omega_norm=math.exp(lno),
-        alpha2=alpha2,
-        alpha1=alpha1,
-        beta=beta,
-        c1=complex(c1),
-        c2=complex(c2),
         theta_rates=theta,
         exponents=exps,
         mu=mu,

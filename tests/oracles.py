@@ -226,13 +226,18 @@ def phi2_4_series(a, b: float, x, ctrl: EvalControl | None = None) -> float:
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).
 
 
+def pole_rows(pfe, coef) -> list[np.ndarray]:
+    """A flat coefficient table (``term_A`` or ``term_B``) split into one row per pole."""
+    return np.split(coef, np.cumsum(pfe.mults)[:-1])
+
+
 def outage_loops(bob, eve, theta: float, z: float) -> tuple[float, float]:
     """P(g_D - theta g_E < z) of two expansions, and 1 + |omega_D omega_E| sum |terms|."""
     ln_theta = math.log(theta)
     acc = 0.0 + 0j
     mag = 0.0
-    for pd, nd, b_d in zip(bob.poles, bob.mults, bob.B):
-        for pe, ne, a_e in zip(eve.poles, eve.mults, eve.A):
+    for pd, nd, b_d in zip(bob.poles, bob.mults, pole_rows(bob, bob.term_B)):
+        for pe, ne, a_e in zip(eve.poles, eve.mults, pole_rows(eve, eve.term_A)):
             den = np.log(theta * pd + pe)
             for jd in range(1, int(nd) + 1):
                 for je in range(1, int(ne) + 1):
@@ -260,13 +265,15 @@ def asc_loops(bob, eve) -> tuple[float, float]:
     """Average secrecy capacity (nats) of two expansions, and the sum of its terms' magnitudes."""
     total = 0.0 + 0j
     mag = 0.0
-    for p, n, arow in zip(bob.poles, bob.mults, bob.A):
+    bob_a, bob_b = pole_rows(bob, bob.term_A), pole_rows(bob, bob.term_B)
+    eve_a, eve_b = pole_rows(eve, eve.term_A), pole_rows(eve, eve.term_B)
+    for p, n, arow in zip(bob.poles, bob.mults, bob_a):
         T = ln1p_moment_table(int(n), p)
         total += bob.omega_norm * np.dot(arow, T)
         mag += abs(bob.omega_norm) * float(np.sum(np.abs(arow * T)))
 
-    for pd, nd, a_d, b_d in zip(bob.poles, bob.mults, bob.A, bob.B):
-        for pe, ne, a_e, b_e in zip(eve.poles, eve.mults, eve.A, eve.B):
+    for pd, nd, a_d, b_d in zip(bob.poles, bob.mults, bob_a, bob_b):
+        for pe, ne, a_e, b_e in zip(eve.poles, eve.mults, eve_a, eve_b):
             T = ln1p_moment_table(int(nd + ne - 1), pd + pe)
             cross = 0.0 + 0j
             cross_mag = 0.0
@@ -280,14 +287,14 @@ def asc_loops(bob, eve) -> tuple[float, float]:
     return _realify(total, "average secrecy capacity"), mag
 
 
-def mixture_time_domain_loops(pfe, rows, g) -> tuple[np.ndarray, np.ndarray]:
-    """omega * sum_i e^(-p_i g) sum_j row_ij g^(j-1) / (j-1)! at each g >= 0, and the sum of |terms|."""
+def mixture_time_domain_loops(pfe, coef, g) -> tuple[np.ndarray, np.ndarray]:
+    """omega * sum_i e^(-p_i g) sum_j coef_ij g^(j-1) / (j-1)! at each g >= 0, and the sum of |terms|."""
     g = np.asarray(g, dtype=float)
     if np.any(g < 0):
         raise DomainError("snr values must be >= 0")
     total = np.zeros(g.shape, dtype=complex)
     mag = np.zeros(g.shape)
-    for p, n, row in zip(pfe.poles, pfe.mults, rows):
+    for p, n, row in zip(pfe.poles, pfe.mults, pole_rows(pfe, coef)):
         poly = np.zeros(g.shape, dtype=complex)
         fact = 1.0
         for j in range(1, n + 1):
@@ -428,7 +435,11 @@ class TalbotLink(_Link):
     """One link with its Talbot contour: density, distribution and a node-doubling probe."""
 
     def __init__(self, dp, avg_snr: float, nodes: int = 48):
-        super().__init__(dp, avg_snr)
+        # _Link's fields, from the derived constants its callers already hold
+        self.factors = _stable_factors(dp, avg_snr)
+        self.ln_omega = dp.ln_omega
+        self.mu = dp.mu
+        self.avg_snr = avg_snr
         self.nodes = nodes
         self.lam = lam_for(nodes)
         self.base, self.w = contour_nodes(nodes, self.lam)

@@ -14,9 +14,8 @@ from fbsec import (
     closed_metrics,
     derive,
     link_expansion,
-    partial_fractions,
 )
-from fbsec.casetwo import _mixture_value, _validate_expansion
+from fbsec.casetwo import _mixture_value, _realify, _validate_expansion
 from fbsec.errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
 from fbsec.params import METRICS, outage_value
 
@@ -63,8 +62,9 @@ class TestPartialFractions:
         assert exp.poles.shape == (1,)
         assert exp.poles[0] == pytest.approx(2.0)
         assert exp.mults[0] == 2
-        assert np.allclose(exp.A[0], [0.0, 1.0], atol=1e-13)
-        assert np.allclose(exp.B[0], [-0.25, -0.5], atol=1e-13)
+        assert np.array_equal(exp.term_j, [1, 2])
+        assert np.allclose(exp.term_A, [0.0, 1.0], atol=1e-13)
+        assert np.allclose(exp.term_B, [-0.25, -0.5], atol=1e-13)
         assert exp.omega_norm == pytest.approx(4.0)
 
     def test_reconstruction_on_random_draws(self, rng):
@@ -74,7 +74,7 @@ class TestPartialFractions:
         for _ in range(25):
             p = draw_params(rng, case2=True)
             dp = derive(p)
-            exp = partial_fractions(dp, p.avg_snr)
+            exp = link_expansion(p)
             s = np.arange(0.5, 10.5, 0.5)
             direct = oracles.mgf(dp, p.avg_snr, s)
             recon, cond = _mixture_value(exp, exp.term_A, s)
@@ -84,17 +84,18 @@ class TestPartialFractions:
             denom = np.maximum(np.abs(target), cond_c + 1.0 / s)
             assert np.max(np.abs(recon_c + 1.0 / s - target) / denom) < 1e-9
 
-    @pytest.mark.parametrize("side", ["density", "distribution"])
-    def test_corrupt_coefficient_refused(self, side):
-        # one wrong coefficient on either side fails the construction check, which names the side
+    @pytest.mark.parametrize("side,factor", [("density", 1.01), ("distribution", 1.01), ("density", math.nan)],
+                             ids=["density", "distribution", "density-nan"])
+    def test_corrupt_coefficient_refused(self, side, factor):
+        # one wrong (or NaN) coefficient on either side fails the construction check, which names the side
         p = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
         dp = derive(p)
-        exp = partial_fractions(dp, p.avg_snr)
+        exp = link_expansion(p)
         groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
         factors = [(x, int(round(a))) for x, a in groups]
         _validate_expansion(exp, factors, dp.ln_omega)
         coef = exp.term_A if side == "density" else exp.term_B
-        coef[np.argmax(np.abs(coef))] *= 1.01
+        coef[np.argmax(np.abs(coef))] *= factor
         with pytest.raises(ConvergenceError, match=f"^{side}-side"):
             _validate_expansion(exp, factors, dp.ln_omega)
 
@@ -109,12 +110,12 @@ class TestPartialFractions:
     def test_non_integer_exponents_rejected(self):
         p = FBParams(2.5, 1.0, 1.0, 0.5, 0.5, 1.0)
         with pytest.raises(CaseMismatchError, match="numeric"):
-            partial_fractions(derive(p), p.avg_snr)
+            link_expansion(p)
 
     def test_huge_multiplicity_rejected(self):
         p = FBParams(2.0, 200.0, 1.0, 0.5, 0.5, 1.0)
         with pytest.raises(CaseMismatchError, match="multiplicity"):
-            partial_fractions(derive(p), p.avg_snr)
+            link_expansion(p)
 
 
 class TestDistributions:
@@ -276,6 +277,18 @@ class TestMetrics:
                 assert 0.0 <= v <= 1.0
             assert math.isfinite(vals["asc"])
 
+    @pytest.mark.parametrize("metrics", [METRICS, ("sop",)])
+    def test_snr_near_float_range_refused(self, metrics):
+        # at 3003 dB Bob's coefficients overflow: refused, not a NaN (or a NaN clipped to 0)
+        bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**300.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        with pytest.raises(ConvergenceError):
+            closed_metrics(bob, eve, SecrecyConfig(0.0), metrics)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_value_refused(self, value):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            _realify(value, "average secrecy capacity")
+
 
 class TestArraySumsMatchLoops:
     """The array sums of casetwo against the term-by-term loops of ``oracles``.
@@ -333,8 +346,8 @@ class TestArraySumsMatchLoops:
             except FbsecError:
                 continue
             g = link.avg_snr * grid
-            mix, mag = oracles.mixture_time_domain_loops(exp, exp.A, g)
+            mix, mag = oracles.mixture_time_domain_loops(exp, exp.term_A, g)
             assert np.all(np.abs(pdf_case2(exp, g) - np.clip(mix.real, 0.0, None)) <= self.BOUND * mag)
-            mix, mag = oracles.mixture_time_domain_loops(exp, exp.B, g)
+            mix, mag = oracles.mixture_time_domain_loops(exp, exp.term_B, g)
             cdf = np.where(g == 0.0, 0.0, np.clip(1.0 + mix.real, 0.0, 1.0))
             assert np.all(np.abs(cdf_case2(exp, g) - cdf) <= self.BOUND * (1.0 + mag))

@@ -129,6 +129,18 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--bob", BOB, "--eve", "same", "--metric", "wat")
         assert code == 2
 
+    @pytest.mark.parametrize("bob,text", [(CASE2_BOB, ""), (FIG1_BOB, " ")])
+    def test_empty_metric_list_exits_2(self, capsys, bob, text):
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", "same", "--metric", text)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --metric:")
+
+    def test_snr_past_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--bob", CASE2_BOB.replace("snr_db=12", "snr_db=4000"),
+                             "--eve", "same")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --bob.snr_db:")
+
 
 class TestSweep:
     def sweep_rows(self, capsys, *extra):
@@ -201,6 +213,19 @@ class TestSweep:
                            "--start-db", "0", "--stop-db", "1e300", "--step-db", "1e-300")
         assert code == 2
         assert err.startswith("parameter error:") and "--step-db" in err
+
+    def test_empty_metric_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                             "--start-db", "0", "--stop-db", "10", "--step-db", "5", "--metrics", ",")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --metrics:")
+
+    def test_row_snr_past_float_range_exits_2(self, capsys):
+        # the second row puts Bob at 3 + 4000 dB
+        code, out, err = run(capsys, "sweep", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                             "--start-db", "0", "--stop-db", "4000", "--step-db", "4000")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --stop-db:")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--start-db", "--stop-db", "--step-db"])
@@ -335,6 +360,14 @@ class TestReduce:
 
 
 class TestNumericalFailureExit:
+    # Bob's mean SNR at 3003 dB: the closed expansion overflows and ASC's tail cut is infinite
+    @pytest.mark.parametrize("command", ["eval", "validate"])
+    def test_snr_near_float_range_exits_3(self, capsys, command):
+        code, out, err = run(capsys, command, "--bob", CASE2_BOB.replace("snr_db=12", "snr_db=3003"),
+                             "--eve", CASE2_EVE, "--rs", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: ASC quadrature: the tail cut")
+
     def test_convergence_error_exits_3(self, capsys, monkeypatch):
         from fbsec.errors import ConvergenceError
 

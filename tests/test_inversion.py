@@ -18,7 +18,7 @@ from fbsec import (
     numeric_metrics,
 )
 from fbsec.errors import AccuracyWarning, ConvergenceError, ParameterError
-from fbsec.inversion import _AscRule, _Bromwich, _links
+from fbsec.inversion import _AscRule, _Bromwich, _Link
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
@@ -87,6 +87,12 @@ class TestNumericMetrics:
         monkeypatch.setattr("fbsec.inversion._MAX_PANELS", 2)
         with pytest.raises(ConvergenceError, match="quadrature"):
             numeric_metrics(bob, EVE_REFERENCE, SecrecyConfig(1.0), metrics=("asc",))
+
+    def test_asc_tail_cut_past_float_range_refused(self):
+        # at 3003 dB Bob's survival bound overflows: ASC's cut in R is infinite
+        bob = FBParams(4, 2, 1.5, 0.4, 0.3, 10**300.3)
+        with pytest.raises(ConvergenceError, match="tail cut"):
+            numeric_metrics(bob, EVE_REFERENCE, SecrecyConfig(0.0), metrics=("asc",))
 
     def test_small_outage_probability_converges(self):
         # a small SOP (3.3e-5) on a link with noisy contour sums converges, not raises
@@ -175,7 +181,7 @@ def _fine_asc(bob, eve):
     """ASC by a much finer rule than the engine's: 40-point Gauss-Legendre on 48
     geometric panels up to ln(1 + lambda_D) and 32 even ones past it, to where Bob's
     survival is 1e-16, with the contour at 1e-11."""
-    links = _links(bob, eve)
+    links = _Link(bob), _Link(eve)
     contour = _Bromwich(*links)
     r_hi = math.log1p(links[0].upper_limit(1e-16))
     b = min(math.log1p(bob.avg_snr), 0.5 * r_hi)
@@ -383,7 +389,7 @@ class TestOutageContour:
         theta = 1.0 if metric == "spsc" else math.exp(rs)
         z = theta - 1.0 if metric == "sop" else 0.0
         ref = _bromwich_reference(bob, eve, theta, z)
-        contour = _Bromwich(*_links(bob, eve))
+        contour = _Bromwich(_Link(bob), _Link(eve))
         tail, err, _ = contour.integrals(np.array([theta]), np.array([z]), 1e-8)
         assert 1e-31 < abs(ref) < 1e-3
         assert abs(tail[0] - ref) <= 1e-8 * abs(ref)
@@ -453,7 +459,7 @@ def _sweep_links(names=tuple(SWEEP_PAIRS)):
 def _first_batch(bob, eve):
     """The contour and the first batch of an all-metrics row at R_s = 1: the
     outage problems and ASC's first nodes, as numeric_metrics sends them."""
-    links = _links(bob, eve)
+    links = _Link(bob), _Link(eve)
     contour = _Bromwich(*links)
     keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
     theta_r, z_r = _AscRule(contour, *links, 1e-8).problems()
@@ -516,7 +522,7 @@ class TestContourWork:
             for metric, rs, bob, eve in WIDE_BOX_TAILS:
                 theta = 1.0 if metric == "spsc" else math.exp(rs)
                 z = theta - 1.0 if metric == "sop" else 0.0
-                tail, err, _ = _Bromwich(*_links(FBParams(*bob), FBParams(*eve))).integrals(
+                tail, err, _ = _Bromwich(_Link(FBParams(*bob)), _Link(FBParams(*eve))).integrals(
                     np.array([theta]), np.array([z]), 1e-8)
                 out.append((tail[0], err[0]))
             return out

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import fbsec
+from fbsec import errors
 
 
 def fresh_interpreter(code: str) -> str:
@@ -39,6 +40,14 @@ def test_cli_import_builds_no_parser():
 def test_every_exported_name_resolves():
     missing = [name for name in fbsec.__all__ if not hasattr(fbsec, name)]
     assert missing == []
+
+
+def test_every_error_class_is_exported():
+    # callers catch (and filter) the package's errors and warnings by these names
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert "AccuracyWarning" in classes
+    assert [name for name in classes if name not in fbsec.__all__] == []
 
 
 # Public names that need no runtime caller: the route entry points, the CLI's

@@ -23,6 +23,15 @@ def normalization_residual(dp, snr):
     return abs(dp.omega_norm * prod - 1.0)
 
 
+def quadratic(p):
+    """(alpha1, beta) of the paper's quadratic alpha1 s^2 + beta s + 1, whose roots are the first two rates."""
+    alpha2 = 4.0 * p.eta / (p.mu**2 * (1.0 + p.eta) ** 2 * (1.0 + p.kappa) ** 2)
+    alpha1 = alpha2 + 2.0 * p.kappa * (p.rho2 + p.eta) / (
+        p.m * (1.0 + p.rho2) * p.mu * (1.0 + p.eta) * (1.0 + p.kappa) ** 2
+    )
+    return alpha1, -(2.0 / p.mu + p.kappa / p.m) / (1.0 + p.kappa)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "field,bad",
@@ -41,10 +50,9 @@ class TestValidation:
 
 class TestDerive:
     def test_gamma_reduction_constants(self):
-        dp = derive(FBParams(2, 1, 0, 1, 1, 1))
-        assert dp.alpha2 == pytest.approx(0.25, rel=1e-14)
-        assert dp.c1 == pytest.approx(2.0)
-        assert dp.c2 == pytest.approx(2.0)
+        p = FBParams(2, 1, 0, 1, 1, 1)
+        dp = derive(p)
+        assert quadratic(p) == pytest.approx((0.25, -1.0), rel=1e-14)
         assert np.allclose(dp.theta_rates, 2.0)
         assert dp.omega_norm == pytest.approx(4.0, rel=1e-13)
         merged = merge_rate_groups(dp.theta_rates, dp.exponents)
@@ -61,8 +69,10 @@ class TestDerive:
         p = FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10**1.5)
         dp = derive(p)
         assert dp.exponents.sum() == pytest.approx(2.5, rel=1e-12)
-        assert dp.c1 * dp.c2 == pytest.approx(1.0 / dp.alpha1, rel=1e-12)
-        assert dp.c1 + dp.c2 == pytest.approx(-dp.beta / dp.alpha1, rel=1e-12)
+        alpha1, beta = quadratic(p)
+        c1, c2 = dp.theta_rates[:2]
+        assert c1 * c2 == pytest.approx(1.0 / alpha1, rel=1e-12)
+        assert c1 + c2 == pytest.approx(-beta / alpha1, rel=1e-12)
         assert len(merge_rate_groups(dp.theta_rates, dp.exponents)) == 4
 
     def test_normalization_and_vieta_on_draws(self):
@@ -76,12 +86,14 @@ class TestDerive:
             p = FBParams(mu, m, kappa, eta, rho2, float(np.exp(rng.uniform(0, 5))))
             dp = derive(p)
             assert normalization_residual(dp, p.avg_snr) < 1e-8
-            assert abs(dp.c1 * dp.c2 - 1.0 / dp.alpha1) <= 1e-12 * abs(1.0 / dp.alpha1)
-            assert abs((dp.c1 + dp.c2) - (-dp.beta / dp.alpha1)) <= 1e-12 * abs(dp.beta / dp.alpha1)
+            alpha1, beta = quadratic(p)
+            c1, c2 = dp.theta_rates[:2]
+            assert abs(c1 * c2 - 1.0 / alpha1) <= 1e-12 * abs(1.0 / alpha1)
+            assert abs((c1 + c2) - (-beta / alpha1)) <= 1e-12 * abs(beta / alpha1)
             # roots always come out real (non-negative discriminant)
-            assert abs(dp.c1.imag) <= 1e-9 * abs(dp.c1)
-            if dp.c1 != dp.c2:
-                assert dp.c1.conjugate() == pytest.approx(dp.c1)  # real
+            assert abs(c1.imag) <= 1e-9 * abs(c1)
+            if c1 != c2:
+                assert c1.conjugate() == pytest.approx(c1)  # real
 
     @given(
         mu=st.floats(0.5, 8.0), m=st.floats(0.5, 10.0), kappa=st.floats(0.0, 10.0),
