@@ -101,7 +101,11 @@ def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
     if n > 1:
         w = np.zeros(n, dtype=complex)
         for r in range(1, n):
-            w[r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+            try:
+                w[r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+            except ZeroDivisionError:
+                raise ConvergenceError(f"a distance between two poles, raised to the power {r}, "
+                                       "underflows (a mean SNR near the float range?)") from None
         for l in range(n - 1):
             t[l + 1] = np.dot(t[: l + 1], w[1 : l + 2][::-1]) / (l + 1)
     return t[::-1].copy()
@@ -120,7 +124,8 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
     multiplicities; net-negative groups become numerator factors and the
     decomposition runs over the remaining poles only.  Raises a
     case-mismatch error when the exponents are not integers (or are too
-    large for a numerically meaningful expansion).
+    large for a numerically meaningful expansion), and ConvergenceError
+    when the scale factor omega or a pole distance leaves the float range.
     """
     dp = derive(params)
     # merge before the integer test: coinciding rates can sum fractional
@@ -138,6 +143,11 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
             f"total pole multiplicity {total} exceeds {_MAX_TOTAL_MULT}; use the numeric path"
         )
 
+    try:
+        omega_norm = math.exp(dp.ln_omega)
+    except OverflowError:
+        raise ConvergenceError(f"the transform's scale factor exp({dp.ln_omega:.6g}) overflows "
+                               "(a mean SNR near the float range?)") from None
     poles = np.asarray([p for p, a in factors if a > 0], dtype=complex)
     mults = np.asarray([a for _, a in factors if a > 0], dtype=int)
     with_origin = factors + [(0.0 + 0j, 1)]
@@ -148,7 +158,7 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
         term_j=np.concatenate([_POWERS[:n] for n in mults]),
         term_A=np.concatenate([_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0]),
         term_B=np.concatenate([_taylor_rows(with_origin, i) for i, (_, a) in enumerate(factors) if a > 0]),
-        omega_norm=dp.omega_norm,
+        omega_norm=omega_norm,
     )
     _validate_expansion(pfe, factors, dp.ln_omega)
     return pfe

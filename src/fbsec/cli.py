@@ -44,6 +44,7 @@ from .params import (
     from_nakagami,
     from_rayleigh,
     from_rician_shadowed,
+    linear_to_db,
 )
 
 LN2 = math.log(2.0)
@@ -53,19 +54,26 @@ _LINK_KEYS = ("mu", "m", "kappa", "eta", "rho2", "snr_db")
 _CHOICES = {"format": ("csv", "json"), "units": ("nats", "bits"), "axis": ("lambda_db", "snr_bob_db")}
 
 
-def _parse_kv(text: str, what: str) -> dict[str, float]:
+def _parse_keys(text: str, flag: str, keys) -> dict[str, float]:
+    """The ``k=v`` pairs of ``text`` as floats, which must name exactly ``keys``."""
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         if "=" not in item:
-            raise ParameterError(what, f"expected k=v pairs, got {item!r}")
+            raise ParameterError(flag, f"expected k=v pairs, got {item!r}")
         key, _, val = item.partition("=")
         try:
             out[key.strip()] = float(val)
         except ValueError:
-            raise ParameterError(f"{what}.{key.strip()}", f"not a number: {val!r}") from None
+            raise ParameterError(f"{flag}.{key.strip()}", f"not a number: {val!r}") from None
+    unknown = set(out) - set(keys)
+    if unknown:
+        raise ParameterError(flag, f"unknown keys {sorted(unknown)!r}; valid: {list(keys)}")
+    missing = set(keys) - set(out)
+    if missing:
+        raise ParameterError(flag, f"missing keys {sorted(missing)!r}")
     return out
 
 
@@ -78,13 +86,7 @@ def _snr(x_db: float, flag: str) -> float:
 
 
 def _parse_link(text: str, flag: str) -> FBParams:
-    kv = _parse_kv(text, flag)
-    unknown = set(kv) - set(_LINK_KEYS)
-    if unknown:
-        raise ParameterError(flag, f"unknown keys {sorted(unknown)!r}; valid: {list(_LINK_KEYS)}")
-    missing = set(_LINK_KEYS) - set(kv)
-    if missing:
-        raise ParameterError(flag, f"missing keys {sorted(missing)!r}")
+    kv = _parse_keys(text, flag, _LINK_KEYS)
     return FBParams(
         mu=kv["mu"], m=kv["m"], kappa=kv["kappa"], eta=kv["eta"], rho2=kv["rho2"],
         avg_snr=_snr(kv["snr_db"], f"{flag}.snr_db"),
@@ -183,7 +185,7 @@ def cmd_eval(args) -> int:
 
 def _sweep_rows(args, bob, eve, wanted, ctrl):
     n_steps = int(math.floor((args.stop_db - args.start_db) / args.step_db + 1e-9)) + 1
-    eve_db = 10.0 * math.log10(eve.avg_snr)
+    eve_db = linear_to_db(eve.avg_snr)
     scfg = SecrecyConfig(rate_rs=args.rs)
     rows = []
     for i in range(n_steps):
@@ -330,13 +332,7 @@ def cmd_reduce(args) -> int:
     if args.family not in _FAMILIES:
         raise ParameterError("family", f"unknown family {args.family!r}; valid: {sorted(_FAMILIES)}")
     ctor, keys = _FAMILIES[args.family]
-    kv = _parse_kv(args.params, "--params") if args.params else {}
-    unknown = set(kv) - set(keys)
-    if unknown:
-        raise ParameterError("--params", f"unknown keys {sorted(unknown)!r}; family takes {list(keys)}")
-    missing = set(keys) - set(kv)
-    if missing:
-        raise ParameterError("--params", f"missing keys {sorted(missing)!r}")
+    kv = _parse_keys(args.params, "--params", keys)
     params = ctor(*(kv[k] for k in keys), avg_snr=1.0)
     record = {"mu": params.mu, "m": params.m, "kappa": params.kappa,
               "eta": params.eta, "rho2": params.rho2}

@@ -63,6 +63,7 @@ class InversionControl:
 
 _PAIR_COEF_MIN = 256.0
 _PAIR_REL_DIST = 0.1
+_CHERNOFF_FRACTIONS = np.array([0.3, 0.5, 0.7, 0.9])  # of the nearest singularity: Chernoff bounds' t
 
 
 def _stable_factors(dp: DerivedParams, avg_snr: float):
@@ -75,46 +76,32 @@ def _stable_factors(dp: DerivedParams, avg_snr: float):
     multiplies an O(ulp) log rounding error.
     """
     groups = [(x.real, a) for x, a in merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)]
-    reg: list[tuple[float, float]] = []
-    pair_x: list[float] = []
-    pair_delta: list[float] = []
-    pair_coef: list[float] = []
-    pos_big = [i for i, (_, a) in enumerate(groups) if a >= _PAIR_COEF_MIN]
-    neg_big = [i for i, (_, a) in enumerate(groups) if a <= -_PAIR_COEF_MIN]
-    taken: set[int] = set()
-    paired_pos: set[int] = set()
-    for i in pos_big:
-        xi, ai = groups[i]
-        cands = [j for j in neg_big if j not in taken]
-        if not cands:
+    free = [g for g in groups if g[1] <= -_PAIR_COEF_MIN]  # negative partners not yet taken
+    reg, single, pairs = [], [], []  # (x, a) per factor, (x, delta, c) per stiff pair
+    for xi, ai in groups:
+        partner = min(free, key=lambda g: abs(g[0] - xi)) if ai >= _PAIR_COEF_MIN and free else None
+        if partner is None or abs(xi - partner[0]) > _PAIR_REL_DIST * max(abs(xi), abs(partner[0])):
+            single.append((xi, ai))
             continue
-        j = min(cands, key=lambda j: abs(groups[j][0] - xi))
-        xj, aj = groups[j]
-        if abs(xi - xj) > _PAIR_REL_DIST * max(abs(xi), abs(xj)):
-            continue
+        xj, aj = partner
+        free.remove(partner)
         # -ai log(s+xi) - aj log(s+xj) = -ai log1p((xi-xj)/(s+xj)) - (ai+aj) log(s+xj)
-        pair_x.append(xj)
-        pair_delta.append(xi - xj)
-        pair_coef.append(ai)
+        pairs.append((xj, xi - xj, ai))
         if abs(ai + aj) > 1e-12:
             reg.append((xj, ai + aj))
-        taken.add(j)
-        paired_pos.add(i)
-    for idx, (x, a) in enumerate(groups):
-        if idx in taken or idx in paired_pos:
-            continue
-        reg.append((x, a))
-    return (
-        np.array([x for x, _ in reg]),
-        np.array([a for _, a in reg]),
-        np.array(pair_x),
-        np.array(pair_delta),
-        np.array(pair_coef),
-    )
+    # a partner taken by a later group was passed as single: it is no longer free
+    reg += [g for g in single if g[1] > -_PAIR_COEF_MIN or g in free]
+    # the columns of both tables: poles, exps, pair_x, pair_delta, pair_coef
+    return (*np.array(reg).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
 
 
 class _Link:
-    """One link's transform: its factors (see :func:`_stable_factors`), log scale and mean SNR."""
+    """One link's transform, worked out once: all that the contour reads of the link.
+
+    It holds ``factors`` (:func:`_stable_factors`), ``ln_omega``, ``mu``, ``avg_snr``, the
+    nearest singularity ``r`` and largest rate ``big`` (:func:`_rates`), ``exps_abs`` = sum |a|,
+    and each stiff pair's (x, |c delta|) in ``pairs``: its log-term is at most |c delta / (s + x)|.
+    """
 
     def __init__(self, params: FBParams):
         dp = derive(params)
@@ -122,21 +109,26 @@ class _Link:
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = params.avg_snr
+        self.r, self.big = _rates(self.factors)
+        _, exps, pair_x, pair_delta, pair_coef = self.factors
+        self.exps_abs = float(np.sum(np.abs(exps)))
+        self.pairs = list(zip(pair_x, np.abs(pair_delta * pair_coef)))
+
+    def log_m(self, sr, si):
+        """Real and imaginary parts of log M(s) at s = sr + i si."""
+        return _kernels.log_transform(sr, si, 1.0, 0.0, *self.factors, self.ln_omega)
 
     def upper_limit(self, eps: float) -> float:
         """Abscissa beyond which the survival mass is below ``eps``.
 
         Exponential (Chernoff-style) bound from the transform evaluated on
-        the negative axis, optimised over a few fractions of the dominant
-        decay rate.
+        the negative axis, optimised over a few fractions of the nearest
+        singularity.
         """
-        poles, exps, pair_x, *_ = self.factors
-        x_min = min([p for p, a in zip(poles, exps) if a > 0] + list(pair_x))
-        tau = x_min * np.array([0.3, 0.5, 0.7, 0.9])
+        tau = self.r * _CHERNOFF_FRACTIONS
         with np.errstate(divide="ignore"):  # a distance that underflows makes the limit infinite
-            ln_m, _ = _kernels.log_transform(-tau, 0.0, 1.0, 0.0, *self.factors, self.ln_omega)
-        best = float(np.min((ln_m - math.log(eps)) / tau))
-        return float(max(best, 10.0 * self.avg_snr))
+            ln_m, _ = self.log_m(-tau, 0.0)
+        return max(float(np.min((ln_m - math.log(eps)) / tau)), 10.0 * self.avg_snr)
 
 
 # Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
@@ -213,28 +205,19 @@ class _Bromwich:
     """
 
     def __init__(self, link_d: _Link, link_e: _Link):
-        self.links = ((link_d.factors, link_d.ln_omega), (link_e.factors, link_e.ln_omega))
-        self.r_d, self.big_d = _rates(link_d.factors)
-        self.r_e, self.big_e = _rates(link_e.factors)
+        self.d, self.e = link_d, link_e
         self.decay = _DECAY / (link_d.mu + link_e.mu)
-        # magnitude scales of the log's summands, for the rounding floor
-        self.ln_omega_abs = abs(link_d.ln_omega) + abs(link_e.ln_omega)
-        self.exps_abs = float(np.sum(np.abs(link_d.factors[1])) + np.sum(np.abs(link_e.factors[1])))
-        # (x, |c delta|) of each stiff pair: its log-term is at most |c delta / (s + x)|
-        self.pairs = [(f[2], np.abs(f[3] * f[4])) for f in (link_d.factors, link_e.factors)]
 
     def _log_m(self, sr, si, theta):
         """Real and imaginary parts of log M_D(s) + log M_E(-theta s)."""
-        (f_d, ln_d), (f_e, ln_e) = self.links
-        re_d, im_d = _kernels.log_transform(sr, si, 1.0, 0.0, *f_d, ln_d)
-        re_e, im_e = _kernels.log_transform(-theta * sr, -theta * si, 1.0, 0.0, *f_e, ln_e)
+        re_d, im_d = self.d.log_m(sr, si)
+        re_e, im_e = self.e.log_m(-theta * sr, -theta * si)
         return re_d + re_e, im_d + im_e
 
     def _phi_derivatives(self, c, theta, z):
         """phi' and phi'' at real ``c``."""
-        (f_d, _), (f_e, _) = self.links
-        d1_d, d2_d = _log_derivatives(f_d, c)
-        d1_e, d2_e = _log_derivatives(f_e, -theta * c)
+        d1_d, d2_d = _log_derivatives(self.d.factors, c)
+        d1_e, d2_e = _log_derivatives(self.e.factors, -theta * c)
         return z - 1.0 / c + d1_d - theta * d1_e, 1.0 / (c * c) + d2_d + theta**2 * d2_e
 
     def contour(self, theta, z):
@@ -248,9 +231,10 @@ class _Bromwich:
         """
         n = len(theta)
         m = len(_EDGE_FRACTIONS)
-        edge = np.stack([self.r_e / theta, np.full(n, -self.r_d)], axis=1)  # (n, side)
+        edge = np.stack([self.e.r / theta, np.full(n, -self.d.r)], axis=1)  # (n, side)
         grid = (edge[..., None] * _EDGE_FRACTIONS).reshape(n, 2 * m)
-        phi = self._log_m(grid, 0.0, theta[:, None])[0] + z[:, None] * grid - np.log(np.abs(grid))
+        with np.errstate(divide="ignore"):  # a distance that underflows makes phi infinite there
+            phi = self._log_m(grid, 0.0, theta[:, None])[0] + z[:, None] * grid - np.log(np.abs(grid))
         # the side with the smaller saddle value, and its bracketing grid neighbours
         rows = np.arange(n)
         j = np.argmin(phi, axis=1)
@@ -279,7 +263,7 @@ class _Bromwich:
 
     def _truncation(self, w, beta, theta, z):
         """T: the algebraic decay starts past every rate; for z > 0, e^(sz) cuts it short."""
-        t_max = np.arcsinh(np.maximum(self.big_d, self.big_e / theta) / w) + self.decay
+        t_max = np.arcsinh(np.maximum(self.d.big, self.e.big / theta) / w) + self.decay
         with np.errstate(divide="ignore"):
             return np.minimum(t_max, np.where(z > 0.0, np.log(80.0 / (beta * z) + 1.0) + 2.0, np.inf))
 
@@ -344,16 +328,16 @@ class _Bromwich:
         # size; a factor's |log(s + p)| is at most the larger of |log(|s| + R)|
         # and |log dist|, dist >= w max(1, sinh t) / 2 from s to any singularity
         dist = 0.5 * w * np.maximum(1.0, sh)
-        big = np.maximum(self.big_d, self.big_e / theta)
+        big = np.maximum(self.d.big, self.e.big / theta)
         ln_fac = np.maximum(np.abs(np.log(abs_s + big)), np.abs(np.log(dist)))
         size = (
-            self.ln_omega_abs
-            + self.exps_abs * (ln_fac + np.abs(np.log(theta)) + math.pi)
+            abs(self.d.ln_omega) + abs(self.e.ln_omega)
+            + (self.d.exps_abs + self.e.exps_abs) * (ln_fac + np.abs(np.log(theta)) + math.pi)
             + z * (np.abs(sr) + si)
             + np.abs(ln_s) + np.abs(ln_ds) + 2.0 * math.pi
         )
-        for (pair_x, c_delta), scale in zip(self.pairs, (1.0, -theta)):  # Bob at s, Eve at -theta s
-            for x, cd in zip(pair_x, c_delta):
+        for link, scale in ((self.d, 1.0), (self.e, -theta)):  # Bob at s, Eve at -theta s
+            for x, cd in link.pairs:
                 size = size + cd / np.hypot(scale * sr + x, scale * si)
         return mag * np.sin(im), mag * size, re
 
@@ -378,24 +362,18 @@ class _Bromwich:
         value = np.zeros(n)
         err = np.zeros(n)
         live = np.arange(n)
-        first = True
+        start, stride = 0, 1  # the nodes new at this step: all of them at first, then the odd ones
         while live.size:
             if np.any(count[live] > _MAX_NODES):
                 raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem")
-            # the nodes new at this step, all of them at first and then the odd ones
-            if first:
-                pos, k = _ragged(count[live] + 1)
-            else:
-                pos, k = _ragged(count[live] // 2)
-                k = 2 * k + 1
+            pos, k = _ragged((count[live] - start) // stride + 1)
+            k = start + stride * k
             j = live[pos]
             f, bound, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
-            if first:
-                half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
-                f, bound = f * half, bound * half
-                fine[live] = np.bincount(pos, f * (k % 2 == 0), live.size)
-            coarse[live] = fine[live]
-            fine[live] += np.bincount(pos, f * (k % 2 == 1) if first else f, live.size)
+            half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
+            f, bound = f * half, bound * half
+            coarse[live] = fine[live] + np.bincount(pos, f * (k % 2 == 0), live.size)
+            fine[live] = coarse[live] + np.bincount(pos, f * (k % 2 == 1), live.size)
             noise[live] += np.bincount(pos, bound, live.size)
             h = step[live]
             now = h / math.pi * fine[live]
@@ -406,11 +384,11 @@ class _Bromwich:
             noisy = _ULPS * _EPS * (h / math.pi * noise[live])
             done = diff <= np.maximum(rel_tol * np.minimum(np.abs(now), 1.0 - np.abs(now)), noisy)
             value[live] = now
-            err[live] = diff + (self.exps_abs + 1.0) * noisy
+            err[live] = diff + (self.d.exps_abs + self.e.exps_abs + 1.0) * noisy
             live = live[~done]
             step[live] *= 0.5
             count[live] *= 2
-            first = False
+            start, stride = 1, 2
         return value, err, c < 0.0
 
 # ASC: Gauss-Legendre panels in R, every node one contour problem
@@ -471,7 +449,8 @@ class _AscRule:
     over R is at most that at R_hi divided by t e^R_hi.
     """
 
-    def __init__(self, contour: _Bromwich, link_d: _Link, link_e: _Link, rel_tol: float):
+    def __init__(self, contour: _Bromwich, rel_tol: float):
+        link_d, link_e = contour.d, contour.e
         self.r_hi = math.log1p(link_d.upper_limit(_TAIL_CUTOFF_PROB))
         if not math.isfinite(self.r_hi):
             raise ConvergenceError(f"ASC quadrature: the tail cut in R is not finite (Bob's mean SNR "
@@ -480,7 +459,7 @@ class _AscRule:
         self.grade = 2 if link_d.mu + link_e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol
         theta_hi = math.exp(self.r_hi)
-        t = contour.r_d * np.array([0.3, 0.5, 0.7, 0.9])
+        t = link_d.r * _CHERNOFF_FRACTIONS
         ln_m, _ = contour._log_m(-t, 0.0, theta_hi)
         self.cut = float(np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi))))
         # panels as (lo, hi, graded) in v: R = b v^q (q - (q - 1) v) where graded, R = v elsewhere
@@ -555,13 +534,12 @@ def numeric_metrics(
     """
     check_metrics(metrics)
     ctrl = ctrl or InversionControl()
-    link_d, link_e = _Link(bob), _Link(eve)
-    contour = _Bromwich(link_d, link_e)
+    contour = _Bromwich(_Link(bob), _Link(eve))
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))
     n = len(keys)
     theta, z = np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
-    rule = _AscRule(contour, link_d, link_e, ctrl.quad_rel_tol) if "asc" in metrics else None
+    rule = _AscRule(contour, ctrl.quad_rel_tol) if "asc" in metrics else None
     if rule is not None:
         theta_r, z_r = rule.problems()
         theta, z = np.concatenate([theta, theta_r]), np.concatenate([z, z_r])

@@ -100,10 +100,10 @@ class DerivedParams:
     ``theta_rates`` and ``exponents`` are aligned: the first two entries are
     the quadratic roots with exponent ``m`` each, the last two are the
     scattered-wave rates with exponent ``mu/2 - m`` each (possibly negative,
-    in which case they act as numerator factors).
+    in which case they act as numerator factors).  ``ln_omega`` is the log
+    of the scale factor omega, which itself overflows at very low mean SNR.
     """
 
-    omega_norm: float
     theta_rates: np.ndarray
     exponents: np.ndarray
     mu: float
@@ -174,13 +174,7 @@ def derive(params: FBParams) -> DerivedParams:
         - mu * math.log(snr)
     )
 
-    return DerivedParams(
-        omega_norm=math.exp(lno),
-        theta_rates=theta,
-        exponents=exps,
-        mu=mu,
-        ln_omega=lno,
-    )
+    return DerivedParams(theta_rates=theta, exponents=exps, mu=mu, ln_omega=lno)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +229,9 @@ def outage_value(metric: str, prob: float) -> float:
 # special-case embeddings
 # ---------------------------------------------------------------------------
 
-_INERT_M = 1.0e6  # any valid value works when kappa == 0; match the no-shadowing surrogate
-_LARGE_M = 1.0e6  # finite surrogate for the no-shadowing limit
+# finite surrogate for the no-shadowing limit; also the m of the kappa = 0
+# embeddings, where any valid value gives the same law
+_LARGE_M = 1.0e6
 
 
 def from_kappa_mu_shadowed(kappa: float, mu: float, m: float, avg_snr: float) -> FBParams:
@@ -255,7 +250,7 @@ def from_nakagami(m_nak: float, avg_snr: float) -> FBParams:
     With kappa = 0 the shadowing parameter has no effect on the SNR law, so
     it is pinned to an arbitrary valid value.
     """
-    return FBParams(mu=m_nak, m=_INERT_M, kappa=0.0, eta=1.0, rho2=1.0, avg_snr=avg_snr)
+    return FBParams(mu=m_nak, m=_LARGE_M, kappa=0.0, eta=1.0, rho2=1.0, avg_snr=avg_snr)
 
 
 def from_rayleigh(avg_snr: float) -> FBParams:
@@ -282,4 +277,4 @@ def from_eta_mu(eta: float, mu: float, avg_snr: float) -> FBParams:
     are pinned.  This reduction is validated against Monte Carlo only; treat
     it as experimental.
     """
-    return FBParams(mu=mu, m=_INERT_M, kappa=0.0, eta=eta, rho2=1.0, avg_snr=avg_snr)
+    return FBParams(mu=mu, m=_LARGE_M, kappa=0.0, eta=eta, rho2=1.0, avg_snr=avg_snr)

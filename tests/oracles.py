@@ -27,7 +27,7 @@ import scipy.special as sc
 
 from fbsec.casetwo import _MAX_TOTAL_MULT, _realify
 from fbsec.errors import ConvergenceError, DomainError, FbsecError
-from fbsec.inversion import _GROWTH, _LN_REACH, _OPENINGS, _PROBE_STEP, _Link, _stable_factors
+from fbsec.inversion import _GROWTH, _LN_REACH, _OPENINGS, _PROBE_STEP, _Link, _rates, _stable_factors
 from fbsec._kernels import log_transform
 from fbsec.special import (
     _CF_SWITCH,
@@ -440,6 +440,7 @@ class TalbotLink(_Link):
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = avg_snr
+        self.r, self.big = _rates(self.factors)
         self.nodes = nodes
         self.lam = lam_for(nodes)
         self.base, self.w = contour_nodes(nodes, self.lam)

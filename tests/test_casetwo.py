@@ -284,6 +284,18 @@ class TestMetrics:
         with pytest.raises(ConvergenceError):
             closed_metrics(bob, eve, SecrecyConfig(0.0), metrics)
 
+    @pytest.mark.parametrize("metrics", [METRICS, ("sop",)])
+    def test_pole_distance_underflow_refused(self, metrics):
+        # at 1625 dB a distance between Bob's poles, raised to a power, underflows to 0
+        bob, eve = FBParams(6, 3, 1.5, 0.4, 0.3, 10**162.5), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        with pytest.raises(ConvergenceError, match="underflows"):
+            closed_metrics(bob, eve, SecrecyConfig(0.0), metrics)
+
+    def test_scale_factor_overflow_refused(self):
+        # at -800 dB ln omega passes 709: omega overflows, and the expansion is refused
+        with pytest.raises(ConvergenceError, match="overflows"):
+            link_expansion(FBParams(4, 2, 1.5, 0.4, 0.3, 1e-80))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_non_finite_value_refused(self, value):
         with pytest.raises(ConvergenceError, match="not finite"):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -358,6 +359,16 @@ class TestReduce:
         assert code == 2
         assert "m" in err
 
+    @pytest.mark.parametrize("argv,valid", [
+        (("reduce", "nakagami", "--params", "m=2,bogus=1"), "['m']"),
+        (("eval", "--bob", BOB + ",bogus=1", "--eve", "same"), "['mu', 'm', 'kappa', 'eta', 'rho2', 'snr_db']"),
+    ])
+    def test_unknown_key_message(self, capsys, argv, valid):
+        # --params and a link spec refuse an unknown key with one message
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.endswith(f"unknown keys ['bogus']; valid: {valid}\n")
+
 
 class TestNumericalFailureExit:
     # Bob's mean SNR at 3003 dB: the closed expansion overflows and ASC's tail cut is infinite
@@ -367,6 +378,36 @@ class TestNumericalFailureExit:
                              "--eve", CASE2_EVE, "--rs", "0")
         assert code == 3 and out == ""
         assert err.startswith("numerical error: ASC quadrature: the tail cut")
+
+    def test_pole_distance_underflow(self, capsys):
+        # Bob at 1625 dB: the closed route refuses, ASC's tail cut is infinite, SOP is answered
+        bob = "mu=6,m=3,kappa=1.5,eta=0.4,rho2=0.3,snr_db=1625"
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", CASE2_EVE, "--rs", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: ASC quadrature: the tail cut")
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", CASE2_EVE, "--rs", "0", "--metric", "sop")
+        assert code == 0 and err == ""
+        assert json.loads(out)["sop"] == 0.0
+
+    @pytest.mark.parametrize("snr_db", ["1625", "3003"])
+    def test_underflowed_distance_prints_no_warning(self, capsys, snr_db):
+        # the outage contour's grid search meets distances whose squares underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--bob", CASE2_BOB.replace("snr_db=12", f"snr_db={snr_db}"),
+                                 "--eve", CASE2_EVE, "--rs", "0", "--metric", "sop")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["path"] == "numeric" and rec["sop"] == 0.0
+
+    def test_scale_factor_overflow_answered(self, capsys):
+        # Bob at -800 dB: omega overflows, so the closed route refuses and the numeric one answers
+        code, out, err = run(capsys, "eval", "--bob", CASE2_BOB.replace("snr_db=12", "snr_db=-800"),
+                             "--eve", CASE2_EVE, "--rs", "0")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["path"] == "numeric" and rec["sop"] == 1.0
+        assert 0.0 <= rec["asc"] < 1e-200 and rec["error_estimates"]["achieved"]["asc"] < 1e-200
 
     def test_convergence_error_exits_3(self, capsys, monkeypatch):
         from fbsec.errors import ConvergenceError

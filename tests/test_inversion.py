@@ -18,7 +18,8 @@ from fbsec import (
     numeric_metrics,
 )
 from fbsec.errors import AccuracyWarning, ConvergenceError, ParameterError
-from fbsec.inversion import _AscRule, _Bromwich, _Link
+from fbsec._kernels import log_transform
+from fbsec.inversion import _AscRule, _Bromwich, _Link, _stable_factors
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
@@ -438,6 +439,40 @@ class TestOutageContour:
             numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("sop", "sopl", "spsc"))
 
 
+class TestStableFactors:
+    """The paired factors of the no-shadowing surrogates give log M of the unpaired product."""
+
+    # (link, stiff pairs, exponents left at +-1e6): the third has one pair and one
+    # couple whose rates lie more than 10% apart, so it stays unpaired
+    LINKS = [
+        (fbsec.from_beckmann(1, 0.5, 1, 10), 2, 0),
+        (FBParams(1, 1e6, 1.5, 0.3, 0.64, 100), 2, 0),
+        (FBParams(26.3253255466307, 1e6, 207.48079556974696, 8395.498315023075, 0.00021969427582897144,
+                  8577499.867362984), 1, 2),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(LINKS)))
+    def test_log_m_against_unpaired_sum(self, index):
+        mp = pytest.importorskip("mpmath")
+        p, n_pairs, n_big = self.LINKS[index]
+        dp = derive(p)
+        factors = _stable_factors(dp, p.avg_snr)
+        poles, exps, pair_x = factors[:3]
+        assert len(pair_x) == n_pairs
+        assert np.sum(np.abs(exps) > 1e5) == n_big
+        rates = (dp.theta_rates / p.avg_snr).real  # the rates as the library divides them
+        for s in (0.5, 3.0, 1 + 2j, 0.05 - 0.3j, 10 + 40j):
+            s = complex(s)
+            re, im = log_transform(np.array([s.real]), np.array([s.imag]), 1.0, 0.0, *factors, dp.ln_omega)
+            with mp.workdps(50):
+                terms = [mp.mpf(a) * mp.log(mp.mpc(s) + mp.mpf(r)) for r, a in zip(rates, dp.exponents)]
+                ref = mp.mpf(dp.ln_omega) - mp.fsum(terms)
+            # 1e-12, plus the rounding of each unpaired factor's log times its exponent
+            floor = 4 * np.finfo(float).eps * sum(abs(a * np.log(complex(s + x))) for x, a in zip(poles, exps))
+            assert abs(re[0] - float(ref.real)) <= 1e-12 + floor
+            assert abs(im[0] - float(ref.imag)) <= 1e-12 + floor
+
+
 # The pairs of the numeric-sweep benchmark workload (perfbench/workloads.py):
 # fig1, the stiff no-shadowing surrogate (m = 1e6) as Bob, and two pairs with
 # non-integer parameters.  Bob's SNR is a placeholder; lambda sets it.
@@ -459,10 +494,9 @@ def _sweep_links(names=tuple(SWEEP_PAIRS)):
 def _first_batch(bob, eve):
     """The contour and the first batch of an all-metrics row at R_s = 1: the
     outage problems and ASC's first nodes, as numeric_metrics sends them."""
-    links = _Link(bob), _Link(eve)
-    contour = _Bromwich(*links)
+    contour = _Bromwich(_Link(bob), _Link(eve))
     keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
-    theta_r, z_r = _AscRule(contour, *links, 1e-8).problems()
+    theta_r, z_r = _AscRule(contour, 1e-8).problems()
     return contour, np.r_[[k[0] for k in keys], theta_r], np.r_[[k[1] for k in keys], z_r]
 
 

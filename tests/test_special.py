@@ -200,11 +200,11 @@ class TestPhi24Series:
         for g in (0.05, 0.2, 0.6):
             x = [-g * r for r in rates]
             series_pdf = (
-                dp.omega_norm / math.gamma(p.mu) * g ** (p.mu - 1) * phi2_4_series(a, p.mu, x)
+                math.exp(dp.ln_omega) / math.gamma(p.mu) * g ** (p.mu - 1) * phi2_4_series(a, p.mu, x)
             )
             assert series_pdf == pytest.approx(pdf_case2(exp, g), rel=1e-10)
             series_cdf = (
-                dp.omega_norm / math.gamma(p.mu + 1) * g**p.mu * phi2_4_series(a, p.mu + 1, x)
+                math.exp(dp.ln_omega) / math.gamma(p.mu + 1) * g**p.mu * phi2_4_series(a, p.mu + 1, x)
             )
             assert series_cdf == pytest.approx(cdf_case2(exp, g), rel=1e-10)
 
