@@ -78,11 +78,14 @@ def _parse_keys(text: str, flag: str, keys) -> dict[str, float]:
 
 
 def _snr(x_db: float, flag: str) -> float:
-    """``x_db`` as a linear SNR, or a ParameterError for ``flag`` past the float range."""
+    """``x_db`` as a linear SNR, or a ParameterError for ``flag`` past either end of the float range."""
     try:
-        return db_to_linear(x_db)
+        snr = db_to_linear(x_db)
     except OverflowError:
         raise ParameterError(flag, f"a mean SNR of {x_db!r} dB is past the float range") from None
+    if snr == 0.0:
+        raise ParameterError(flag, f"a mean SNR of {x_db!r} dB underflows to 0")
+    return snr
 
 
 def _parse_link(text: str, flag: str) -> FBParams:
@@ -184,14 +187,28 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_rows(args, bob, eve, wanted, ctrl):
+    """One row per step: the closed route where it takes the row, else one numeric call for all
+    the rows it refuses, which solves them as one contour batch."""
     n_steps = int(math.floor((args.stop_db - args.start_db) / args.step_db + 1e-9)) + 1
     eve_db = linear_to_db(eve.avg_snr)
     scfg = SecrecyConfig(rate_rs=args.rs)
+    xs = [args.start_db + i * args.step_db for i in range(n_steps)]
+    bobs = []
+    for x_db in xs:
+        snr_db = eve_db + x_db if args.axis == "lambda_db" else x_db
+        # a mean SNR underflows at the low end of a sweep and overflows at the high end
+        bobs.append(bob.with_snr(_snr(snr_db, "--start-db" if snr_db < 0.0 else "--stop-db")))
+    values = [_closed_or_none(bob_i, eve, scfg, wanted) for bob_i in bobs]
+    todo = [i for i, vals in enumerate(values) if vals is None]
+    if todo:
+        try:
+            numeric = inversion.numeric_metrics([bobs[i] for i in todo], eve, scfg, ctrl, wanted)
+        except ConvergenceError as exc:  # exc.row: the index in the rows sent
+            raise ConvergenceError(f"row x_db = {xs[todo[exc.row]]:.12g}: {exc}", exc.achieved) from None
+        for i, (vals, _) in zip(todo, numeric):
+            values[i] = vals
     rows = []
-    for i in range(n_steps):
-        x_db = args.start_db + i * args.step_db
-        bob_i = bob.with_snr(_snr(eve_db + x_db if args.axis == "lambda_db" else x_db, "--stop-db"))
-        vals, _, _ = _compute_metrics(bob_i, eve, args.rs, wanted, ctrl)
+    for i, (x_db, bob_i, vals) in enumerate(zip(xs, bobs, values)):
         vals = _apply_units(vals, args.units)
         row = {"x_db": x_db, **{k: vals[k] for k in wanted}}
         if args.mc_samples:
@@ -358,7 +375,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--mc-streams", type=int, default=8)
-    p.add_argument("--talbot-nodes", type=_node_count, default=48,
+    p.add_argument("--talbot-nodes", type=_node_count, default=None,
                    help="accepted for compatibility; it no longer steers anything")
     p.add_argument("--quad-rel-tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -446,6 +463,9 @@ def main(argv=None) -> int:
         except (OSError, ValueError, argparse.ArgumentError) as exc:
             print(f"--config: {exc}", file=sys.stderr)
             return 2
+    if getattr(args, "talbot_nodes", None) is not None:
+        print("notice: --talbot-nodes no longer steers anything; the outage contour is the only "
+              "numeric engine", file=sys.stderr)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning

@@ -30,10 +30,15 @@ class CaseMismatchError(FbsecError):
 
 
 class ConvergenceError(FbsecError):
-    """A series, continued fraction, or quadrature failed to converge."""
+    """A series, continued fraction, or quadrature failed to converge.
 
-    def __init__(self, message: str, achieved: float | None = None):
+    ``row``: on a refusal of ``numeric_metrics``, the index of the Bob link
+    it concerns among those given (0 for a single link); None elsewhere.
+    """
+
+    def __init__(self, message: str, achieved: float | None = None, row: int | None = None):
         self.achieved = achieved
+        self.row = row
         super().__init__(message)
 
 

@@ -17,8 +17,10 @@ Case-2 closed forms.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +128,9 @@ class _Link:
         singularity.
         """
         tau = self.r * _CHERNOFF_FRACTIONS
-        with np.errstate(divide="ignore"):  # a distance that underflows makes the limit infinite
+        # a distance that underflows makes the limit infinite, or not a number
+        # where two such logs cancel; either way no finite cut is found
+        with np.errstate(divide="ignore", invalid="ignore"):
             ln_m, _ = self.log_m(-tau, 0.0)
         return max(float(np.min((ln_m - math.log(eps)) / tau)), 10.0 * self.avg_snr)
 
@@ -144,6 +148,10 @@ _DECAY = 40.0       # e-folds of algebraic decay past the largest rate
 # mostly meets the tolerance and the rest take one halving
 _STEP = 0.1
 _MAX_NODES = 1 << 16  # per problem and step size
+# nodes per terms or probe call: a batch of many problems (a sweep) is worked in
+# pieces of whole problems no larger than this, unless one problem alone is larger,
+# so its temporaries stay those of one pair's batch
+_CHUNK_NODES = 1 << 12
 _LN_REACH = math.log(1e150)  # |s| stays below this, so |s|^2 stays finite
 _OPENINGS = 4.0 ** -np.arange(5)  # z > 0 path openings tried, per unit of w
 _PROBE_STEP = 0.5  # spacing in t of the probes that choose the opening
@@ -173,6 +181,18 @@ def _ragged(counts):
     """(owner, index) of each entry of a ragged layout in which owner i holds 0 .. counts[i] - 1."""
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _chunks(counts):
+    """Slices of consecutive problems whose ``counts`` add up to at most ``_CHUNK_NODES``
+    (one problem at least)."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _CHUNK_NODES, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _log_derivatives(factors, y):
@@ -220,29 +240,55 @@ class _Bromwich:
         d1_e, d2_e = _log_derivatives(self.e.factors, -theta * c)
         return z - 1.0 / c + d1_d - theta * d1_e, 1.0 / (c * c) + d2_d + theta**2 * d2_e
 
+    def saddle_start(self, theta, z):
+        """The first guess at c, the bracket (lo, hi) around it and its side's edge, per problem.
+
+        The candidates on each side are the points ``edge * _EDGE_FRACTIONS``,
+        from next to 0 out to 99% of the way to the strip edge.  phi is
+        convex on each side (a cumulant generating function plus -log|s|),
+        so along them its derivative taken outward, away from 0, changes sign
+        once: a bisection on that sign finds each side's first point k where
+        it is >= 0 in seven steps, and the side's least phi is at k - 1 or k.
+        Of those four points, the first with the least phi in side-major
+        order is the guess, and its neighbours on its side are the bracket.
+        """
+        n, m = len(theta), len(_EDGE_FRACTIONS)
+        edge = np.stack([self.e.r / theta, np.full(n, -self.d.r)], axis=1)  # (n, side)
+        theta, z = theta[:, None], z[:, None]
+        lo, hi = np.zeros((n, 2), dtype=int), np.full((n, 2), m)  # the first point with phi' >= 0 outward
+        # an underflowed distance makes phi' infinite, or not a number where two such terms
+        # cancel (read as falling), and phi'' overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(m.bit_length()):
+                mid = (lo + hi) // 2
+                d1, _ = self._phi_derivatives(edge * _EDGE_FRACTIONS[np.minimum(mid, m - 1)], theta, z)
+                rising = d1 * [1.0, -1.0] >= 0.0
+                hi = np.where(rising, mid, hi)
+                lo = np.where(rising, lo, np.minimum(mid + 1, hi))
+        rows = np.arange(n)
+        k = np.clip(lo[..., None] + [-1, 0], 0, m - 1).reshape(n, 4)  # (n, side-major candidates)
+        side = np.repeat([[0, 1]], 2, axis=1)
+        points = edge[rows[:, None], side] * _EDGE_FRACTIONS[k]
+        with np.errstate(divide="ignore"):  # a distance that underflows makes phi infinite there
+            phi = self._log_m(points, 0.0, theta)[0] + z * points - np.log(np.abs(points))
+        j = np.argmin(phi, axis=1)
+        side, k = side[0, j], k[rows, j]
+        edge = edge[rows, side]
+        nb = edge[:, None] * _EDGE_FRACTIONS[np.clip(k[:, None] + [-1, 1], 0, m - 1)]
+        return points[rows, j], nb.min(axis=1), nb.max(axis=1), edge
+
     def contour(self, theta, z):
         """Crossing point c, width w, opening beta and truncation T per problem.
 
-        ``c`` comes from a 64-point search on each side and at most four
+        ``c`` starts from :meth:`saddle_start` and takes at most four
         safeguarded Newton steps on phi'.  ``w = min(phi''^-1/2, distance
         to the nearest singularity)``.  For z = 0 the path is the vertical
         line (beta = 0); for z > 0 it opens left so that e^(sz) decays, as
-        wide as possible: see :meth:`_opening`.
+        wide as possible: see :meth:`_opening`.  Every step works on each
+        problem alone, so a problem's path does not depend on its batch.
         """
         n = len(theta)
-        m = len(_EDGE_FRACTIONS)
-        edge = np.stack([self.e.r / theta, np.full(n, -self.d.r)], axis=1)  # (n, side)
-        grid = (edge[..., None] * _EDGE_FRACTIONS).reshape(n, 2 * m)
-        with np.errstate(divide="ignore"):  # a distance that underflows makes phi infinite there
-            phi = self._log_m(grid, 0.0, theta[:, None])[0] + z[:, None] * grid - np.log(np.abs(grid))
-        # the side with the smaller saddle value, and its bracketing grid neighbours
-        rows = np.arange(n)
-        j = np.argmin(phi, axis=1)
-        side, k = np.divmod(j, m)
-        c = grid[rows, j]
-        nb = grid[rows[:, None], side[:, None] * m + np.clip(k[:, None] + [-1, 1], 0, m - 1)]
-        lo, hi = nb.min(axis=1), nb.max(axis=1)
-        edge = edge[rows, side]
+        c, lo, hi, edge = self.saddle_start(theta, z)
         done = np.zeros(n, dtype=bool)  # per problem, so a batch gives each one's solo result
         for i in range(_NEWTON_STEPS + 1):
             d1, d2 = self._phi_derivatives(c, theta, z)
@@ -276,24 +322,28 @@ class _Bromwich:
         orders: the sum would then cancel far beyond its value.  The openings
         are probed from the widest down, each on the problems that every
         wider one failed and on each problem's nodes t = 0, 0.5, ... up to
-        its own truncation there.  The probes read magnitudes only
-        (:meth:`log_magnitude`).
+        its own truncation there, or where |s| would pass ``_LN_REACH``.  The
+        probes read magnitudes only (:meth:`log_magnitude`).
         """
         n, k = len(c), len(_OPENINGS)
         beta = w[:, None] * _OPENINGS  # (n, k)
         t_max = self._truncation(w[:, None], beta, theta[:, None], z[:, None])
-        reach = np.ceil((_LN_REACH - np.log(w)).min() / _PROBE_STEP)
+        reach = np.ceil((_LN_REACH - np.log(w)) / _PROBE_STEP)[:, None]
         last = np.minimum(np.floor(t_max / _PROBE_STEP), reach).astype(int)  # (n, k): the last probe
         j = np.full(n, k - 1)  # the narrowest, when every wider one grows
         live = np.arange(n)
         for i in range(k - 1):
-            owner, node = _ragged(last[live, i] + 1)
-            p = live[owner]
-            re = self.log_magnitude(_PROBE_STEP * node, c[p], w[p], beta[p, i], theta[p], z[p])
-            saddle = np.flatnonzero(node == 0)  # each problem's t = 0, the same for every opening
+            count = last[live, i] + 1
+            peak, first = np.empty(live.size), np.empty(live.size)  # largest and t = 0 probe
+            for part in _chunks(count):
+                owner, node = _ragged(count[part])
+                p = live[part][owner]
+                re = self.log_magnitude(_PROBE_STEP * node, c[p], w[p], beta[p, i], theta[p], z[p])
+                saddle = np.flatnonzero(node == 0)  # each problem's t = 0, the same for every opening
+                peak[part], first[part] = np.maximum.reduceat(re, saddle), re[saddle]
             if i == 0:
-                limit = re[saddle] + math.log(_GROWTH)
-            flat = ~(np.maximum.reduceat(re, saddle) > limit[live])
+                limit = first + math.log(_GROWTH)
+            flat = ~(peak > limit[live])
             j[live[flat]] = i
             live = live[~flat]
             if not live.size:
@@ -346,12 +396,18 @@ class _Bromwich:
 
         I is P where c > 0 and P - 1 where c < 0: the smaller tail with
         its sign, kept apart from 1 so that it keeps its relative accuracy.
+        A refusal gives the index of the first problem that fails as its
+        ``row``.  Each step's new nodes are summed in pieces of whole
+        problems (:func:`_chunks`), so a problem's sums do not depend on its
+        batch either.
         """
         c, w, beta, t_max = self.contour(theta, z)
-        if np.any(np.log(w) + t_max > _LN_REACH):
+        slow = np.log(w) + t_max > _LN_REACH
+        if slow.any():
             raise ConvergenceError(
                 f"outage contour: the transform decays too slowly to truncate (mu_D + mu_E = "
-                f"{_DECAY / self.decay:.3g})"
+                f"{_DECAY / self.decay:.3g})",
+                row=int(np.flatnonzero(slow)[0]),
             )
         n = len(theta)
         step = np.full(n, _STEP)
@@ -364,17 +420,26 @@ class _Bromwich:
         live = np.arange(n)
         start, stride = 0, 1  # the nodes new at this step: all of them at first, then the odd ones
         while live.size:
-            if np.any(count[live] > _MAX_NODES):
-                raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem")
-            pos, k = _ragged((count[live] - start) // stride + 1)
-            k = start + stride * k
-            j = live[pos]
-            f, bound, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
-            half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
-            f, bound = f * half, bound * half
-            coarse[live] = fine[live] + np.bincount(pos, f * (k % 2 == 0), live.size)
-            fine[live] = coarse[live] + np.bincount(pos, f * (k % 2 == 1), live.size)
-            noise[live] += np.bincount(pos, bound, live.size)
+            over = count[live] > _MAX_NODES
+            if over.any():
+                raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem",
+                                       row=int(live[over][0]))
+            new = (count[live] - start) // stride + 1
+            even, odd, bound = np.empty((3, live.size))
+            for part in _chunks(new):
+                pos, k = _ragged(new[part])
+                k = start + stride * k
+                j = live[part][pos]
+                f, b, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
+                half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
+                f, b = f * half, b * half
+                size = new[part].size
+                even[part] = np.bincount(pos, f * (k % 2 == 0), size)
+                odd[part] = np.bincount(pos, f * (k % 2 == 1), size)
+                bound[part] = np.bincount(pos, b, size)
+            coarse[live] = fine[live] + even
+            fine[live] = coarse[live] + odd
+            noise[live] += bound
             h = step[live]
             now = h / math.pi * fine[live]
             diff = np.abs(2.0 * h / math.pi * coarse[live] - now)
@@ -447,20 +512,27 @@ class _AscRule:
     integral past R_hi: for 0 < t < r_D and R >= R_hi,
     1 - SOP(R) <= M_D(-t) M_E(e^R_hi t) e^(-t (e^R - 1)), whose integral
     over R is at most that at R_hi divided by t e^R_hi.
+
+    Bob's mean SNR is ``avg_snr``, ``r`` times that of the contour's Bob
+    link, whose SNR is g_B: g_D = r g_B, so each problem is posed to the
+    contour as (theta / r, z / r), Bob's tail bound is r times the link's,
+    and the Chernoff t, in the link's units, is r times that above.
     """
 
-    def __init__(self, contour: _Bromwich, rel_tol: float):
+    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float):
         link_d, link_e = contour.d, contour.e
-        self.r_hi = math.log1p(link_d.upper_limit(_TAIL_CUTOFF_PROB))
+        self.scale = avg_snr / link_d.avg_snr
+        self.r_hi = math.log1p(self.scale * link_d.upper_limit(_TAIL_CUTOFF_PROB))
         if not math.isfinite(self.r_hi):
             raise ConvergenceError(f"ASC quadrature: the tail cut in R is not finite (Bob's mean SNR "
-                                   f"{link_d.avg_snr:.3g} is too near the float range)")
-        self.b = min(math.log1p(link_d.avg_snr), 0.5 * self.r_hi)
+                                   f"{avg_snr:.3g} is too near the float range)")
+        self.b = min(math.log1p(avg_snr), 0.5 * self.r_hi)
         self.grade = 2 if link_d.mu + link_e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol
         theta_hi = math.exp(self.r_hi)
-        t = link_d.r * _CHERNOFF_FRACTIONS
-        ln_m, _ = contour._log_m(-t, 0.0, theta_hi)
+        tau = link_d.r * _CHERNOFF_FRACTIONS
+        ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / self.scale)
+        t = tau / self.scale
         self.cut = float(np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi))))
         # panels as (lo, hi, graded) in v: R = b v^q (q - (q - 1) v) where graded, R = v elsewhere
         self.todo = (np.array([0.0, self.b]), np.array([1.0, self.r_hi]), np.array([True, False]))
@@ -468,14 +540,14 @@ class _AscRule:
         self.done = [np.empty(0), np.empty(0), np.empty(0, bool), np.empty(0), np.empty(0), np.empty(0)]
 
     def problems(self):
-        """(theta, z) of every node of the panels to do."""
+        """(theta / r, z / r) of every node of the panels to do."""
         lo, hi, graded = self.todo
         half = 0.5 * (hi - lo)[:, None]
         v = 0.5 * (lo + hi)[:, None] + half * _GL_X
         graded, q = graded[:, None], self.grade
         r = np.where(graded, self.b * v**q * (q - (q - 1) * v), v)
         self.jac = half * np.where(graded, self.b * v ** (q - 1) * (q * q - (q * q - 1) * v), 1.0)
-        return np.exp(r).ravel(), np.expm1(r).ravel()
+        return np.exp(r).ravel() / self.scale, np.expm1(r).ravel() / self.scale
 
     def add(self, tail, err, upper) -> bool:
         """Take the contour results at :meth:`problems`; True while panels remain to do."""
@@ -506,13 +578,86 @@ class _AscRule:
         return float(val.sum()), float(est.sum() + noise.sum() + self.cut)
 
 
+# A batch's Bob SNRs lie within this factor of its first, so that each row's
+# problems (theta / r, z / r) stay far inside the float range
+_LN_ROW_SPAN = math.log(1e30)
+
+
+@contextlib.contextmanager
+def _naming(row):
+    """Name ``row`` on a ConvergenceError raised inside."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        exc.row = row
+        raise
+
+
+def _solve_rows(contour, todo, rel_tol):
+    """:meth:`_Bromwich.integrals` of every row's problems as one batch.
+
+    ``todo`` maps each row to its (theta, z); the result maps it to its (I, error, c < 0).
+    """
+    rows = list(todo)
+    sizes = [todo[i][0].size for i in rows]
+    theta, z = (np.concatenate([todo[i][x] for i in rows]) for x in (0, 1))
+    try:
+        out = contour.integrals(theta, z, rel_tol) if theta.size else (np.empty(0),) * 3
+    except ConvergenceError as exc:
+        exc.row = int(np.repeat(rows, sizes)[exc.row])  # from the problem's index to its row
+        raise
+    cuts = np.cumsum(sizes)[:-1]
+    return dict(zip(rows, zip(*(np.split(a, cuts) for a in out))))
+
+
+def _batch(contour, rows, cfg, ctrl, metrics):
+    """(values, errors) of every Bob link of ``rows`` (index: link), all on one contour.
+
+    Each row is the contour's Bob link at a mean SNR r times its own, so
+    P(g_D - theta g_E < z) is the contour's problem (theta / r, z / r).  The
+    first batch holds every row's outage problems and ASC's first nodes;
+    each later one, the new nodes of every row whose ASC rule goes on.
+    """
+    tol = ctrl.quad_rel_tol
+    problems = cfg.outage_problems(metrics)
+    keys = sorted(set(problems.values()))
+    n = len(keys)
+    rules = {}
+    todo = {}
+    for i, bob in rows.items():
+        r = bob.avg_snr / contour.d.avg_snr
+        todo[i] = np.array([k[0] / r for k in keys]), np.array([k[1] / r for k in keys])
+        if "asc" in metrics:
+            with _naming(i):
+                rules[i] = _AscRule(contour, tol, bob.avg_snr)
+            todo[i] = tuple(np.concatenate(pair) for pair in zip(todo[i], rules[i].problems()))
+    results, pending = {}, {}
+    for i, (tail, err, upper) in _solve_rows(contour, todo, tol).items():
+        prob = dict(zip(keys, np.where(upper[:n], 1.0 + tail[:n], tail[:n]).tolist()))
+        error = dict(zip(keys, err[:n].tolist()))
+        results[i] = ({k: outage_value(k, prob[pz]) for k, pz in problems.items()},
+                      {k: error[pz] for k, pz in problems.items()})
+        if i in rules:
+            pending[i] = tail[n:], err[n:], upper[n:]
+    while pending:
+        more = {}
+        for i, solved in pending.items():
+            with _naming(i):
+                if rules[i].add(*solved):
+                    more[i] = rules[i].problems()
+        pending = _solve_rows(contour, more, tol) if more else {}
+    for i, rule in rules.items():
+        results[i][0]["asc"], results[i][1]["asc"] = rule.result()
+    return results
+
+
 def numeric_metrics(
-    bob: FBParams,
+    bob: FBParams | Sequence[FBParams],
     eve: FBParams,
     cfg: SecrecyConfig,
     ctrl: InversionControl | None = None,
     metrics=METRICS,
-) -> tuple[dict[str, float], dict[str, float]]:
+) -> tuple[dict[str, float], dict[str, float]] | list[tuple[dict[str, float], dict[str, float]]]:
     """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) for any parameters.
 
     Returns ``(values, errors)``: each maps every name in ``metrics`` to
@@ -531,33 +676,37 @@ def numeric_metrics(
     the quadrature estimate, those contour errors and a bound on the
     integral past its cut.  An error above ``1e-6 * max(|value|, 1e-2)``
     comes with an AccuracyWarning.
+
+    ``bob`` may also be a list of Bob links that differ only in mean SNR,
+    the rows of a sweep; the result is then a list of ``(values, errors)``,
+    one per row.  The rows are solved as one contour batch on the first
+    one's link (rows more than a factor 1e30 from it start another batch),
+    and a refusal names its row's index as ``ConvergenceError.row``.  A
+    single link is the one-row case.
     """
     check_metrics(metrics)
     ctrl = ctrl or InversionControl()
-    contour = _Bromwich(_Link(bob), _Link(eve))
-    problems = cfg.outage_problems(metrics)
-    keys = sorted(set(problems.values()))
-    n = len(keys)
-    theta, z = np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
-    rule = _AscRule(contour, ctrl.quad_rel_tol) if "asc" in metrics else None
-    if rule is not None:
-        theta_r, z_r = rule.problems()
-        theta, z = np.concatenate([theta, theta_r]), np.concatenate([z, z_r])
-    tail, err, upper = contour.integrals(theta, z, ctrl.quad_rel_tol) if theta.size else (np.empty(0),) * 3
-    prob = dict(zip(keys, np.where(upper[:n], 1.0 + tail[:n], tail[:n]).tolist()))
-    error = dict(zip(keys, err[:n].tolist()))
-    values = {k: outage_value(k, prob[pz]) for k, pz in problems.items()}
-    errors = {k: error[pz] for k, pz in problems.items()}
-    if rule is not None:
-        more = rule.add(tail[n:], err[n:], upper[n:])
-        while more:
-            more = rule.add(*contour.integrals(*rule.problems(), ctrl.quad_rel_tol))
-        values["asc"], errors["asc"] = rule.result()
-    noisy = [
-        f"{k} = {values[k]:.6e} (error {errors[k]:.1e})"
-        for k in metrics
-        if errors[k] > _NOISE_BOUND * max(abs(values[k]), 1e-2)
-    ]
-    if noisy:
-        warnings.warn("limited by contour-sum noise: " + ", ".join(noisy), AccuracyWarning, stacklevel=2)
-    return {k: values[k] for k in metrics}, {k: errors[k] for k in metrics}
+    rows = [bob] if isinstance(bob, FBParams) else list(bob)
+    if not rows or any(row.with_snr(rows[0].avg_snr) != rows[0] for row in rows):
+        raise ParameterError("bob", "must be a link, or links that differ only in avg_snr")
+    batches = []  # row indices; a batch's first row is its contour's Bob link
+    for i, ln_snr in enumerate(math.log(row.avg_snr) for row in rows):  # a ratio could overflow
+        if not batches or abs(ln_snr - math.log(rows[batches[-1][0]].avg_snr)) > _LN_ROW_SPAN:
+            batches.append([])
+        batches[-1].append(i)
+    link_e = _Link(eve)
+    results = {}
+    for batch in batches:
+        contour = _Bromwich(_Link(rows[batch[0]]), link_e)
+        results |= _batch(contour, {i: rows[i] for i in batch}, cfg, ctrl, metrics)
+    out = []
+    for values, errors in (results[i] for i in range(len(rows))):
+        noisy = [
+            f"{k} = {values[k]:.6e} (error {errors[k]:.1e})"
+            for k in metrics
+            if errors[k] > _NOISE_BOUND * max(abs(values[k]), 1e-2)
+        ]
+        if noisy:
+            warnings.warn("limited by contour-sum noise: " + ", ".join(noisy), AccuracyWarning, stacklevel=2)
+        out.append(({k: values[k] for k in metrics}, {k: errors[k] for k in metrics}))
+    return out[0] if isinstance(bob, FBParams) else out

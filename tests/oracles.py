@@ -13,7 +13,8 @@ parameters a Talbot inversion of the link's transform (a fixed-shape
 cotangent contour), with the transform itself.
 
 The outage contour's choice of opening, probed through the full terms on
-one rectangular grid of nodes.
+one rectangular grid of nodes, and its first guess at the saddle point,
+from phi at every one of the 128 candidate points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ import scipy.special as sc
 
 from fbsec.casetwo import _MAX_TOTAL_MULT, _realify
 from fbsec.errors import ConvergenceError, DomainError, FbsecError
-from fbsec.inversion import _GROWTH, _LN_REACH, _OPENINGS, _PROBE_STEP, _Link, _rates, _stable_factors
+from fbsec.inversion import (
+    _EDGE_FRACTIONS,
+    _GROWTH,
+    _LN_REACH,
+    _OPENINGS,
+    _PROBE_STEP,
+    _Link,
+    _rates,
+    _stable_factors,
+)
 from fbsec._kernels import log_transform
 from fbsec.special import (
     _CF_SWITCH,
@@ -551,3 +561,21 @@ def opening_reference(contour, c, w, theta, z):
         if not live.size:
             break
     return beta[np.arange(n), j]
+
+
+def saddle_start_reference(contour, theta, z):
+    """(c, lo, hi, edge) of ``_Bromwich.saddle_start``, from phi at all 64 points of each side.
+
+    The first least phi over both sides, side-major (the side 0 < c first),
+    is the guess, and its grid neighbours on its side are the bracket.
+    """
+    n, m = len(theta), len(_EDGE_FRACTIONS)
+    edge = np.stack([contour.e.r / theta, np.full(n, -contour.d.r)], axis=1)  # (n, side)
+    grid = (edge[..., None] * _EDGE_FRACTIONS).reshape(n, 2 * m)
+    with np.errstate(divide="ignore"):  # a distance that underflows makes phi infinite there
+        phi = contour._log_m(grid, 0.0, theta[:, None])[0] + z[:, None] * grid - np.log(np.abs(grid))
+    rows = np.arange(n)
+    j = np.argmin(phi, axis=1)
+    side, k = np.divmod(j, m)
+    nb = grid[rows[:, None], side[:, None] * m + np.clip(k[:, None] + [-1, 1], 0, m - 1)]
+    return grid[rows, j], nb.min(axis=1), nb.max(axis=1), edge[rows, side]

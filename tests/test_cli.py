@@ -8,7 +8,9 @@ import warnings
 
 import pytest
 
+from fbsec import FBParams, MCConfig, SecrecyConfig, db_to_linear, estimate, linear_to_db
 from fbsec.cli import main
+from fbsec.params import METRICS
 
 BOB = "mu=2,m=1,kappa=0,eta=1,rho2=1,snr_db=0"
 CASE2_BOB = "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12"
@@ -142,6 +144,22 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("parameter error: --bob.snr_db:")
 
+    @pytest.mark.parametrize("flag", ["--bob", "--eve"])
+    def test_snr_that_underflows_exits_2(self, capsys, flag):
+        links = {"--bob": CASE2_BOB, "--eve": CASE2_EVE}
+        links[flag] = links[flag].split("snr_db=")[0] + "snr_db=-4000"
+        code, out, err = run(capsys, "eval", *(item for pair in links.items() for item in pair))
+        assert code == 2 and out == ""
+        assert err == f"parameter error: {flag}.snr_db: a mean SNR of -4000.0 dB underflows to 0\n"
+
+    def test_talbot_nodes_notice(self, capsys):
+        code, out, err = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--metric", "sop",
+                             "--talbot-nodes", "96")
+        assert code == 0 and json.loads(out)["sop"] > 0.0
+        assert len(err.splitlines()) == 1 and "--talbot-nodes" in err and "no longer steers" in err
+        _, _, err = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--metric", "sop")
+        assert err == ""
+
 
 class TestSweep:
     def sweep_rows(self, capsys, *extra):
@@ -228,6 +246,14 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("parameter error: --stop-db:")
 
+    @pytest.mark.parametrize("axis", ["lambda_db", "snr_bob_db"])
+    def test_row_snr_that_underflows_exits_2(self, capsys, axis):
+        # the first row puts Bob at -4000 dB, or at 3 - 4000 dB
+        code, out, err = run(capsys, "sweep", "--bob", CASE2_BOB, "--eve", CASE2_EVE, "--axis", axis,
+                             "--start-db", "-4000", "--stop-db", "0", "--step-db", "4000")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --start-db:") and "underflows to 0" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--start-db", "--stop-db", "--step-db"])
     def test_non_finite_bound_exits_2(self, capsys, flag, value):
@@ -236,6 +262,78 @@ class TestSweep:
                            *(item for pair in bounds.items() for item in pair))
         assert code == 2
         assert err.startswith("parameter error:") and flag in err
+
+
+def _with_snr_db(link: str, snr_db: float) -> str:
+    return link.split("snr_db=")[0] + f"snr_db={snr_db!r}"
+
+
+class TestSweepRowsAgainstEval:
+    """A sweep's rows, its numeric ones solved as one contour batch, against one eval per row."""
+
+    def sweep(self, capsys, bob, eve, axis, start, stop, step, *extra):
+        code, out, err = run(capsys, "sweep", "--bob", bob, "--eve", eve, "--rs", "1", "--axis", axis,
+                             "--start-db", start, "--stop-db", stop, "--step-db", step, "--format", "json",
+                             *extra)
+        assert code == 0, err
+        return json.loads(out)
+
+    @staticmethod
+    def bob_db(eve, axis, x_db):
+        """Bob's SNR in dB at row ``x_db``, as the sweep works it out."""
+        eve_db = linear_to_db(db_to_linear(float(eve.split("snr_db=")[1])))
+        return eve_db + x_db if axis == "lambda_db" else x_db
+
+    @pytest.mark.parametrize("bob,eve,axis,bounds,metrics", [
+        (FIG1_BOB, FIG1_EVE, "lambda_db", ("0", "20", "5"), "all"),
+        (FIG1_BOB, FIG1_EVE, "snr_bob_db", ("5", "25", "10"), "sop,spsc"),
+        # -800 dB leaves the closed route (its scale factor overflows); 12 dB takes it
+        (CASE2_BOB, CASE2_EVE, "snr_bob_db", ("-800", "12", "406"), "asc,sopl"),
+    ])
+    def test_rows_match_eval(self, capsys, bob, eve, axis, bounds, metrics):
+        rows = self.sweep(capsys, bob, eve, axis, *bounds, "--metrics", metrics)
+        assert len(rows) == 5 if bounds[2] == "5" else 3
+        paths = set()
+        for row in rows:
+            bob_i = _with_snr_db(bob, self.bob_db(eve, axis, row["x_db"]))
+            code, out, err = run(capsys, "eval", "--bob", bob_i, "--eve", eve, "--rs", "1",
+                                 "--metric", metrics)
+            assert code == 0, err
+            rec = json.loads(out)
+            paths.add(rec["path"])
+            achieved = rec["error_estimates"].get("achieved", {})
+            for k in METRICS if metrics == "all" else metrics.split(","):
+                a, b = row[k], rec[k]
+                if rec["path"] == "case2":
+                    assert a == b, k
+                else:  # the row's achieved error plus the closed-vs-numeric bar
+                    assert abs(a - b) <= achieved[k] + 1e-6 * max(abs(a), abs(b), 1e-2), (row["x_db"], k)
+        assert "numeric" in paths
+
+    def test_monte_carlo_columns_are_each_rows_own_estimate(self, capsys):
+        rows = self.sweep(capsys, FIG1_BOB, FIG1_EVE, "lambda_db", "0", "10", "10",
+                          "--metrics", "sop,asc", "--mc-samples", "20000")
+        kv = dict(item.split("=") for item in FIG1_BOB.split(","))
+        link = {k: float(kv[k]) for k in ("mu", "m", "kappa", "eta", "rho2")}
+        eve = FBParams(1.5, 1.5, 1.0, 0.1, 0.1, db_to_linear(5.0))
+        for i, row in enumerate(rows):
+            bob_i = FBParams(**link, avg_snr=db_to_linear(self.bob_db(FIG1_EVE, "lambda_db", row["x_db"])))
+            cfg = MCConfig(n_samples=20000, seed=12345 + i, n_streams=8)  # the CLI's default seed and streams
+            mc = estimate(bob_i, eve, SecrecyConfig(1.0), cfg)
+            for k in ("sop", "asc"):
+                assert row[f"mc_mean_{k}"] == mc[k].mean and row[f"mc_se_{k}"] == mc[k].std_error
+
+    def test_refusal_names_its_row(self, capsys):
+        # the second row, Bob at 3003 dB, has no finite ASC tail cut
+        code, out, err = run(capsys, "sweep", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--axis", "snr_bob_db",
+                             "--start-db", "0", "--stop-db", "3003", "--step-db", "3003")
+        assert code == 3 and out == ""
+        assert "numerical error: row x_db = 3003: ASC quadrature: the tail cut" in err
+        slow = "mu=0.01,m=1,kappa=1,eta=1,rho2=1,snr_db=10"
+        code, out, err = run(capsys, "sweep", "--bob", slow, "--eve", _with_snr_db(slow, 0.0),
+                             "--start-db", "0", "--stop-db", "10", "--step-db", "10", "--metrics", "sop")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: row x_db = 0: outage contour: the transform decays too slow")
 
 
 class TestValidate:

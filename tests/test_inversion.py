@@ -23,7 +23,7 @@ from fbsec.inversion import _AscRule, _Bromwich, _Link, _stable_factors
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
-from oracles import TalbotLink, mgf, opening_reference
+from oracles import TalbotLink, mgf, opening_reference, saddle_start_reference
 
 class TestControl:
     def test_defaults(self):
@@ -496,7 +496,7 @@ def _first_batch(bob, eve):
     outage problems and ASC's first nodes, as numeric_metrics sends them."""
     contour = _Bromwich(_Link(bob), _Link(eve))
     keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
-    theta_r, z_r = _AscRule(contour, 1e-8).problems()
+    theta_r, z_r = _AscRule(contour, 1e-8, bob.avg_snr).problems()
     return contour, np.r_[[k[0] for k in keys], theta_r], np.r_[[k[1] for k in keys], z_r]
 
 
@@ -586,9 +586,157 @@ class TestContourWork:
 
         monkeypatch.setattr(_Bromwich, "terms", terms)
         monkeypatch.setattr(_Bromwich, "integrals", integrals)
+        # one terms call per pass: no pass of this pair is cut into pieces of _CHUNK_NODES
+        monkeypatch.setattr("fbsec.inversion._CHUNK_NODES", 1 << 16)
         numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
         assert calls == [2]
         monkeypatch.setattr("fbsec.inversion._STEP", 0.05)
         calls.clear()
         numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
         assert calls == [1]
+
+
+def _domain_link(rng, case2):
+    """One link of the whole valid domain, each field log-uniform: mu in [0.05, 50], m in
+    [0.05, 1e6], kappa in [1e-6, 1e4], eta in [1e-4, 1e4], rho2 in [1e-6, 1e4], and the
+    SNR uniform in [-60, 90] dB.  A Case-2 link takes mu from {2, 4, 6, 8} and m from 1..8."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    mu, m = (float(rng.choice([2, 4, 6, 8])), float(rng.integers(1, 9))) if case2 else \
+        (log_uniform(0.05, 50.0), log_uniform(0.05, 1e6))
+    return FBParams(mu, m, log_uniform(1e-6, 1e4), log_uniform(1e-4, 1e4), log_uniform(1e-6, 1e4),
+                    10.0 ** (rng.uniform(-60.0, 90.0) / 10.0))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
+
+
+class TestSaddleStart:
+    """The bisection on phi' picks what a search of phi over all 128 points picks."""
+
+    @staticmethod
+    def _first_batches(pairs, rng):
+        """(contour, theta, z) of each pair's first batch at R_s drawn from {0, 0.5, 5}; the
+        outage problems alone where ASC's tail cut is refused."""
+        for bob, eve in pairs:
+            contour = _Bromwich(_Link(bob), _Link(eve))
+            cfg = SecrecyConfig(float(rng.choice([0.0, 0.5, 5.0])))
+            keys = sorted(set(cfg.outage_problems(METRICS).values()))
+            theta, z = np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
+            try:
+                theta_r, z_r = _AscRule(contour, 1e-8, bob.avg_snr).problems()
+            except ConvergenceError:
+                theta_r = z_r = np.empty(0)
+            yield contour, np.r_[theta, theta_r], np.r_[z, z_r]
+
+    @pytest.mark.parametrize("box", ["draw", "domain"])
+    def test_bisection_matches_the_full_grid(self, monkeypatch, box):
+        rng = np.random.default_rng(2026)
+        if box == "draw":
+            pairs = [(draw_params(rng, case2=i % 2 == 0), draw_params(rng, case2=i % 2 == 0))
+                     for i in range(120)]
+        else:
+            pairs = [(_domain_link(rng, i % 2 == 0), _domain_link(rng, i % 2 == 0)) for i in range(300)]
+        batches = list(self._first_batches(pairs, rng))
+        problems = 0
+        for contour, theta, z in batches:
+            start = contour.saddle_start(theta, z)
+            ref = saddle_start_reference(contour, theta, z)
+            assert all(_same_bits(a, b) for a, b in zip(start, ref))
+            problems += theta.size
+        assert problems > 40 * len(pairs) // 2
+        # and so the crossing point that the contour settles on
+        solo = [contour.contour(theta, z)[0] for contour, theta, z in batches[:60]]
+        monkeypatch.setattr(_Bromwich, "saddle_start", saddle_start_reference)
+        for c, (contour, theta, z) in zip(solo, batches):
+            assert _same_bits(c, contour.contour(theta, z)[0])
+
+
+class TestSweepBatch:
+    """The rows of a sweep as one contour batch on the first row's Bob link."""
+
+    SWEEP_DB = np.arange(-10.0, 42.0, 2.0)  # 26 rows, as the numeric-sweep workload's
+
+    @staticmethod
+    def _rows(name):
+        bob, eve = SWEEP_PAIRS[name]
+        return [bob.with_snr(eve.avg_snr * 10 ** (x / 10.0)) for x in TestSweepBatch.SWEEP_DB], eve
+
+    @staticmethod
+    def _bits(result):
+        values, errors = result
+        return {k: (values[k].hex(), errors[k].hex()) for k in values}
+
+    @pytest.mark.parametrize("name", ["fig1", "stiff"])
+    def test_a_row_does_not_depend_on_its_batch(self, monkeypatch, name):
+        rows, eve = self._rows(name)
+        cfg = SecrecyConfig(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)  # the stiff surrogate's
+            alone = [self._bits(numeric_metrics(rows[0], eve, cfg))]
+            alone += [self._bits(numeric_metrics([rows[0], rows[i]], eve, cfg)[1]) for i in (9, 25)]
+            for chunk in (64, 1 << 12, 1 << 20):
+                monkeypatch.setattr("fbsec.inversion._CHUNK_NODES", chunk)
+                swept = [self._bits(r) for r in numeric_metrics(rows, eve, cfg)]
+                assert [swept[i] for i in (0, 9, 25)] == alone, chunk
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    def test_rows_agree_with_their_own_calls(self, name):
+        rows, eve = self._rows(name)
+        cfg = SecrecyConfig(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            swept = numeric_metrics(rows[::5], eve, cfg)
+            own = [numeric_metrics(row, eve, cfg) for row in rows[::5]]
+        for (v, e), (v1, e1) in zip(swept, own):
+            for k in METRICS:
+                # each one's achieved error, plus the closed-vs-numeric bar
+                assert abs(v[k] - v1[k]) <= e[k] + e1[k] + 1e-6 * max(abs(v[k]), abs(v1[k]), 1e-2), k
+
+    def test_asc_rule_rescaled_onto_the_first_row(self):
+        # a row's rule on the first row's link is its rule on its own link, in that link's units
+        rows, eve = self._rows("fig1")
+        first = _Bromwich(_Link(rows[0]), _Link(eve))
+        for row in rows[1::6]:
+            scaled = _AscRule(first, 1e-8, row.avg_snr)
+            own = _AscRule(_Bromwich(_Link(row), _Link(eve)), 1e-8, row.avg_snr)
+            for name in ("r_hi", "b", "cut"):
+                assert getattr(scaled, name) == pytest.approx(getattr(own, name), rel=1e-12, abs=0.0), name
+            for x, x_own in zip(scaled.problems(), own.problems()):
+                np.testing.assert_allclose(x * scaled.scale, x_own, rtol=1e-14)
+
+    def test_rows_past_the_span_start_another_batch(self):
+        bob, eve = SWEEP_PAIRS["fig1"]
+        rows = [bob.with_snr(10.0 ** (x / 10.0)) for x in (-400.0, 0.0, 350.0)]
+        swept = numeric_metrics(rows, eve, SecrecyConfig(0.5), metrics=("sop", "spsc"))
+        for row, result in zip(rows, swept):
+            assert self._bits(result) == self._bits(numeric_metrics(row, eve, SecrecyConfig(0.5),
+                                                                    metrics=("sop", "spsc")))
+
+    def test_rows_must_differ_only_in_snr(self):
+        bob, eve = SWEEP_PAIRS["fig1"]
+        with pytest.raises(ParameterError, match="bob"):
+            numeric_metrics([bob, bob.with_snr(2.0), EVE_REFERENCE], eve, SecrecyConfig(0.0))
+        with pytest.raises(ParameterError, match="bob"):
+            numeric_metrics([], eve, SecrecyConfig(0.0))
+
+    def test_a_refusal_names_its_row(self, monkeypatch):
+        rows, eve = self._rows("fig1")
+        # a contour refusal names the problem; numeric_metrics names the row that posed it
+        def refuse(self, theta, z, rel_tol):
+            raise ConvergenceError("synthetic", row=7)
+
+        monkeypatch.setattr(_Bromwich, "integrals", refuse)
+        with pytest.raises(ConvergenceError, match="synthetic") as exc:
+            numeric_metrics(rows, eve, SecrecyConfig(1.0), metrics=("sop", "spsc"))  # two problems a row
+        assert exc.value.row == 3
+        monkeypatch.undo()
+        # ASC's tail cut is refused for its row alone, in the batch of the rows near it
+        rows = [rows[0].with_snr(10.0 ** (x / 10.0)) for x in (0.0, 2900.0, 3003.0)]
+        with pytest.raises(ConvergenceError, match="tail cut") as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                numeric_metrics(rows, eve, SecrecyConfig(1.0), metrics=("asc",))
+        assert exc.value.row == 1
