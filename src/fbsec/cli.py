@@ -322,6 +322,7 @@ def cmd_validate(args) -> int:
         "units": args.units,
         "metrics": {name: {col: vals[name] for col, vals in columns.items()} for name in METRICS},
         "mc_samples": cfg.n_samples,
+        "mc_streams": cfg.n_streams,
         "seed": cfg.seed,
         "family_wise_level": FAMILY_WISE_LEVEL,
         "comparisons": comparisons,

@@ -23,12 +23,19 @@ One sampling pass feeds all four metrics: each (g_D, g_E) chunk is drawn
 once and every statistic is accumulated from it.
 
 Reproducibility contract: estimates are bit-exact for a fixed
-(seed, n_streams, n_samples).  Each stream is a counter-based generator
-keyed by (seed, stream index, link role) with a private 2^128 counter
-block, streams are processed in fixed-size chunks, and partial sums
-combine over streams by a fixed-shape pairwise tree.  The streams run on
-up to one thread per usable CPU and each stream's sums are kept in a slot
-of its own, so the results do not depend on the number of CPUs.
+(seed, n_streams, n_samples).  Each stream draws from its own SFC64
+generator, seeded by a SeedSequence keyed on the whole non-negative seed
+and spawned at (stream index, link role): seeds that differ only past 64
+bits do not alias, and every stream and role has a state of its own.
+Streams are processed in fixed-size chunks, and partial sums combine over
+streams by a fixed-shape pairwise tree.  The streams run on up to one
+thread per usable CPU and each stream's sums, or its error, are kept in a
+slot of its own, so neither the results nor the error raised depend on
+the number of CPUs.
+
+numpy's Poisson sampler refuses means above about 9.2e18, so a draw of a
+mu < 1 link whose noncentrality passes twice that is refused with a
+DomainError naming the link; the other routes still answer it.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from threading import Thread
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .params import METRICS, FBParams, SecrecyConfig, outage_value
 
 __all__ = [
@@ -54,6 +61,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+# the largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX)
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,8 @@ class MCConfig:
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ParameterError(field, f"must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ParameterError("seed", f"must be >= 0, got {self.seed!r}")
         if self.n_samples < 10_000:
             raise ParameterError("n_samples", f"must be >= 1e4 for meaningful errors, got {self.n_samples!r}")
         if self.n_streams < 1:
@@ -111,6 +122,12 @@ def _scaled_noncentral_chi2(rng, nu: float, sigma2: float, shift: np.ndarray) ->
     if nu < 1.0:
         np.square(shift, out=shift)
         shift *= 0.5 / sigma2
+        top = float(shift.max(initial=0.0))
+        if top > _POISSON_MEAN_MAX:
+            raise DomainError(
+                f"noncentrality {2.0 * top:.3g} of a mu < 1 draw needs a Poisson mean of {top:.3g}, "
+                f"past numpy's limit {_POISSON_MEAN_MAX:.3g}"
+            )
         return rng.gamma(nu / 2.0 + rng.poisson(shift), 2.0 * sigma2)
     out = rng.standard_normal(shift.size)
     out *= math.sqrt(sigma2)
@@ -135,9 +152,9 @@ def sample_snr(params: FBParams, model: PhysicalModel, rng, size: int) -> np.nda
 
 
 def _stream_rng(seed: int, stream: int, role: int):
-    # role separates Bob/Eve; each stream owns a disjoint 2^128 counter block
-    bg = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF), counter=[0, 0, stream, role])
-    return np.random.Generator(bg)
+    # role separates Bob (0) and Eve (1); the spawn key gives every
+    # (stream, role) of a seed its own SeedSequence, and so its own SFC64 state
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream, role))))
 
 
 def _stream_lengths(n: int, streams: int) -> list[int]:
@@ -171,6 +188,12 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
     problems = secrecy_cfg.outage_problems(METRICS)
     keys = sorted(set(problems.values()))
 
+    def draw(name: str, params: FBParams, model: PhysicalModel, rng, size: int) -> np.ndarray:
+        try:
+            return sample_snr(params, model, rng, size=size)
+        except DomainError as exc:
+            raise DomainError(f"Monte Carlo cannot sample the {name} link {params}: {exc}") from None
+
     def one_stream(idx: int, length: int) -> list[float]:
         # capacity-gap sum and sum of squares, then one event count per problem
         rng_d = _stream_rng(cfg.seed, idx, 0)
@@ -179,8 +202,8 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
         left = length
         while left > 0:
             take = min(_CHUNK, left)
-            gd = sample_snr(bob, model_d, rng_d, size=take)
-            ge = sample_snr(eve, model_e, rng_e, size=take)
+            gd = draw("Bob", bob, model_d, rng_d, take)
+            ge = draw("Eve", eve, model_e, rng_e, take)
             gap = np.log1p(gd) - np.log1p(ge)
             np.maximum(gap, 0.0, out=gap)
             sums[0] += float(np.sum(gap))
@@ -192,17 +215,18 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
 
     lengths = _stream_lengths(cfg.n_samples, cfg.n_streams)
     parts: list = [None] * cfg.n_streams
-    errors: list[Exception] = []
     workers = min(cfg.n_streams, _usable_cpus())
 
     def work(first: int) -> None:
-        # round-robin; each stream's sums go to its own slot, so the
-        # pairwise combine below sees the same list for any worker count
-        try:
-            for i in range(first, cfg.n_streams, workers):
+        # round-robin; each stream's sums, or its error, go to its own slot,
+        # so the combine below and the error raised are the same for any
+        # worker count
+        for i in range(first, cfg.n_streams, workers):
+            try:
                 parts[i] = one_stream(i, lengths[i])
-        except Exception as exc:  # raised in the caller after the join
-            errors.append(exc)
+            except Exception as exc:  # raised in the caller after the join
+                parts[i] = exc
+                return
 
     # the calling thread is worker 0
     threads = [Thread(target=work, args=(w,), name=f"fbsec-mc-{w}") for w in range(1, workers)]
@@ -211,8 +235,9 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
     work(0)
     for t in threads:
         t.join()
-    if errors:
-        raise errors[0]
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
     gap_sum, gap_sq, *hits = (_pairwise([p[k] for p in parts]) for k in range(2 + len(keys)))
     n = cfg.n_samples
 

@@ -17,6 +17,8 @@ CASE2_BOB = "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12"
 CASE2_EVE = "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3"
 FIG1_BOB = "mu=3.5,m=2.5,kappa=1,eta=0.5,rho2=0.1,snr_db=20"
 FIG1_EVE = "mu=1.5,m=1.5,kappa=1,eta=0.1,rho2=0.1,snr_db=5"
+# a mu < 1 link whose Monte Carlo draw needs a Poisson mean past numpy's limit
+POISSON_PAST = "mu=0.5,m=1,kappa=1e4,eta=1e-16,rho2=1e4,snr_db=10"
 
 
 def run(capsys, *argv):
@@ -201,6 +203,13 @@ class TestSweep:
         for r in rows:
             delta = abs(float(r["sopl"]) - float(r["mc_mean_sopl"]))
             assert delta < 5 * float(r["mc_se_sopl"]) + 1e-9
+
+    def test_poisson_limit_refused_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--bob", POISSON_PAST, "--eve", "same", "--mc-samples", "10000",
+                             "--start-db", "0", "--stop-db", "10", "--step-db", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Monte Carlo cannot sample the Bob link") and err.count("\n") == 1
+        assert "noncentrality" in err
 
     def test_snr_bob_axis(self, capsys):
         code, out, _ = run(
@@ -407,6 +416,27 @@ class TestValidate:
             for key in ("delta", "threshold"):
                 assert cb[key] == pytest.approx(cn[key] / scale, rel=1e-15)
         assert bits["pass"] == nats["pass"]
+
+    def test_report_holds_the_reproducibility_key(self, capsys):
+        code, out, err = run(capsys, "validate", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                             "--mc-samples", "20000", "--mc-streams", "3", "--seed", str(2**64 + 5))
+        assert code in (0, 4), err
+        rep = json.loads(out)
+        assert (rep["mc_samples"], rep["mc_streams"], rep["seed"]) == (20000, 3, 2**64 + 5)
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "validate", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                             "--mc-samples", "20000", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "parameter error: seed: must be >= 0, got -1\n"
+
+    def test_poisson_limit_refused_exits_2(self, capsys):
+        # eval answers this link by the numeric route; the sampler refuses it
+        code, out, err = run(capsys, "validate", "--bob", POISSON_PAST, "--eve", "same",
+                             "--mc-samples", "10000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Monte Carlo cannot sample the Bob link") and err.count("\n") == 1
+        assert "noncentrality" in err
 
     def test_zero_mc_samples_exits_2(self, capsys):
         # 0 is a value, not an absent flag: MCConfig rejects it

@@ -19,8 +19,8 @@ from fbsec import (
     sample_snr,
 )
 from fbsec import montecarlo
-from fbsec.errors import ParameterError
-from fbsec.montecarlo import _scaled_noncentral_chi2
+from fbsec.errors import DomainError, ParameterError
+from fbsec.montecarlo import _POISSON_MEAN_MAX, _scaled_noncentral_chi2, _stream_rng
 
 from conftest import draw_params, EVE_REFERENCE
 
@@ -59,6 +59,7 @@ class TestPhysicalModel:
             ("n_streams", dict(n_streams=2.5)),
             ("seed", dict(seed=1.5)),
             ("n_samples", dict(n_samples=1e5)),
+            ("seed: must be >= 0", dict(seed=-1)),  # as numpy's own seeding; -1 once aliased 2^64 - 1
         ]
         for field, kwargs in bad:
             with pytest.raises(ParameterError, match=field):
@@ -119,6 +120,73 @@ class TestSampler:
         library = sample_snr(p, physical_model(p), rng, size=200_000)
         reference = poisson_mixture_snr(p, rng, 200_000)
         assert stats.ks_2samp(library, reference).pvalue > 0.01
+
+
+class TestStreams:
+    """The generators ``estimate`` draws from, not numpy's default one."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            FBParams(2.5, 1.5, 3.0, 0.5, 0.2, 10.0),  # nu >= 1: one normal and one gamma per part
+            FBParams(0.6, 2.0, 5.0, 0.4, 0.3, 3.0),  # nu < 1: the Poisson mixture
+        ],
+        ids=["mu2.5", "mu0.6"],
+    )
+    def test_stream_draws_match_poisson_mixture(self, p):
+        # every (stream, role) of one seed, pooled, against the reference law
+        model = physical_model(p)
+        pooled = np.concatenate(
+            [sample_snr(p, model, _stream_rng(4, stream, role), size=25_000) for stream in range(4) for role in (0, 1)]
+        )
+        reference = poisson_mixture_snr(p, np.random.default_rng(43), 200_000)
+        assert stats.ks_2samp(pooled, reference).pvalue > 0.01
+
+    def test_first_draws_distinct_per_stream_and_role(self):
+        for seed in (0, 12345, 2**64 - 1, 2**64 + 5):
+            firsts = {tuple(_stream_rng(seed, stream, role).bit_generator.random_raw(2))
+                      for stream in range(16) for role in (0, 1)}
+            assert len(firsts) == 32
+
+    def test_seeds_past_64_bits_do_not_alias(self):
+        bob, eve = EVE_REFERENCE.with_snr(10.0), EVE_REFERENCE
+        scfg = SecrecyConfig(1.0)
+        for a, b in ((5, 5 + 2**64), (2**64 - 1, 2**65 - 1)):
+            ea = estimate(bob, eve, scfg, MCConfig(n_samples=20_000, seed=a))["asc"]
+            eb = estimate(bob, eve, scfg, MCConfig(n_samples=20_000, seed=b))["asc"]
+            assert (ea.seed, eb.seed) == (a, b)
+            assert ea.mean != eb.mean
+
+
+class TestPoissonLimit:
+    # eta = 1e-16 puts the in-phase noncentrality of this mu < 1 link near
+    # 2e20 at unit shadowing, past what numpy's Poisson sampler takes
+    PAST = FBParams(0.5, 1.0, 1e4, 1e-16, 1e4, 10.0)
+
+    def test_sampler_refuses_past_the_limit(self):
+        rng = np.random.default_rng(1)
+        below = np.full(4, math.sqrt(0.99 * _POISSON_MEAN_MAX))  # sigma2 = 0.5: the mean is shift^2
+        assert np.all(_scaled_noncentral_chi2(rng, 0.5, 0.5, below) > 0.0)
+        past = np.full(4, math.sqrt(1.01 * _POISSON_MEAN_MAX))
+        with pytest.raises(DomainError, match="past numpy's limit"):
+            _scaled_noncentral_chi2(rng, 0.5, 0.5, past)
+
+    @pytest.mark.parametrize("role", ["Bob", "Eve"])
+    def test_estimate_names_the_link(self, role):
+        other = EVE_REFERENCE
+        bob, eve = (self.PAST, other) if role == "Bob" else (other, self.PAST)
+        with pytest.raises(DomainError, match=f"the {role} link FBParams\\(mu=0.5, .*eta=1e-16.*noncentrality"):
+            estimate(bob, eve, SecrecyConfig(0.0), MCConfig(n_samples=10_000))
+
+    def test_refusal_does_not_depend_on_worker_count(self, monkeypatch):
+        # every stream fails; the error raised is the lowest stream's
+        messages = set()
+        for cpus in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+            with pytest.raises(DomainError) as info:
+                estimate(self.PAST, self.PAST, SecrecyConfig(0.0), MCConfig(n_samples=30_000, n_streams=3))
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestEstimators:
