@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import log_transform
-from .errors import CaseMismatchError, ConvergenceError
+from .errors import CaseMismatchError, ConvergenceError, DomainError
 from .params import (
     METRICS,
     FBParams,
@@ -131,6 +131,8 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
     # merge before the integer test: coinciding rates can sum fractional
     # exponents to integers (e.g. the no-dominant-component reductions)
     groups = merge_rate_groups(dp.theta_rates / params.avg_snr, dp.exponents)
+    if not groups:
+        raise DomainError(f"{params}: the factors of its transform cancel to nothing")
     net = [a for _, a in groups]
     if any(abs(a - round(a)) > 1e-9 for a in net):
         raise CaseMismatchError(
@@ -172,7 +174,7 @@ def _validate_expansion(pfe, factors, ln_omega):
     s = 0.3 * mags.min() * (10.0 * mags.max() / mags.min()) ** _PROBE
     rates, exps = np.array(factors, dtype=complex).T
     # real s right of every pole: the transform is real, and no factor is stiff
-    ln_direct, _ = log_transform(s, 0.0, 1.0, 0.0, rates, exps.real, (), (), (), ln_omega)
+    ln_direct, _ = log_transform(s, 0.0, rates, exps.real, (), (), (), ln_omega)
     direct = np.exp(ln_direct)
     # F = 1 + the B mixture, so the B mixture's transform plus 1/s is direct / s
     for side, coef, target, unit in (("density", pfe.term_A, direct, 0.0),

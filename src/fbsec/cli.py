@@ -50,6 +50,9 @@ from .params import (
 LN2 = math.log(2.0)
 
 _LINK_KEYS = ("mu", "m", "kappa", "eta", "rho2", "snr_db")
+# rows a sweep takes: each keeps about 1.5 kB (a 10,001-row fig1 sweep peaked 15 MB
+# above a 26-row one), so the largest stays near 150 MB
+_MAX_SWEEP_ROWS = 100_000
 # the flags with a fixed set of values, by destination
 _CHOICES = {"format": ("csv", "json"), "units": ("nats", "bits"), "axis": ("lambda_db", "snr_bob_db")}
 
@@ -133,19 +136,6 @@ def _closed_or_none(bob, eve, cfg, wanted=METRICS):
         return None
 
 
-def _compute_metrics(bob, eve, rate_rs, wanted, ctrl):
-    """Closed form when the closed route takes the pair, numeric otherwise.
-
-    Returns (values, path, achieved quadrature errors or None).
-    """
-    cfg = SecrecyConfig(rate_rs=rate_rs)
-    closed = _closed_or_none(bob, eve, cfg, wanted)
-    if closed is not None:
-        return closed, "case2", None
-    vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
-    return vals, "numeric", errs
-
-
 def _apply_units(vals: dict, units: str) -> dict:
     """``vals`` (metric name -> value or error) in ``units``; only ASC is a capacity."""
     if units != "bits":
@@ -169,19 +159,17 @@ def cmd_eval(args) -> int:
     bob, eve = _links_from_args(args)
     wanted = _metric_list(args.metric, "--metric")
     ctrl = _control(args)
-    vals, path, errs = _compute_metrics(bob, eve, args.rs, wanted, ctrl)
-    vals = _apply_units(vals, args.units)
-    record = dict(vals)
-    record["path"] = path
-    record["rs"] = args.rs
-    record["units"] = args.units
-    if path == "numeric":
-        record["error_estimates"] = {
-            "quad_rel_tol": ctrl.quad_rel_tol,
-            "achieved": _apply_units(errs, args.units),
-        }
+    cfg = SecrecyConfig(rate_rs=args.rs)
+    # the closed form when the closed route takes the pair, the numeric route otherwise
+    vals = _closed_or_none(bob, eve, cfg, wanted)
+    if vals is None:
+        vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
+        path = "numeric"
+        estimates = {"quad_rel_tol": ctrl.quad_rel_tol, "achieved": _apply_units(errs, args.units)}
     else:
-        record["error_estimates"] = {"reconstruction_rel_tol": casetwo._RECON_TOL}
+        path, estimates = "case2", {"reconstruction_rel_tol": casetwo._RECON_TOL}
+    record = {**_apply_units(vals, args.units), "path": path, "rs": args.rs, "units": args.units,
+              "error_estimates": estimates}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -233,8 +221,10 @@ def cmd_sweep(args) -> int:
         raise ParameterError("--step-db", f"must be > 0, got {args.step_db!r}")
     if args.start_db > args.stop_db:
         raise ParameterError("--start-db", "must be <= --stop-db")
-    if not math.isfinite((args.stop_db - args.start_db) / args.step_db):
-        raise ParameterError("--step-db", f"too small for the range: {args.step_db!r}")
+    count = (args.stop_db - args.start_db) / args.step_db + 1.0
+    if not count <= _MAX_SWEEP_ROWS:  # an infinite count too
+        raise ParameterError("--step-db", f"too small for the range: {args.step_db!r} makes {count:.6g} rows, "
+                                          f"past the {_MAX_SWEEP_ROWS} that a sweep takes")
     ctrl = _control(args)
     rows = _sweep_rows(args, bob, eve, wanted, ctrl)
     if args.format == "json":

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import _kernels
-from .errors import AccuracyWarning, ConvergenceError, ParameterError
+from .errors import AccuracyWarning, ConvergenceError, DomainError, ParameterError
 from .params import (
     METRICS,
     DerivedParams,
@@ -108,6 +108,8 @@ class _Link:
     def __init__(self, params: FBParams):
         dp = derive(params)
         self.factors = _stable_factors(dp, params.avg_snr)
+        if not (len(self.factors[0]) or len(self.factors[2])):  # no regular factor, no stiff pair
+            raise DomainError(f"{params}: the factors of its transform cancel to nothing")
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = params.avg_snr
@@ -118,7 +120,7 @@ class _Link:
 
     def log_m(self, sr, si):
         """Real and imaginary parts of log M(s) at s = sr + i si."""
-        return _kernels.log_transform(sr, si, 1.0, 0.0, *self.factors, self.ln_omega)
+        return _kernels.log_transform(sr, si, *self.factors, self.ln_omega)
 
     def upper_limit(self, eps: float) -> float:
         """Abscissa beyond which the survival mass is below ``eps``.
@@ -152,7 +154,7 @@ _MAX_NODES = 1 << 16  # per problem and step size
 # pieces of whole problems no larger than this, unless one problem alone is larger,
 # so its temporaries stay those of one pair's batch
 _CHUNK_NODES = 1 << 12
-_LN_REACH = math.log(1e150)  # |s| stays below this, so |s|^2 stays finite
+_LN_REACH = math.log(1e150)  # |s| and Eve's |theta s| stay below this, so their squares stay finite
 _OPENINGS = 4.0 ** -np.arange(5)  # z > 0 path openings tried, per unit of w
 _PROBE_STEP = 0.5  # spacing in t of the probes that choose the opening
 _GROWTH = 10.0  # largest probed term allowed, per unit of the term at t = 0
@@ -402,13 +404,14 @@ class _Bromwich:
         batch either.
         """
         c, w, beta, t_max = self.contour(theta, z)
-        slow = np.log(w) + t_max > _LN_REACH
-        if slow.any():
-            raise ConvergenceError(
-                f"outage contour: the transform decays too slowly to truncate (mu_D + mu_E = "
-                f"{_DECAY / self.decay:.3g})",
-                row=int(np.flatnonzero(slow)[0]),
-            )
+        reach = np.log(w) + t_max  # the log of the path's largest |s|
+        far = reach + np.log(np.maximum(theta, 1.0)) > _LN_REACH  # or of Eve's |theta s|
+        if far.any():
+            i = int(np.flatnonzero(far)[0])
+            why = (f"the transform decays too slowly to truncate (mu_D + mu_E = {_DECAY / self.decay:.3g})"
+                   if reach[i] > _LN_REACH else
+                   f"Eve's transform at theta s passes the float range (ln theta = {math.log(theta[i]):.4g})")
+            raise ConvergenceError(f"outage contour: {why}", row=i)
         n = len(theta)
         step = np.full(n, _STEP)
         count = 2 * np.ceil(t_max / (2.0 * _STEP)).astype(int)  # intervals at the current step
@@ -581,6 +584,9 @@ class _AscRule:
 # A batch's Bob SNRs lie within this factor of its first, so that each row's
 # problems (theta / r, z / r) stay far inside the float range
 _LN_ROW_SPAN = math.log(1e30)
+# Rows per batch, so that a sweep's memory does not grow with its length: a
+# batch holds about 20 kB a row (a numeric-sweep pair is 26 rows, one batch)
+_BATCH_ROWS = 64
 
 
 @contextlib.contextmanager
@@ -593,61 +599,51 @@ def _naming(row):
         raise
 
 
-def _solve_rows(contour, todo, rel_tol):
-    """:meth:`_Bromwich.integrals` of every row's problems as one batch.
-
-    ``todo`` maps each row to its (theta, z); the result maps it to its (I, error, c < 0).
-    """
-    rows = list(todo)
-    sizes = [todo[i][0].size for i in rows]
-    theta, z = (np.concatenate([todo[i][x] for i in rows]) for x in (0, 1))
-    try:
-        out = contour.integrals(theta, z, rel_tol) if theta.size else (np.empty(0),) * 3
-    except ConvergenceError as exc:
-        exc.row = int(np.repeat(rows, sizes)[exc.row])  # from the problem's index to its row
-        raise
-    cuts = np.cumsum(sizes)[:-1]
-    return dict(zip(rows, zip(*(np.split(a, cuts) for a in out))))
-
-
 def _batch(contour, rows, cfg, ctrl, metrics):
-    """(values, errors) of every Bob link of ``rows`` (index: link), all on one contour.
+    """(values, errors) of each Bob link of the list ``rows``, all on one contour.
 
     Each row is the contour's Bob link at a mean SNR r times its own, so
-    P(g_D - theta g_E < z) is the contour's problem (theta / r, z / r).  The
-    first batch holds every row's outage problems and ASC's first nodes;
-    each later one, the new nodes of every row whose ASC rule goes on.
+    P(g_D - theta g_E < z) is the contour's problem (theta / r, z / r).  A
+    row gives one job for its outage problems and one for its ASC rule.
+    Each round is one :meth:`_Bromwich.integrals` batch of the problems of
+    every open job, in row order, and each job takes its slice: the outage
+    job records its values; a rule job poses its next nodes, or records ASC
+    once its rule is done.  A refusal names its row's index in ``rows``.
     """
     tol = ctrl.quad_rel_tol
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))
-    n = len(keys)
-    rules = {}
-    todo = {}
-    for i, bob in rows.items():
-        r = bob.avg_snr / contour.d.avg_snr
-        todo[i] = np.array([k[0] / r for k in keys]), np.array([k[1] / r for k in keys])
+    results = [({}, {}) for _ in rows]
+    jobs = []  # (row, its ASC rule or None for its outage job, (theta, z) to solve)
+    for i, bob in enumerate(rows):
+        if keys:
+            jobs.append((i, None, np.array(keys).T / (bob.avg_snr / contour.d.avg_snr)))
         if "asc" in metrics:
             with _naming(i):
-                rules[i] = _AscRule(contour, tol, bob.avg_snr)
-            todo[i] = tuple(np.concatenate(pair) for pair in zip(todo[i], rules[i].problems()))
-    results, pending = {}, {}
-    for i, (tail, err, upper) in _solve_rows(contour, todo, tol).items():
-        prob = dict(zip(keys, np.where(upper[:n], 1.0 + tail[:n], tail[:n]).tolist()))
-        error = dict(zip(keys, err[:n].tolist()))
-        results[i] = ({k: outage_value(k, prob[pz]) for k, pz in problems.items()},
-                      {k: error[pz] for k, pz in problems.items()})
-        if i in rules:
-            pending[i] = tail[n:], err[n:], upper[n:]
-    while pending:
-        more = {}
-        for i, solved in pending.items():
+                rule = _AscRule(contour, tol, bob.avg_snr)
+            jobs.append((i, rule, rule.problems()))
+    while jobs:
+        sizes = [job[2][0].size for job in jobs]
+        theta, z = (np.concatenate([job[2][x] for job in jobs]) for x in (0, 1))
+        try:
+            out = contour.integrals(theta, z, tol)
+        except ConvergenceError as exc:
+            exc.row = int(np.repeat([job[0] for job in jobs], sizes)[exc.row])  # from the problem to its row
+            raise
+        more = []
+        for (i, rule, _), tail, err, upper in zip(jobs, *(np.split(a, np.cumsum(sizes)[:-1]) for a in out)):
+            values, errors = results[i]
+            if rule is None:
+                solved = dict(zip(keys, zip(np.where(upper, 1.0 + tail, tail).tolist(), err.tolist())))
+                for k, pz in problems.items():
+                    values[k], errors[k] = outage_value(k, solved[pz][0]), solved[pz][1]
+                continue
             with _naming(i):
-                if rules[i].add(*solved):
-                    more[i] = rules[i].problems()
-        pending = _solve_rows(contour, more, tol) if more else {}
-    for i, rule in rules.items():
-        results[i][0]["asc"], results[i][1]["asc"] = rule.result()
+                if rule.add(tail, err, upper):
+                    more.append((i, rule, rule.problems()))
+                else:
+                    values["asc"], errors["asc"] = rule.result()
+        jobs = more
     return results
 
 
@@ -679,28 +675,40 @@ def numeric_metrics(
 
     ``bob`` may also be a list of Bob links that differ only in mean SNR,
     the rows of a sweep; the result is then a list of ``(values, errors)``,
-    one per row.  The rows are solved as one contour batch on the first
-    one's link (rows more than a factor 1e30 from it start another batch),
-    and a refusal names its row's index as ``ConvergenceError.row``.  A
-    single link is the one-row case.
+    one per row.  The rows are solved in contour batches of up to 64 rows,
+    each on its first row's link (a row more than a factor 1e30 from it
+    starts another batch), and a refusal names its row's index as
+    ``ConvergenceError.row``.  A single link is the one-row case.
+
+    The outage metrics take R_s up to ln(1e150), about 345 nats
+    (ParameterError past it), and refuse a pair whose path would take
+    Eve's |theta s| past 1e150 (ConvergenceError).
     """
     check_metrics(metrics)
+    if cfg.outage_problems(metrics) and cfg.rate_rs > _LN_REACH:  # theta = e^R_s would pass the reach
+        raise ParameterError("rate_rs", f"the numeric route's outage metrics take R_s up to "
+                                        f"{_LN_REACH:.4g} nats, got {cfg.rate_rs!r}")
     ctrl = ctrl or InversionControl()
     rows = [bob] if isinstance(bob, FBParams) else list(bob)
     if not rows or any(row.with_snr(rows[0].avg_snr) != rows[0] for row in rows):
         raise ParameterError("bob", "must be a link, or links that differ only in avg_snr")
     batches = []  # row indices; a batch's first row is its contour's Bob link
     for i, ln_snr in enumerate(math.log(row.avg_snr) for row in rows):  # a ratio could overflow
-        if not batches or abs(ln_snr - math.log(rows[batches[-1][0]].avg_snr)) > _LN_ROW_SPAN:
+        if (not batches or len(batches[-1]) == _BATCH_ROWS
+                or abs(ln_snr - math.log(rows[batches[-1][0]].avg_snr)) > _LN_ROW_SPAN):
             batches.append([])
         batches[-1].append(i)
     link_e = _Link(eve)
-    results = {}
+    results = []
     for batch in batches:
         contour = _Bromwich(_Link(rows[batch[0]]), link_e)
-        results |= _batch(contour, {i: rows[i] for i in batch}, cfg, ctrl, metrics)
+        try:
+            results += _batch(contour, [rows[i] for i in batch], cfg, ctrl, metrics)
+        except ConvergenceError as exc:
+            exc.row += batch[0]  # from the batch's row to the row given
+            raise
     out = []
-    for values, errors in (results[i] for i in range(len(rows))):
+    for values, errors in results:
         noisy = [
             f"{k} = {values[k]:.6e} (error {errors[k]:.1e})"
             for k in metrics

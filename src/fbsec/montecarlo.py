@@ -209,7 +209,8 @@ def estimate(bob: FBParams, eve: FBParams, secrecy_cfg: SecrecyConfig, cfg: MCCo
             sums[0] += float(np.sum(gap))
             sums[1] += float(np.sum(gap * gap))
             for i, (theta, z) in enumerate(keys):
-                sums[2 + i] += float(np.count_nonzero(gd < theta * ge + z))
+                with np.errstate(over="ignore"):  # where theta g_E overflows, the event holds
+                    sums[2 + i] += float(np.count_nonzero(gd < theta * ge + z))
             left -= take
         return sums
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "METRICS",
@@ -146,33 +146,43 @@ def derive(params: FBParams) -> DerivedParams:
     large-``m`` reductions (Beckmann surrogate, ``m = 1e6``) do not
     underflow: with ``alpha1 = alpha2 + C/m`` the combination
     ``m * log(alpha1/alpha2)`` stays bounded as ``m`` grows.
+
+    Raises DomainError, naming the link, where float arithmetic cannot
+    hold the law: where ``mu/2 - m`` loses ``mu/2`` (m past a few 1e9 times mu),
+    and where a constant leaves the float range (extreme mu, kappa or eta).
     """
     mu, m, kappa, eta, rho2 = params.mu, params.m, params.kappa, params.eta, params.rho2
     snr = params.avg_snr
+    if abs((mu / 2.0 - m) + m - mu / 2.0) > 1e-6 * (mu / 2.0):
+        raise DomainError(f"{params}: m is too large against mu, so mu/2 - m loses mu/2 in float")
 
-    alpha2 = 4.0 * eta / (mu**2 * (1.0 + eta) ** 2 * (1.0 + kappa) ** 2)
-    alpha1 = alpha2 + 2.0 * kappa * (rho2 + eta) / (
-        m * (1.0 + rho2) * mu * (1.0 + eta) * (1.0 + kappa) ** 2
-    )
-    beta = -(2.0 / mu + kappa / m) / (1.0 + kappa)
+    try:
+        alpha2 = 4.0 * eta / (mu**2 * (1.0 + eta) ** 2 * (1.0 + kappa) ** 2)
+        alpha1 = alpha2 + 2.0 * kappa * (rho2 + eta) / (
+            m * (1.0 + rho2) * mu * (1.0 + eta) * (1.0 + kappa) ** 2
+        )
+        beta = -(2.0 / mu + kappa / m) / (1.0 + kappa)
 
-    # roots of alpha1*s^2 + beta*s + 1; beta < 0 always, so the stable
-    # quadratic form q = (-beta + sqrt(disc))/2 never cancels
-    disc = beta * beta - 4.0 * alpha1
-    sq = cmath.sqrt(complex(disc))
-    q = (-beta + sq) / 2.0
-    c1 = q / alpha1
-    c2 = 1.0 / q
+        # roots of alpha1*s^2 + beta*s + 1; beta < 0 always, so the stable
+        # quadratic form q = (-beta + sqrt(disc))/2 never cancels
+        disc = beta * beta - 4.0 * alpha1
+        sq = cmath.sqrt(complex(disc))
+        q = (-beta + sq) / 2.0
+        c1 = q / alpha1
+        c2 = 1.0 / q
 
-    scattered = mu * (1.0 + eta) * (1.0 + kappa) / 2.0
-    theta = np.array([c1, c2, scattered / eta, scattered], dtype=complex)
+        scattered = mu * (1.0 + eta) * (1.0 + kappa) / 2.0
+        theta = np.array([c1, c2, scattered / eta, scattered], dtype=complex)
+        lno = (
+            -m * math.log1p((alpha1 - alpha2) / alpha2)
+            - (mu / 2.0) * math.log(alpha2)
+            - mu * math.log(snr)
+        )
+    except (ArithmeticError, ValueError):  # a division by zero, an overflow, a log of 0
+        lno = math.nan
+    if not (math.isfinite(lno) and np.isfinite(theta).all()):
+        raise DomainError(f"{params}: a constant of its transform is past the float range")
     exps = np.array([m, m, mu / 2.0 - m, mu / 2.0 - m], dtype=float)
-
-    lno = (
-        -m * math.log1p((alpha1 - alpha2) / alpha2)
-        - (mu / 2.0) * math.log(alpha2)
-        - mu * math.log(snr)
-    )
 
     return DerivedParams(theta_rates=theta, exponents=exps, mu=mu, ln_omega=lno)
 
@@ -207,7 +217,10 @@ class SecrecyConfig:
     def __post_init__(self):
         if not math.isfinite(self.rate_rs) or self.rate_rs < 0.0:
             raise ParameterError("rate_rs", f"must be a finite value >= 0, got {self.rate_rs!r}")
-        object.__setattr__(self, "theta", math.exp(self.rate_rs))
+        try:
+            object.__setattr__(self, "theta", math.exp(self.rate_rs))
+        except OverflowError:
+            raise ParameterError("rate_rs", f"exp(R_s) overflows at {self.rate_rs!r}") from None
 
     def outage_problems(self, metrics) -> dict[str, tuple[float, float]]:
         """The (theta, z) problem of each outage metric in ``metrics`` (ASC has none).

@@ -355,7 +355,7 @@ def mgf(dp, avg_snr: float, s):
     """
     factors = _stable_factors(dp, avg_snr)
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    re, im = log_transform(s_arr.real, s_arr.imag, 1.0, 0.0, *factors, dp.ln_omega)
+    re, im = log_transform(s_arr.real, s_arr.imag, *factors, dp.ln_omega)
     out = np.exp(re) * (np.cos(im) + 1j * np.sin(im))
     return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
@@ -428,8 +428,11 @@ def talbot_sum(ts, base, w, poles, exps, pair_x, pair_delta, pair_coef, ln_omega
         # every term at its final size at tiny t, and tau / t = r after it
         ln_tau = np.log(tau)
         ln_c = ln_omega + math.log(lam / n_nodes) - ln_tau
-        re, im = log_transform(base.real * r, base.imag * r, tau, ln_tau, poles, exps, pair_x,
-                               pair_delta, pair_coef, ln_c)
+        # the kernel at z = base r + p tau: every rate times tau, and each
+        # regular factor's log tau in the constant
+        p_tau, x_tau, d_tau = (np.asarray(x)[:, None, None] * tau for x in (poles, pair_x, pair_delta))
+        re, im = log_transform(base.real * r, base.imag * r, p_tau, exps, x_tau, d_tau, pair_coef,
+                               ln_c + float(np.sum(exps)) * ln_tau)
         re = re + ln_w
         im = im + arg_w
         if s_pow != 0.0:

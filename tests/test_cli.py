@@ -242,6 +242,17 @@ class TestSweep:
         assert code == 2
         assert err.startswith("parameter error:") and "--step-db" in err
 
+    def test_rows_past_the_limit_are_refused_before_any_is_built(self, capsys, monkeypatch):
+        # 1e12 rows: their list alone would exhaust the memory
+        monkeypatch.setattr("fbsec.cli._sweep_rows", lambda *a: pytest.fail("rows were built"))
+        code, out, err = run(capsys, "sweep", "--bob", BOB, "--eve", "same",
+                             "--start-db", "0", "--stop-db", "1e9", "--step-db", "1e-3")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --step-db:") and "1e+12 rows, past the 100000" in err
+        code, _, err = run(capsys, "sweep", "--bob", BOB, "--eve", "same",
+                           "--start-db", "0", "--stop-db", "100000", "--step-db", "1")
+        assert code == 2 and "100001 rows" in err
+
     def test_empty_metric_list_exits_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
                              "--start-db", "0", "--stop-db", "10", "--step-db", "5", "--metrics", ",")

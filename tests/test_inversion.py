@@ -463,7 +463,7 @@ class TestStableFactors:
         rates = (dp.theta_rates / p.avg_snr).real  # the rates as the library divides them
         for s in (0.5, 3.0, 1 + 2j, 0.05 - 0.3j, 10 + 40j):
             s = complex(s)
-            re, im = log_transform(np.array([s.real]), np.array([s.imag]), 1.0, 0.0, *factors, dp.ln_omega)
+            re, im = log_transform(np.array([s.real]), np.array([s.imag]), *factors, dp.ln_omega)
             with mp.workdps(50):
                 terms = [mp.mpf(a) * mp.log(mp.mpc(s) + mp.mpf(r)) for r, a in zip(rates, dp.exponents)]
                 ref = mp.mpf(dp.ln_omega) - mp.fsum(terms)
@@ -714,6 +714,38 @@ class TestSweepBatch:
         for row, result in zip(rows, swept):
             assert self._bits(result) == self._bits(numeric_metrics(row, eve, SecrecyConfig(0.5),
                                                                     metrics=("sop", "spsc")))
+
+    def test_batches_of_capped_rows(self, monkeypatch):
+        # a sweep's memory is that of one batch of _BATCH_ROWS rows, however long it is
+        rows, eve = self._rows("fig1")
+        cfg = SecrecyConfig(1.0)
+        monkeypatch.setattr("fbsec.inversion._BATCH_ROWS", 4)
+        sizes, batch = [], fbsec.inversion._batch
+
+        def counted(contour, rows, *args):
+            sizes.append(len(rows))
+            return batch(contour, rows, *args)
+
+        monkeypatch.setattr("fbsec.inversion._batch", counted)
+        swept = numeric_metrics(rows, eve, cfg)
+        assert sizes == [4] * 6 + [2]
+        for row, (v, e) in zip(rows, swept):
+            v1, e1 = numeric_metrics(row, eve, cfg)
+            for k in METRICS:
+                assert abs(v[k] - v1[k]) <= e[k] + e1[k] + 1e-6 * max(abs(v[k]), abs(v1[k]), 1e-2), k
+        # a refusal in a later batch names its row among all those given
+        calls = []
+
+        def refuse(self, theta, z, rel_tol):
+            calls.append(len(theta))
+            if len(calls) == 3:  # rows 8 to 11, two problems a row
+                raise ConvergenceError("synthetic", row=5)
+            return np.zeros(len(theta)), np.zeros(len(theta)), np.zeros(len(theta), bool)
+
+        monkeypatch.setattr(_Bromwich, "integrals", refuse)
+        with pytest.raises(ConvergenceError, match="synthetic") as exc:
+            numeric_metrics(rows, eve, cfg, metrics=("sop", "spsc"))
+        assert exc.value.row == 10
 
     def test_rows_must_differ_only_in_snr(self):
         bob, eve = SWEEP_PAIRS["fig1"]
