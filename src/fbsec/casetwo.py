@@ -58,6 +58,7 @@ _RECON_TOL = 1e-9
 _LN_FACT = np.array([math.lgamma(k + 1) for k in range(2 * _MAX_TOTAL_MULT)])
 _PROBE = np.linspace(0.0, 1.0, 20)  # log-spaced probe points, as fractions of the span
 _POWERS = np.arange(1, _MAX_TOTAL_MULT + 1)  # power j of a pole's terms: _POWERS[:n]
+_ORIGIN = (0.0 + 0j, 1)  # the factor 1/s of the distribution's transform, as (x, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,33 +83,41 @@ class PartialFractionExpansion:
     omega_norm: float
 
 
-def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> np.ndarray:
-    """Expansion coefficients at pole group ``i`` of prod_k (s+x_k)^(-a_k).
+def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion coefficients at pole group ``i`` of prod_k (s+x_k)^(-a_k), alone and times 1/s.
 
-    Returns A[j-1] for j = 1..n_i such that the group contributes
-    sum_j A_j (s + p_i)^(-j).  Uses the Taylor series of the co-factor
-    h(s) = prod_{k != i} (s+x_k)^(-a_k) about s = -p_i, generated by the
-    recurrence t_{l+1} = (1/(l+1)) sum_q t_q w_{l+1-q} with w_r the power
-    sums of the logarithmic derivative.
+    Returns (A, B): A[j-1] for j = 1..n_i such that the group contributes
+    sum_j A_j (s + p_i)^(-j), and B the same for the product with the
+    origin's factor 1/s, whose residues make the distribution.  Uses the
+    Taylor series of the co-factor h(s) = prod_{k != i} (s+x_k)^(-a_k)
+    about s = -p_i, generated by the recurrence
+    t_{l+1} = (1/(l+1)) sum_q t_q w_{l+1-q} with w_r the power sums of the
+    logarithmic derivative.  The log of h and the power sums are formed once:
+    B's are A's with the origin's term added last, which is bit for bit the
+    left-to-right sums over the factors with the origin appended.
     """
     p, n = factors[i]
     others = [(x, a) for k, (x, a) in enumerate(factors) if k != i]
-    t = np.zeros(n, dtype=complex)
     log_h = 0.0 + 0j
     for x, a in others:
         log_h -= a * np.log(x - p)
-    t[0] = np.exp(log_h)
+    x0, a0 = _ORIGIN
+    t = np.zeros((2, n), dtype=complex)
+    t[0, 0] = np.exp(log_h)
+    t[1, 0] = np.exp(log_h - a0 * np.log(x0 - p))
     if n > 1:
-        w = np.zeros(n, dtype=complex)
+        w = np.zeros((2, n), dtype=complex)
         for r in range(1, n):
             try:
-                w[r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+                w[0, r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+                w[1, r] = w[0, r] + (-a0) * (-1.0) ** (r - 1) / (x0 - p) ** r
             except ZeroDivisionError:
                 raise ConvergenceError(f"a distance between two poles, raised to the power {r}, "
                                        "underflows (a mean SNR near the float range?)") from None
-        for l in range(n - 1):
-            t[l + 1] = np.dot(t[: l + 1], w[1 : l + 2][::-1]) / (l + 1)
-    return t[::-1].copy()
+        for row, wr in zip(t, w):
+            for l in range(n - 1):
+                row[l + 1] = np.dot(row[: l + 1], wr[1 : l + 2][::-1]) / (l + 1)
+    return t[0, ::-1].copy(), t[1, ::-1].copy()
 
 
 def _mixture_value(pfe: PartialFractionExpansion, coef: np.ndarray, s):
@@ -152,14 +161,14 @@ def link_expansion(params: FBParams) -> PartialFractionExpansion:
                                "(a mean SNR near the float range?)") from None
     poles = np.asarray([p for p, a in factors if a > 0], dtype=complex)
     mults = np.asarray([a for _, a in factors if a > 0], dtype=int)
-    with_origin = factors + [(0.0 + 0j, 1)]
+    rows_A, rows_B = zip(*(_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0))
     pfe = PartialFractionExpansion(
         poles=poles,
         mults=mults,
         term_pole=np.repeat(poles, mults),
         term_j=np.concatenate([_POWERS[:n] for n in mults]),
-        term_A=np.concatenate([_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0]),
-        term_B=np.concatenate([_taylor_rows(with_origin, i) for i, (_, a) in enumerate(factors) if a > 0]),
+        term_A=np.concatenate(rows_A),
+        term_B=np.concatenate(rows_B),
         omega_norm=omega_norm,
     )
     _validate_expansion(pfe, factors, dp.ln_omega)

@@ -292,17 +292,24 @@ class _Bromwich:
         n = len(theta)
         c, lo, hi, edge = self.saddle_start(theta, z)
         done = np.zeros(n, dtype=bool)  # per problem, so a batch gives each one's solo result
-        for i in range(_NEWTON_STEPS + 1):
-            d1, d2 = self._phi_derivatives(c, theta, z)
-            step = c - d1 / d2
-            done |= np.abs(step - c) <= 1e-9 * np.abs(c)
-            if i == _NEWTON_STEPS or done.all():
-                break
-            lo = np.where(d1 < 0.0, c, lo)
-            hi = np.where(d1 > 0.0, c, hi)
-            c = np.where(done, c, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # theta^2 phi_E'' overflows where Eve's theta s nears the float range: refused below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for i in range(_NEWTON_STEPS + 1):
+                d1, d2 = self._phi_derivatives(c, theta, z)
+                step = c - d1 / d2
+                done |= np.abs(step - c) <= 1e-9 * np.abs(c)
+                if i == _NEWTON_STEPS or done.all():
+                    break
+                lo = np.where(d1 < 0.0, c, lo)
+                hi = np.where(d1 > 0.0, c, hi)
+                c = np.where(done, c, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
             w = np.minimum(np.where(d2 > 0.0, 1.0 / np.sqrt(d2), np.inf), np.minimum(np.abs(c), np.abs(edge - c)))
+        no_width = ~(w > 0.0)  # zero or not a number
+        if no_width.any():
+            i = int(np.flatnonzero(no_width)[0])
+            raise ConvergenceError(f"outage contour: phi'' at the saddle point overflows, so the path has no "
+                                   f"width (Eve's transform at theta s nears the float range, "
+                                   f"ln theta = {math.log(theta[i]):.4g})", row=i)
         beta = np.zeros(n)
         pos = np.flatnonzero(z > 0.0)
         if pos.size:

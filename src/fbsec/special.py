@@ -5,12 +5,16 @@ The closed-form ASC needs the moment integral of ``ln(1+x)`` against
 half-plane, which is a finite sum of upper incomplete gamma values at
 non-positive integer order (:func:`ln1p_moment_table`).
 
-Everything here is plain IEEE-754 double arithmetic.  The incomplete gamma
-uses a continued fraction for |x| >= 2 and, below, order recurrences
-anchored at the exponential integral, itself summed from its convergent
-power series.  This keeps the relative error near machine precision across
-the argument range the metrics produce (the naive recurrence alone loses
-~x/|a| digits per step at large x).
+Everything here is plain IEEE-754 double arithmetic.  A table of the
+incomplete gamma at orders 0, -1, ..., -(n-1) is one anchor value and the
+order recurrence.  For |x| >= 2 the anchor is one continued fraction at
+order -k0, k0 = min(n-1, floor|x|), and the recurrence runs from it towards
+order 0 and towards order -(n-1), the two directions in which it damps
+errors.  Below |x| = 2 the anchor is the exponential integral, summed from
+its convergent power series, and the recurrence runs down from order 0.
+This keeps the relative error near machine precision across the argument
+range the metrics produce (run down from order 0 alone at large x, the
+recurrence would multiply errors by about x/k at each order -k above -x).
 """
 
 from __future__ import annotations
@@ -78,13 +82,28 @@ def _exp1_scaled(z: complex) -> complex:
 
 
 def _scaled_gamma_table(nmax: int, b) -> list[complex]:
-    """exp(b)*Gamma(-k, b) for k = 0..nmax-1, at index k."""
+    """exp(b)*Gamma(-k, b) for k = 0..nmax-1, at index k.
+
+    Below |b| = 2 the table runs up from the exponential integral.  Above,
+    one continued fraction anchors it at k0 = min(nmax - 1, floor|b|), and
+    the order recurrence e^b Gamma(1-k, b) = b^-k - k e^b Gamma(-k, b) runs
+    from there in whichever direction damps errors: down to 0, where each
+    step scales them by about k/|b| <= 1, and up to nmax - 1, where each
+    step scales them by about |b|/k < 1.
+    """
     z = _require_right_half_plane(b)
-    if abs(z) >= _CF_SWITCH:
-        return [_cf_scaled(float(-k), z) for k in range(nmax)]
-    table = [_exp1_scaled(z)]
-    for k in range(1, nmax):
-        table.append((table[-1] - z ** (-k)) / (-k))
+    if abs(z) < _CF_SWITCH:
+        table = [_exp1_scaled(z)]
+        for k in range(1, nmax):
+            table.append((table[-1] - z ** (-k)) / (-k))
+        return table
+    k0 = min(nmax - 1, int(abs(z)))
+    table = [0j] * nmax
+    table[k0] = _cf_scaled(float(-k0), z)
+    for k in range(k0, 0, -1):
+        table[k - 1] = z ** (-k) - k * table[k]
+    for k in range(k0 + 1, nmax):
+        table[k] = (z ** (-k) - table[k - 1]) / k
     return table
 
 

@@ -4,8 +4,10 @@ The upper incomplete gamma function at any real order, the ``ln(1+x)``
 moment integral as a scalar, Pochhammer symbols, binomial coefficients,
 a direct power-series evaluator for the four-variable confluent
 hypergeometric function, which cross-checks the SNR law at small
-arguments, and the term-by-term loops of the closed-form sums.  They reuse the continued fraction and the exponential-integral
-anchor of :mod:`fbsec.special`, and scipy where the package needs none.
+arguments, and the term-by-term loops of the closed-form sums and of the
+partial-fraction rows.  They reuse the continued fraction and the
+exponential-integral anchor of :mod:`fbsec.special`, and scipy where the
+package needs none.
 
 One link's density and distribution, which no metric needs: the
 exponential-polynomial mixtures of a Case-2 expansion, and for any
@@ -314,6 +316,29 @@ def mixture_time_domain_loops(pfe, coef, g) -> tuple[np.ndarray, np.ndarray]:
             mag += np.abs(row[j - 1] * g ** (j - 1) / fact * np.exp(-p * g))
         total += np.exp(-p * g) * poly
     return pfe.omega_norm * total, abs(pfe.omega_norm) * mag
+
+
+def taylor_row_loops(factors, i) -> np.ndarray:
+    """Expansion coefficients at pole group ``i`` of prod_k (s+x_k)^(-a_k), one factor list at a time.
+
+    The single-list form of ``casetwo._taylor_rows``: its A row is this on
+    ``factors`` and its B row this on ``factors + [(0j, 1)]``, each with its
+    own log co-factor and power sums.
+    """
+    p, n = factors[i]
+    others = [(x, a) for k, (x, a) in enumerate(factors) if k != i]
+    t = np.zeros(n, dtype=complex)
+    log_h = 0.0 + 0j
+    for x, a in others:
+        log_h -= a * np.log(x - p)
+    t[0] = np.exp(log_h)
+    if n > 1:
+        w = np.zeros(n, dtype=complex)
+        for r in range(1, n):
+            w[r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+        for l in range(n - 1):
+            t[l + 1] = np.dot(t[: l + 1], w[1 : l + 2][::-1]) / (l + 1)
+    return t[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

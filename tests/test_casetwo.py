@@ -15,7 +15,7 @@ from fbsec import (
     derive,
     link_expansion,
 )
-from fbsec.casetwo import _mixture_value, _realify, _validate_expansion
+from fbsec.casetwo import _mixture_value, _realify, _taylor_rows, _validate_expansion
 from fbsec.errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
 from fbsec.params import METRICS, outage_value
 
@@ -116,6 +116,24 @@ class TestPartialFractions:
         p = FBParams(2.0, 200.0, 1.0, 0.5, 0.5, 1.0)
         with pytest.raises(CaseMismatchError, match="multiplicity"):
             link_expansion(p)
+
+    def test_rows_match_single_list_recurrence(self):
+        # B's log co-factor and power sums are A's plus the origin's term,
+        # added last: bit for bit the sums over the factors with 1/s appended
+        rng = np.random.default_rng(7)
+        rows = 0
+        for _ in range(396):
+            for p in (draw_params(rng, case2=True), draw_params(rng, case2=True)):
+                dp = derive(p)
+                groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
+                factors = [(x, int(round(a))) for x, a in groups]
+                for i, (_, a) in enumerate(factors):
+                    if a > 0:
+                        A, B = _taylor_rows(factors, i)
+                        assert np.array_equal(A, oracles.taylor_row_loops(factors, i))
+                        assert np.array_equal(B, oracles.taylor_row_loops(factors + [(0j, 1)], i))
+                        rows += 1
+        assert rows > 1500
 
 
 class TestDistributions:

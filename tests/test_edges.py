@@ -120,3 +120,19 @@ class TestLargeTargetRate:
             with pytest.raises(ConvergenceError, match="Eve's transform at theta s") as exc:
                 numeric_metrics(bob, eve, SecrecyConfig(300.0), metrics=("sopl",))
         assert exc.value.row == 0
+
+
+class TestLargeBobSnr:
+    @pytest.mark.parametrize("snr_db", ["1550", "1580"])
+    def test_asc_whose_saddle_curvature_overflows_is_refused(self, capsys, snr_db):
+        # the ASC rule's nodes reach theta past 1e153, where theta^2 phi_E'' overflows
+        bob = FIG1_BOB.replace("snr_db=20", f"snr_db={snr_db}")
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", FIG1_EVE, "--rs", "1", "--metric", "asc")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: outage contour: phi''") and err.count("\n") == 1
+
+    def test_asc_below_the_overflow_answers(self, capsys):
+        bob = FIG1_BOB.replace("snr_db=20", "snr_db=1500")
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", FIG1_EVE, "--rs", "1", "--metric", "asc")
+        assert code == 0 and err == ""
+        assert json.loads(out)["asc"] > 340.0

@@ -139,6 +139,25 @@ class TestLogGammaIntegral:
                 ref = mp.fsum(ug[n - k] / bb**k for k in range(1, n + 1))
                 assert abs(tab[n - 1].real - ref) <= 1e-13 * ref, (n, tab[n - 1].real, ref)
 
+    @pytest.mark.parametrize("b", [2.0, 2.5, 3.0, 7.99, 8.0, 63.0, 64.0, 150.0, complex(8.5, 1e-12)])
+    def test_moment_table_seams(self, b):
+        # above the switch each table is one continued fraction at
+        # k0 = min(nmax - 1, floor|b|), recurred down to 0 and up to nmax - 1:
+        # k0 = 0 (nmax = 1), a split at k0, and tables that only recur down.
+        # The reference runs up from e^b E1(b) at 80 digits, which loses
+        # log10 prod_k |b|/k, at most 50 digits here, on the way.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):
+            bb = mp.mpmathify(b)
+            ug = [mp.exp(bb) * mp.e1(bb)]  # order -j at index j
+            for j in range(1, 64):
+                ug.append((bb ** -j - ug[-1]) / j)
+            ref = [complex(mp.fsum(ug[n - k] / bb**k for k in range(1, n + 1))) for n in range(1, 65)]
+        for nmax in (1, 2, 3, 8, 64):
+            tab = ln1p_moment_table(nmax, b)
+            err = np.abs(tab - ref[:nmax]) / np.abs(ref[:nmax])
+            assert np.all(err <= 1e-13), (nmax, err.max())
+
 
 class TestPochhammerBinomial:
     def test_values(self):
