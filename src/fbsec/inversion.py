@@ -144,7 +144,9 @@ class _Link:
 # whose saddle sits near the edge)
 _EDGE_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-18.0, math.log(99.0), 64)))
 _NEWTON_STEPS = 4
-_DECAY = 40.0       # e-folds of algebraic decay past the largest rate
+# e-folds that a path's terms fall past its truncation: by algebraic decay
+# past the largest rate, or for z > 0 by e^(sz) (see _Bromwich._truncation)
+_DECAY = 40.0
 # first trapezoid step in t, checked against the sum at 2 _STEP of its even nodes;
 # the rule converges exponentially on this analytic path, so the first pass
 # mostly meets the tolerance and the rest take one halving
@@ -271,7 +273,8 @@ class _Bromwich:
         k = np.clip(lo[..., None] + [-1, 0], 0, m - 1).reshape(n, 4)  # (n, side-major candidates)
         side = np.repeat([[0, 1]], 2, axis=1)
         points = edge[rows[:, None], side] * _EDGE_FRACTIONS[k]
-        with np.errstate(divide="ignore"):  # a distance that underflows makes phi infinite there
+        # a distance that underflows makes phi infinite there, or not a number where two such logs cancel
+        with np.errstate(divide="ignore", invalid="ignore"):
             phi = self._log_m(points, 0.0, theta)[0] + z * points - np.log(np.abs(points))
         j = np.argmin(phi, axis=1)
         side, k = side[0, j], k[rows, j]
@@ -286,8 +289,9 @@ class _Bromwich:
         safeguarded Newton steps on phi'.  ``w = min(phi''^-1/2, distance
         to the nearest singularity)``.  For z = 0 the path is the vertical
         line (beta = 0); for z > 0 it opens left so that e^(sz) decays, as
-        wide as possible: see :meth:`_opening`.  Every step works on each
-        problem alone, so a problem's path does not depend on its batch.
+        wide as possible: see :meth:`_opening`.  T is where the terms have
+        fallen ``_DECAY`` e-folds (:meth:`_truncation`).  Every step works on
+        each problem alone, so a problem's path does not depend on its batch.
         """
         n = len(theta)
         c, lo, hi, edge = self.saddle_start(theta, z)
@@ -317,10 +321,19 @@ class _Bromwich:
         return c, w, beta, self._truncation(w, beta, theta, z)
 
     def _truncation(self, w, beta, theta, z):
-        """T: the algebraic decay starts past every rate; for z > 0, e^(sz) cuts it short."""
+        """T, the end of the path in t: where its terms have fallen ``_DECAY`` e-folds.
+
+        Past |s| = every rate (t = arcsinh(rate / w)) a term decays
+        algebraically, as |s|^-(mu_D + mu_E), so ``self.decay`` more in t
+        makes the ``_DECAY`` e-folds.  For z > 0, e^(sz) falls by
+        beta z (cosh t - 1) e-folds, which reaches ``_DECAY`` at
+        t = arccosh(1 + y), y = _DECAY / (beta z), and T is the sooner of the two.
+        """
         t_max = np.arcsinh(np.maximum(self.d.big, self.e.big / theta) / w) + self.decay
-        with np.errstate(divide="ignore"):
-            return np.minimum(t_max, np.where(z > 0.0, np.log(80.0 / (beta * z) + 1.0) + 2.0, np.inf))
+        # beta = 0 (z = 0) makes y infinite, and so the algebraic cut
+        with np.errstate(divide="ignore", over="ignore"):
+            y = _DECAY / (beta * z)
+            return np.minimum(t_max, np.where(z > 0.0, np.log1p(y + np.sqrt(y * (y + 2.0))), np.inf))
 
     def _opening(self, c, w, theta, z):
         """beta for z > 0: the widest of w, w/4, ..., w/256 on which no probed term exceeds
@@ -347,7 +360,10 @@ class _Bromwich:
             for part in _chunks(count):
                 owner, node = _ragged(count[part])
                 p = live[part][owner]
-                re = self.log_magnitude(_PROBE_STEP * node, c[p], w[p], beta[p, i], theta[p], z[p])
+                # a distance to a rate whose square underflows makes a probe infinite, or not a
+                # number; the path's own terms are then refused in integrals
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    re = self.log_magnitude(_PROBE_STEP * node, c[p], w[p], beta[p, i], theta[p], z[p])
                 saddle = np.flatnonzero(node == 0)  # each problem's t = 0, the same for every opening
                 peak[part], first[part] = np.maximum.reduceat(re, saddle), re[saddle]
             if i == 0:
@@ -436,17 +452,24 @@ class _Bromwich:
                                        row=int(live[over][0]))
             new = (count[live] - start) // stride + 1
             even, odd, bound = np.empty((3, live.size))
-            for part in _chunks(new):
-                pos, k = _ragged(new[part])
-                k = start + stride * k
-                j = live[part][pos]
-                f, b, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
-                half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
-                f, b = f * half, b * half
-                size = new[part].size
-                even[part] = np.bincount(pos, f * (k % 2 == 0), size)
-                odd[part] = np.bincount(pos, f * (k % 2 == 1), size)
-                bound[part] = np.bincount(pos, b, size)
+            # a term out of the float range (a squared distance to a rate that
+            # underflows, an overflowed magnitude) is refused below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for part in _chunks(new):
+                    pos, k = _ragged(new[part])
+                    k = start + stride * k
+                    j = live[part][pos]
+                    f, b, _ = self.terms(k * step[j], c[j], w[j], beta[j], theta[j], z[j])
+                    half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
+                    f, b = f * half, b * half
+                    size = new[part].size
+                    even[part] = np.bincount(pos, f * (k % 2 == 0), size)
+                    odd[part] = np.bincount(pos, f * (k % 2 == 1), size)
+                    bound[part] = np.bincount(pos, b, size)
+            lost = ~(np.isfinite(even) & np.isfinite(odd) & np.isfinite(bound))
+            if lost.any():
+                raise ConvergenceError("outage contour: the terms on the path leave the float range "
+                                       "(the transform under- or overflows there)", row=int(live[lost][0]))
             coarse[live] = fine[live] + even
             fine[live] = coarse[live] + odd
             noise[live] += bound
@@ -527,27 +550,48 @@ class _AscRule:
     link, whose SNR is g_B: g_D = r g_B, so each problem is posed to the
     contour as (theta / r, z / r), Bob's tail bound is r times the link's,
     and the Chernoff t, in the link's units, is r times that above.
+    ``tail`` is the row's (R_hi, cut) from :meth:`tails`, worked out here
+    when not given.
     """
 
-    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float):
-        link_d, link_e = contour.d, contour.e
-        self.scale = avg_snr / link_d.avg_snr
-        self.r_hi = math.log1p(self.scale * link_d.upper_limit(_TAIL_CUTOFF_PROB))
-        if not math.isfinite(self.r_hi):
-            raise ConvergenceError(f"ASC quadrature: the tail cut in R is not finite (Bob's mean SNR "
-                                   f"{avg_snr:.3g} is too near the float range)")
+    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float, tail=None):
+        self.scale = avg_snr / contour.d.avg_snr
+        self.r_hi, self.cut = tail or self.tails(contour, [avg_snr])[0]
         self.b = min(math.log1p(avg_snr), 0.5 * self.r_hi)
-        self.grade = 2 if link_d.mu + link_e.mu >= _GRADE_MU else 3
+        self.grade = 2 if contour.d.mu + contour.e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol
-        theta_hi = math.exp(self.r_hi)
-        tau = link_d.r * _CHERNOFF_FRACTIONS
-        ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / self.scale)
-        t = tau / self.scale
-        self.cut = float(np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi))))
         # panels as (lo, hi, graded) in v: R = b v^q (q - (q - 1) v) where graded, R = v elsewhere
         self.todo = (np.array([0.0, self.b]), np.array([1.0, self.r_hi]), np.array([True, False]))
         # lo, hi, graded, integral, estimate, contour error of the panels done
         self.done = [np.empty(0), np.empty(0), np.empty(0, bool), np.empty(0), np.empty(0), np.empty(0)]
+
+    @staticmethod
+    def tails(contour: _Bromwich, avg_snrs) -> list[tuple[float, float]]:
+        """(R_hi, cut) of the rule of each Bob mean SNR in ``avg_snrs``, on one contour.
+
+        Every R_hi is log1p(r upper) of the one tail bound ``upper`` of the
+        contour's Bob link, and every cut comes from one evaluation of the
+        Chernoff bound over a (rows x 4) grid of t.  A row whose R_hi or cut
+        is not finite (its Bob SNR nears the float range, where the grid's
+        squared distances under- or overflow) is refused by its index.
+        """
+        link_d = contour.d
+        upper = link_d.upper_limit(_TAIL_CUTOFF_PROB)
+        scale = [snr / link_d.avg_snr for snr in avg_snrs]
+        r_hi = [math.log1p(r * upper) for r in scale]
+        theta_hi = np.array([math.exp(x) for x in r_hi])[:, None]
+        scale = np.array(scale)[:, None]
+        tau = link_d.r * _CHERNOFF_FRACTIONS
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / scale)
+            t = tau / scale
+            cut = np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi), axis=1)).tolist()
+        for i, (snr, x, c) in enumerate(zip(avg_snrs, r_hi, cut)):
+            if not (math.isfinite(x) and math.isfinite(c)):
+                what = "bound past the tail cut" if math.isfinite(x) else "tail cut in R"
+                raise ConvergenceError(f"ASC quadrature: the {what} is not finite (Bob's mean SNR "
+                                       f"{snr:.3g} is too near the float range)", row=i)
+        return list(zip(r_hi, cut))
 
     def problems(self):
         """(theta / r, z / r) of every node of the panels to do."""
@@ -621,13 +665,13 @@ def _batch(contour, rows, cfg, ctrl, metrics):
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))
     results = [({}, {}) for _ in rows]
+    tails = _AscRule.tails(contour, [bob.avg_snr for bob in rows]) if "asc" in metrics else None
     jobs = []  # (row, its ASC rule or None for its outage job, (theta, z) to solve)
     for i, bob in enumerate(rows):
         if keys:
             jobs.append((i, None, np.array(keys).T / (bob.avg_snr / contour.d.avg_snr)))
-        if "asc" in metrics:
-            with _naming(i):
-                rule = _AscRule(contour, tol, bob.avg_snr)
+        if tails:
+            rule = _AscRule(contour, tol, bob.avg_snr, tails[i])
             jobs.append((i, rule, rule.problems()))
     while jobs:
         sizes = [job[2][0].size for job in jobs]

@@ -15,8 +15,9 @@ parameters a Talbot inversion of the link's transform (a fixed-shape
 cotangent contour), with the transform itself.
 
 The outage contour's choice of opening, probed through the full terms on
-one rectangular grid of nodes, and its first guess at the saddle point,
-from phi at every one of the 128 candidate points.
+one rectangular grid of nodes, its first guess at the saddle point, from
+phi at every one of the 128 candidate points, and a longer truncation of
+its path, on which the sums must come out the same.
 """
 
 from __future__ import annotations
@@ -607,3 +608,15 @@ def saddle_start_reference(contour, theta, z):
     side, k = np.divmod(j, m)
     nb = grid[rows[:, None], side[:, None] * m + np.clip(k[:, None] + [-1, 1], 0, m - 1)]
     return grid[rows, j], nb.min(axis=1), nb.max(axis=1), edge[rows, side]
+
+
+def truncation_reference(contour, w, beta, theta, z):
+    """T of ``_Bromwich._truncation`` with e^(sz) cut at t = log(80 / (beta z) + 1) + 2.
+
+    There beta z (cosh t - 1) is at least 40 e^2, so e^(sz) has fallen 295
+    e-folds or more: every node past 40 e-folds is one more term far
+    below the sum's rounding.  The algebraic cut is the same.
+    """
+    t_max = np.arcsinh(np.maximum(contour.d.big, contour.e.big / theta) / w) + contour.decay
+    with np.errstate(divide="ignore"):
+        return np.minimum(t_max, np.where(z > 0.0, np.log(80.0 / (beta * z) + 1.0) + 2.0, np.inf))

@@ -12,6 +12,8 @@ from fbsec import FBParams, MCConfig, SecrecyConfig, db_to_linear, estimate, lin
 from fbsec.cli import main
 from fbsec.params import METRICS
 
+from oracles import truncation_reference
+
 BOB = "mu=2,m=1,kappa=0,eta=1,rho2=1,snr_db=0"
 CASE2_BOB = "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12"
 CASE2_EVE = "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3"
@@ -230,6 +232,18 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 3 and "spsc" in rows[0]
+
+    @pytest.mark.parametrize("bob", [FIG1_BOB.replace("eta=0.5", "eta=0.1"),
+                                     "mu=1,m=1e6,kappa=1.5,eta=0.3,rho2=0.64,snr_db=20"])
+    def test_rows_do_not_move_with_a_longer_contour(self, capsys, monkeypatch, bob):
+        # fig1 and the stiff surrogate as the numeric-sweep workload sweeps them:
+        # running e^(sz) out to 295 e-folds or more prints the same bytes
+        argv = ("sweep", "--bob", bob, "--eve", FIG1_EVE, "--rs", "1", "--axis", "lambda_db",
+                "--start-db", "-10", "--stop-db", "40", "--step-db", "2", "--metrics", "all")
+        short = run(capsys, *argv)
+        monkeypatch.setattr("fbsec.inversion._Bromwich._truncation", truncation_reference)
+        assert run(capsys, *argv) == short
+        assert short[0] == 0 and short[1].count("\n") == 27
 
     def test_bad_step_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--bob", BOB, "--eve", "same",

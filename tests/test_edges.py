@@ -131,6 +131,21 @@ class TestLargeBobSnr:
         assert code == 3 and out == ""
         assert err.startswith("numerical error: outage contour: phi''") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bob, eve, extra, why", [
+        # the ASC rule's Chernoff grid meets an underflowed squared distance to Bob's rates,
+        # and its nodes' curvature then overflows
+        (CASE2_BOB.replace("snr_db=12", "snr_db=1620"), CASE2_EVE, ("--rs", "1", "--metric", "asc"),
+         "outage contour: phi''"),
+        # and so does the path of an outage problem
+        ("mu=2.7,m=1.8,kappa=3.2,eta=0.45,rho2=2.5,snr_db=1610",
+         "mu=1.3,m=4.6,kappa=0.35,eta=2.2,rho2=0.6,snr_db=8", (), "outage contour: the terms on the path"),
+    ], ids=["asc-chernoff-grid", "outage-path"])
+    def test_transform_out_of_float_range_is_refused_without_warnings(self, capsys, bob, eve, extra, why):
+        code, out, err = run(capsys, "eval", "--bob", bob, "--eve", eve, *extra)
+        assert code == 3 and out == ""
+        assert err.startswith(f"numerical error: {why}") and err.count("\n") == 1
+        assert "warning:" not in err
+
     def test_asc_below_the_overflow_answers(self, capsys):
         bob = FIG1_BOB.replace("snr_db=20", "snr_db=1500")
         code, out, err = run(capsys, "eval", "--bob", bob, "--eve", FIG1_EVE, "--rs", "1", "--metric", "asc")

@@ -23,7 +23,7 @@ from fbsec.inversion import _AscRule, _Bromwich, _Link, _stable_factors
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
-from oracles import TalbotLink, mgf, opening_reference, saddle_start_reference
+from oracles import TalbotLink, mgf, opening_reference, saddle_start_reference, truncation_reference
 
 class TestControl:
     def test_defaults(self):
@@ -570,6 +570,30 @@ class TestContourWork:
             if a is not None:
                 assert abs(a[0] - b[0]) <= a[1] + b[1], (a, b)
 
+    def test_truncation_at_40_e_folds_keeps_every_sum(self, monkeypatch):
+        # the reference runs e^(sz) out to 295 e-folds or more: its extra nodes
+        # change no value's bits and no error beyond 1e-9 of itself
+        nodes, real_terms = [], _Bromwich.terms
+
+        def terms(self, t, *args):
+            nodes[-1] += t.size
+            return real_terms(self, t, *args)
+
+        monkeypatch.setattr(_Bromwich, "terms", terms)
+        batches = [_first_batch(bob, eve) for bob, eve in _sweep_links()]
+
+        def run():
+            nodes.append(0)
+            return [contour.integrals(theta, z, 1e-8) for contour, theta, z in batches]
+
+        short = run()
+        monkeypatch.setattr(_Bromwich, "_truncation", truncation_reference)
+        long = run()
+        for (value, err, upper), (value_ref, err_ref, upper_ref) in zip(short, long):
+            assert _same_bits(value, value_ref) and np.array_equal(upper, upper_ref)
+            np.testing.assert_allclose(err, err_ref, rtol=1e-9, atol=0.0)
+        assert nodes[0] <= 0.85 * nodes[1], nodes
+
     def test_terms_calls_per_integrals_call(self, monkeypatch):
         # fig1 at R_s = 1 is one batch: its first pass and one halving; a first
         # pass at 0.05 meets the tolerance at once
@@ -694,6 +718,30 @@ class TestSweepBatch:
             for k in METRICS:
                 # each one's achieved error, plus the closed-vs-numeric bar
                 assert abs(v[k] - v1[k]) <= e[k] + e1[k] + 1e-6 * max(abs(v[k]), abs(v1[k]), 1e-2), k
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    def test_rules_set_up_together_match_each_alone(self, monkeypatch, name):
+        # a batch takes its rules' tail cuts from one bound and one Chernoff grid;
+        # each rule is the one its row builds alone on the batch's contour
+        rows, eve = self._rows(name)
+        built = []
+
+        class Recorded(_AscRule):
+            def __init__(self, contour, rel_tol, avg_snr, *tail):
+                super().__init__(contour, rel_tol, avg_snr, *tail)
+                built.append((contour, avg_snr, self, self.problems()))
+
+        monkeypatch.setattr("fbsec.inversion._AscRule", Recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)  # the stiff surrogate's
+            numeric_metrics(rows, eve, SecrecyConfig(1.0), metrics=("asc",))
+            numeric_metrics(rows[13], eve, SecrecyConfig(1.0), metrics=("asc",))
+        assert len(built) == len(rows) + 1
+        for contour, avg_snr, rule, problems in built:
+            alone = _AscRule(contour, 1e-8, avg_snr)
+            for field in ("r_hi", "b", "cut"):
+                assert getattr(rule, field).hex() == getattr(alone, field).hex(), field
+            assert all(_same_bits(x, y) for x, y in zip(problems, alone.problems()))
 
     def test_asc_rule_rescaled_onto_the_first_row(self):
         # a row's rule on the first row's link is its rule on its own link, in that link's units
