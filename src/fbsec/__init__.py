@@ -40,13 +40,12 @@ from .params import (
     from_rayleigh,
     from_rician_shadowed,
     linear_to_db,
-    merge_rate_groups,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FBParams", "DerivedParams", "derive", "merge_rate_groups",
+    "FBParams", "DerivedParams", "derive",
     "from_kappa_mu_shadowed", "from_rician_shadowed", "from_nakagami",
     "from_rayleigh", "from_beckmann", "from_eta_mu",
     "db_to_linear", "linear_to_db",

@@ -5,10 +5,10 @@ Every contour problem evaluates, at many points s = sr + i si,
     log M(s) = ln_omega - sum_j a_j log(s + p_j) - sum_k c_k log1p(delta_k / (s + x_k)),
 
 as numpy broadcasts.  Regular factors contribute ``-a_j log(s + p_j)``;
-"stiff pairs" (a huge exponent c_k on a rate sitting delta_k away from a
-near-cancelling partner, as produced by the no-shadowing surrogates with
-m ~ 1e6) contribute ``-c_k log1p(delta_k / (s + x_k))``, which avoids
-multiplying rounding errors of O(ulp) logs by c_k.
+"stiff pairs" (a root of huge exponent c_k = m lying delta_k from its
+scattered partner x_k, delta_k exact from ``derive``, as in the
+no-shadowing surrogates with m ~ 1e6) contribute ``-c_k log1p(delta_k /
+(s + x_k))``, which avoids multiplying O(ulp) log rounding errors by c_k.
 
 All of it is real arithmetic: numpy's complex ``log`` and ``exp`` run
 scalar loops, while its real ``log``, ``log1p`` and ``arctan2``

@@ -15,7 +15,7 @@ with one entry per term, and each sum runs as one array operation over
 them.  The ``A_ij``/``B_ij`` are extracted by high-order residue
 computation on the transform: the Taylor coefficients of the co-factor
 around each pole follow from the logarithmic-derivative recurrence, which
-handles merged poles and negative exponents (numerator factors)
+handles poles of any multiplicity and negative exponents (numerator factors)
 uniformly.  Every expansion is verified at construction against the
 transform itself, evaluated by the contour route's kernel
 (:mod:`fbsec._kernels`).
@@ -33,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import log_transform
-from .errors import CaseMismatchError, ConvergenceError, DomainError
+from .errors import CaseMismatchError, ConvergenceError
 from .params import (
     METRICS,
     FBParams,
     SecrecyConfig,
     check_metrics,
     derive,
-    merge_rate_groups,
+    link_factors,
     outage_value,
 )
 from .special import ln1p_moment_table
@@ -129,29 +129,30 @@ def _mixture_value(pfe: PartialFractionExpansion, coef: np.ndarray, s):
 def link_expansion(params: FBParams) -> PartialFractionExpansion:
     """Decompose one link's transform over its distinct poles.
 
-    Rates closer than 1e-9 (relative) are coalesced, summing
-    multiplicities; net-negative groups become numerator factors and the
-    decomposition runs over the remaining poles only.  Raises a
-    case-mismatch error when the exponents are not integers (or are too
-    large for a numerically meaningful expansion), and ConvergenceError
-    when the scale factor omega or a pole distance leaves the float range.
+    The factors are the link's regular factors (:func:`fbsec.params.link_factors`):
+    each root at m and its partner at ``mu/2 - m``, or at ``mu/2`` alone where
+    kappa = 0.  Numerator factors (negative exponents) are carried and the
+    decomposition runs over the poles only.  Raises a case-mismatch error
+    where ``mu/2 - m`` loses ``mu/2`` (m past a few 1e9 times mu, kappa > 0),
+    where an exponent is not an integer, and where there is no pole or more
+    than 64; and ConvergenceError where the scale factor omega or a pole
+    distance leaves the float range.
     """
     dp = derive(params)
-    # merge before the integer test: coinciding rates can sum fractional
-    # exponents to integers (e.g. the no-dominant-component reductions)
-    groups = merge_rate_groups(dp.theta_rates / params.avg_snr, dp.exponents)
-    if not groups:
-        raise DomainError(f"{params}: the factors of its transform cancel to nothing")
-    net = [a for _, a in groups]
+    half, m = params.mu / 2.0, params.m
+    if dp.deltas.any() and abs((half - m) + m - half) > 1e-6 * half:
+        raise CaseMismatchError("m is too large against mu, so mu/2 - m loses mu/2; use the numeric path")
+    regular, _ = link_factors(dp, params.avg_snr)
+    net = [float(a) for _, a in regular]
     if any(abs(a - round(a)) > 1e-9 for a in net):
         raise CaseMismatchError(
             f"net rate exponents {net!r} are not integers; use the numeric path"
         )
-    factors = [(p, int(round(a))) for p, a in groups]
+    factors = [(complex(p), int(round(a))) for p, a in regular if round(a) != 0]
     total = sum(a for _, a in factors if a > 0)
-    if total > _MAX_TOTAL_MULT:
+    if not 0 < total <= _MAX_TOTAL_MULT:
         raise CaseMismatchError(
-            f"total pole multiplicity {total} exceeds {_MAX_TOTAL_MULT}; use the numeric path"
+            f"total pole multiplicity {total} is not in 1..{_MAX_TOTAL_MULT}; use the numeric path"
         )
 
     try:

@@ -27,15 +27,14 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import _kernels
-from .errors import AccuracyWarning, ConvergenceError, DomainError, ParameterError
+from .errors import AccuracyWarning, ConvergenceError, ParameterError
 from .params import (
     METRICS,
-    DerivedParams,
     FBParams,
     SecrecyConfig,
     check_metrics,
     derive,
-    merge_rate_groups,
+    link_factors,
     outage_value,
 )
 
@@ -68,48 +67,26 @@ _PAIR_REL_DIST = 0.1
 _CHERNOFF_FRACTIONS = np.array([0.3, 0.5, 0.7, 0.9])  # of the nearest singularity: Chernoff bounds' t
 
 
-def _stable_factors(dp: DerivedParams, avg_snr: float):
-    """Split the transform factors into regular and stiff-pair groups.
-
-    Exactly coinciding rates are merged first.  A remaining factor with a
-    huge positive exponent (the no-shadowing surrogates put m ~ 1e6 here)
-    sits a distance O(1/m) from a near-cancelling negative partner; the
-    pair is evaluated jointly through log1p so the exponent never
-    multiplies an O(ulp) log rounding error.
-    """
-    groups = [(x.real, a) for x, a in merge_rate_groups(dp.theta_rates / avg_snr, dp.exponents)]
-    free = [g for g in groups if g[1] <= -_PAIR_COEF_MIN]  # negative partners not yet taken
-    reg, single, pairs = [], [], []  # (x, a) per factor, (x, delta, c) per stiff pair
-    for xi, ai in groups:
-        partner = min(free, key=lambda g: abs(g[0] - xi)) if ai >= _PAIR_COEF_MIN and free else None
-        if partner is None or abs(xi - partner[0]) > _PAIR_REL_DIST * max(abs(xi), abs(partner[0])):
-            single.append((xi, ai))
-            continue
-        xj, aj = partner
-        free.remove(partner)
-        # -ai log(s+xi) - aj log(s+xj) = -ai log1p((xi-xj)/(s+xj)) - (ai+aj) log(s+xj)
-        pairs.append((xj, xi - xj, ai))
-        if abs(ai + aj) > 1e-12:
-            reg.append((xj, ai + aj))
-    # a partner taken by a later group was passed as single: it is no longer free
-    reg += [g for g in single if g[1] > -_PAIR_COEF_MIN or g in free]
-    # the columns of both tables: poles, exps, pair_x, pair_delta, pair_coef
-    return (*np.array(reg).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
+def _paired(x, delta, c) -> bool:
+    """Whether a root (exponent ``c``) ``delta`` from its partner x is evaluated with it as a
+    stiff pair, through log1p, so that the exponent never multiplies an O(ulp) log rounding
+    error: the no-shadowing surrogates put m ~ 1e6 on a root O(1/m) from its partner."""
+    return c >= _PAIR_COEF_MIN and abs(delta) <= _PAIR_REL_DIST * x
 
 
 class _Link:
     """One link's transform, worked out once: all that the contour reads of the link.
 
-    It holds ``factors`` (:func:`_stable_factors`), ``ln_omega``, ``mu``, ``avg_snr``, the
+    It holds ``factors`` (the columns poles, exps, pair_x, pair_delta, pair_coef of
+    :func:`~fbsec.params.link_factors` with :func:`_paired`), ``ln_omega``, ``mu``, ``avg_snr``, the
     nearest singularity ``r`` and largest rate ``big`` (:func:`_rates`), ``exps_abs`` = sum |a|,
     and each stiff pair's (x, |c delta|) in ``pairs``: its log-term is at most |c delta / (s + x)|.
     """
 
     def __init__(self, params: FBParams):
         dp = derive(params)
-        self.factors = _stable_factors(dp, params.avg_snr)
-        if not (len(self.factors[0]) or len(self.factors[2])):  # no regular factor, no stiff pair
-            raise DomainError(f"{params}: the factors of its transform cancel to nothing")
+        regular, pairs = link_factors(dp, params.avg_snr, _paired)
+        self.factors = (*np.array(regular).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = params.avg_snr
@@ -550,13 +527,12 @@ class _AscRule:
     link, whose SNR is g_B: g_D = r g_B, so each problem is posed to the
     contour as (theta / r, z / r), Bob's tail bound is r times the link's,
     and the Chernoff t, in the link's units, is r times that above.
-    ``tail`` is the row's (R_hi, cut) from :meth:`tails`, worked out here
-    when not given.
+    ``tail`` is the row's (R_hi, cut) from :meth:`tails`.
     """
 
-    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float, tail=None):
+    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float, tail: tuple[float, float]):
         self.scale = avg_snr / contour.d.avg_snr
-        self.r_hi, self.cut = tail or self.tails(contour, [avg_snr])[0]
+        self.r_hi, self.cut = tail
         self.b = min(math.log1p(avg_snr), 0.5 * self.r_hi)
         self.grade = 2 if contour.d.mu + contour.e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol

@@ -9,11 +9,13 @@ rational-power Laplace representation of the SNR law,
 
     E[exp(-s * snr)] = omega * prod_k (s + theta_k / avg_snr) ** (-a_k),
 
-with four rate/exponent pairs ``(theta_k, a_k)``.  Everything downstream
-(closed forms, numerical inversion, Monte Carlo validation) works off this
-representation.  The secrecy side is here too: the metric names and
-:class:`SecrecyConfig`, which maps each outage metric to the (theta, z) of
-P(g_D - theta g_E < z) for all three routes.
+with four rate/exponent pairs ``(theta_k, a_k)``: two roots of a quadratic
+at exponent m, each an exact offset from a scattered-wave partner at
+``mu/2 - m``.  :func:`link_factors` writes them as one factor list, every
+coincidence exact, for the closed forms and the numerical inversion alike.
+The secrecy side is here too: the metric names and :class:`SecrecyConfig`,
+which maps each outage metric to the (theta, z) of P(g_D - theta g_E < z)
+for all three routes.
 
 The quadratic whose roots give the first two rates always has a
 non-negative discriminant (it can be rearranged into A^2 + 2*A*B*w + B^2
@@ -40,7 +42,7 @@ __all__ = [
     "FBParams",
     "DerivedParams",
     "derive",
-    "merge_rate_groups",
+    "link_factors",
     "from_kappa_mu_shadowed",
     "from_rician_shadowed",
     "from_nakagami",
@@ -98,69 +100,47 @@ class DerivedParams:
     """Constants of the rational-power transform for one link.
 
     ``theta_rates`` and ``exponents`` are aligned: the first two entries are
-    the quadratic roots with exponent ``m`` each, the last two are the
-    scattered-wave rates with exponent ``mu/2 - m`` each (possibly negative,
-    in which case they act as numerator factors).  ``ln_omega`` is the log
-    of the scale factor omega, which itself overflows at very low mean SNR.
+    the quadratic roots, the larger first, with exponent ``m`` each, the
+    last two the scattered-wave rates ``sc/eta`` and ``sc`` with exponent
+    ``mu/2 - m`` each (possibly negative, in which case they act as
+    numerator factors).  Each root has a scattered partner, the larger
+    root the larger rate, and root k lies ``deltas[k]`` from it: exactly 0
+    where ``kappa = 0``.  ``ln_omega`` is the log of the scale factor
+    omega, which itself overflows at very low mean SNR.
     """
 
     theta_rates: np.ndarray
     exponents: np.ndarray
+    deltas: np.ndarray
     mu: float
     ln_omega: float
-
-
-_MERGE_RTOL = 1e-9  # rates this close (relative) form one group
-_DROP_TOL = 1e-9  # a group whose net exponent is this small is dropped
-
-
-def merge_rate_groups(rates, exponents) -> list[tuple[complex, float]]:
-    """Coalesce rates that coincide to relative ``_MERGE_RTOL``, summing exponents.
-
-    Groups whose net exponent has magnitude below ``_DROP_TOL`` disappear
-    (their factor is identically 1).  The merged position is the plain mean
-    of the member rates: exact when they coincide, and the correct limit
-    for a near-double root (exponent-weighted means would amplify rounding
-    through large cancelling weights).
-    """
-    groups: list[list] = []  # [anchor rate, member rates, net exponent]
-    for rate, a in zip(np.asarray(rates, dtype=complex), np.asarray(exponents, dtype=float)):
-        for entry in groups:
-            if abs(rate - entry[0]) <= _MERGE_RTOL * max(abs(rate), abs(entry[0])):
-                entry[1].append(rate)
-                entry[2] += a
-                break
-        else:
-            groups.append([rate, [rate], a])
-    return [
-        (complex(sum(members) / len(members)), float(a))
-        for _, members, a in groups
-        if abs(a) > _DROP_TOL
-    ]
 
 
 def derive(params: FBParams) -> DerivedParams:
     """Compute the transform constants for one link.
 
-    The normalisation factor is evaluated in log space so that the
-    large-``m`` reductions (Beckmann surrogate, ``m = 1e6``) do not
-    underflow: with ``alpha1 = alpha2 + C/m`` the combination
-    ``m * log(alpha1/alpha2)`` stays bounded as ``m`` grows.
+    With ``alpha1 = alpha2 + X`` and ``beta = beta0 + Y`` (X and Y of order
+    kappa/m), the quadratic ``alpha1 s^2 + beta s + 1`` is
+    ``alpha2 s^2 + beta0 s + 1``, whose roots are the scattered rates (the
+    partners), plus ``s (X s + Y)``.  So each root is its
+    partner x (the other one x') plus delta, the root of
+    ``(alpha2 + X) delta^2 + (alpha2 (x - x') + 2 X x + Y) delta + x (X x + Y) = 0``
+    that keeps the roots in the partners' order.  It is solved for
+    ``D = m delta``, whose coefficients m X, m Y and m (X x + Y) are closed
+    forms free of m and of cancellation, so delta stays exact however large
+    m is: 0 where ``kappa = 0``, and for one root where ``eta = 1``.  The
+    normalisation factor is evaluated in log space, its m-term as
+    ``-m log1p(X / alpha2)`` with X formed directly.
 
-    Raises DomainError, naming the link, where float arithmetic cannot
-    hold the law: where ``mu/2 - m`` loses ``mu/2`` (m past a few 1e9 times mu),
-    and where a constant leaves the float range (extreme mu, kappa or eta).
+    Raises DomainError, naming the link, where a constant leaves the float
+    range (extreme mu, kappa or eta).
     """
     mu, m, kappa, eta, rho2 = params.mu, params.m, params.kappa, params.eta, params.rho2
     snr = params.avg_snr
-    if abs((mu / 2.0 - m) + m - mu / 2.0) > 1e-6 * (mu / 2.0):
-        raise DomainError(f"{params}: m is too large against mu, so mu/2 - m loses mu/2 in float")
-
     try:
         alpha2 = 4.0 * eta / (mu**2 * (1.0 + eta) ** 2 * (1.0 + kappa) ** 2)
-        alpha1 = alpha2 + 2.0 * kappa * (rho2 + eta) / (
-            m * (1.0 + rho2) * mu * (1.0 + eta) * (1.0 + kappa) ** 2
-        )
+        alpha_gap = 2.0 * kappa * (rho2 + eta) / (m * (1.0 + rho2) * mu * (1.0 + eta) * (1.0 + kappa) ** 2)
+        alpha1 = alpha2 + alpha_gap
         beta = -(2.0 / mu + kappa / m) / (1.0 + kappa)
 
         # roots of alpha1*s^2 + beta*s + 1; beta < 0 always, so the stable
@@ -171,20 +151,61 @@ def derive(params: FBParams) -> DerivedParams:
         c1 = q / alpha1
         c2 = 1.0 / q
 
+        # (x, alpha2 (x - x'), m (X x + Y)) of each partner, the larger first: it takes the
+        # larger root, and of its quadratic's roots the larger delta (sign +1)
         scattered = mu * (1.0 + eta) * (1.0 + kappa) / 2.0
+        mx = 2.0 * kappa * (rho2 + eta) / ((1.0 + rho2) * mu * (1.0 + eta) * (1.0 + kappa) ** 2)
+        u = kappa * (1.0 - eta) / ((1.0 + kappa) * (1.0 + rho2))
+        couples = [(scattered / eta, (1.0 - eta) / scattered, u * rho2 / eta),
+                   (scattered, (eta - 1.0) / scattered, -u)]
+        if eta > 1.0:
+            couples.reverse()
+        deltas = []
+        for (x, split, mxy), sign in zip(couples, (1.0, -1.0)):
+            # (alpha1 / m) D^2 + b D + x mxy = 0, and the root of the partner's sign by the
+            # stable formula; m b is formed on its own where it does not grow with m
+            b = split + (mx * x + mxy) / m
+            if sign * b > 0.0:
+                d = -2.0 * x * mxy / (b + sign * math.sqrt(max(b * b - 4.0 * alpha1 / m * x * mxy, 0.0)))
+            else:
+                mb = m * split + (mx * x + mxy)
+                d = (-mb + sign * math.sqrt(max(mb * mb - 4.0 * alpha1 * m * x * mxy, 0.0))) / (2.0 * alpha1)
+            deltas.append(d / m)
         theta = np.array([c1, c2, scattered / eta, scattered], dtype=complex)
-        lno = (
-            -m * math.log1p((alpha1 - alpha2) / alpha2)
-            - (mu / 2.0) * math.log(alpha2)
-            - mu * math.log(snr)
-        )
+        lno = -m * math.log1p(alpha_gap / alpha2) - (mu / 2.0) * math.log(alpha2) - mu * math.log(snr)
     except (ArithmeticError, ValueError):  # a division by zero, an overflow, a log of 0
         lno = math.nan
-    if not (math.isfinite(lno) and np.isfinite(theta).all()):
+    if not (math.isfinite(lno) and np.isfinite(theta).all() and np.isfinite(deltas).all()):
         raise DomainError(f"{params}: a constant of its transform is past the float range")
     exps = np.array([m, m, mu / 2.0 - m, mu / 2.0 - m], dtype=float)
 
-    return DerivedParams(theta_rates=theta, exponents=exps, mu=mu, ln_omega=lno)
+    return DerivedParams(theta_rates=theta, exponents=exps, deltas=np.array(deltas), mu=mu, ln_omega=lno)
+
+
+def link_factors(dp: DerivedParams, avg_snr: float, paired=lambda x, delta, c: False):
+    """(regular, pairs): one link's transform as factors, every rate divided by ``avg_snr``.
+
+    ``regular`` holds (x, a), a factor (s + x)^-a, and ``pairs`` holds
+    (x, delta, c), a factor (1 + delta / (s + x))^-c.  Each root, of
+    exponent m, and its partner x, of ``mu/2 - m``, make the factors
+    (x, mu/2) and (x, delta, m) where ``paired(x, delta, m)`` holds, and
+    (root, m) and (x, mu/2 - m) where it does not.  Every coincidence is
+    exact: a root with delta = 0 (kappa = 0) is its partner's, one factor
+    (x, mu/2) with no m in it, partners that coincide (eta = 1) are one
+    factor, and a factor of exponent 0 is left out.  The roots come first.
+    """
+    m = float(dp.exponents[0])
+    roots, partners = (dp.theta_rates / avg_snr).real.reshape(2, 2).tolist()
+    net = dict.fromkeys(partners, 0.0)  # each partner's exponent
+    regular, pairs = [], []
+    for root, x, delta in zip(roots, sorted(partners, reverse=True), (dp.deltas / avg_snr).tolist()):
+        net[x] += dp.mu / 2.0
+        if delta != 0.0 and paired(x, delta, m):
+            pairs.append((x, delta, m))
+        elif delta != 0.0:
+            regular.append((root, m))
+            net[x] -= m
+    return regular + [(x, a) for x, a in net.items() if a != 0.0], pairs
 
 
 # ---------------------------------------------------------------------------

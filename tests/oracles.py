@@ -38,9 +38,10 @@ from fbsec.inversion import (
     _OPENINGS,
     _PROBE_STEP,
     _Link,
+    _paired,
     _rates,
-    _stable_factors,
 )
+from fbsec.params import link_factors
 from fbsec._kernels import log_transform
 from fbsec.special import (
     _CF_SWITCH,
@@ -373,13 +374,38 @@ def cdf_case2(pfe, g):
     return out if out.ndim else float(out)
 
 
+def law_reference(p):
+    """(ln omega, rates, exponents) of link ``p`` at mpmath's working precision, from its
+    parameters alone: the quadratic's roots, the larger first, with exponent m, and the
+    scattered rates sc/eta and sc with mu/2 - m, every rate over the mean SNR."""
+    import mpmath as mp
+
+    mu, m, kappa, eta, rho2, snr = (mp.mpf(x) for x in (p.mu, p.m, p.kappa, p.eta, p.rho2, p.avg_snr))
+    alpha2 = 4 * eta / (mu**2 * (1 + eta) ** 2 * (1 + kappa) ** 2)
+    alpha1 = alpha2 + 2 * kappa * (rho2 + eta) / (m * (1 + rho2) * mu * (1 + eta) * (1 + kappa) ** 2)
+    beta = -(2 / mu + kappa / m) / (1 + kappa)
+    sq = mp.sqrt(beta**2 - 4 * alpha1)
+    sc = mu * (1 + eta) * (1 + kappa) / 2
+    rates = [(-beta + sq) / (2 * alpha1), (-beta - sq) / (2 * alpha1), sc / eta, sc]
+    exponents = [m, m, mu / 2 - m, mu / 2 - m]
+    ln_omega = mp.fsum(a * mp.log(r) for r, a in zip(rates, exponents)) - mu * mp.log(snr)
+    return ln_omega, [r / snr for r in rates], exponents
+
+
+def contour_factors(dp, avg_snr: float):
+    """One link's factors as the contour holds them (``_Link.factors``): the columns poles,
+    exps, pair_x, pair_delta and pair_coef of its regular factors and stiff pairs."""
+    regular, pairs = link_factors(dp, avg_snr, _paired)
+    return (*np.array(regular).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
+
+
 def mgf(dp, avg_snr: float, s):
     """Transform value omega * prod_k (s + theta_k/avg_snr)^(-a_k).
 
     Analytic for Re(s) > 0; evaluated in log space, with near-cancelling
     factor pairs combined so the huge-``m`` reductions stay accurate.
     """
-    factors = _stable_factors(dp, avg_snr)
+    factors = contour_factors(dp, avg_snr)
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
     re, im = log_transform(s_arr.real, s_arr.imag, *factors, dp.ln_omega)
     out = np.exp(re) * (np.cos(im) + 1j * np.sin(im))
@@ -475,7 +501,7 @@ class TalbotLink(_Link):
 
     def __init__(self, dp, avg_snr: float, nodes: int = 48):
         # _Link's fields, from the derived constants its callers already hold
-        self.factors = _stable_factors(dp, avg_snr)
+        self.factors = contour_factors(dp, avg_snr)
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = avg_snr

@@ -17,13 +17,20 @@ from fbsec import (
 )
 from fbsec.casetwo import _mixture_value, _realify, _taylor_rows, _validate_expansion
 from fbsec.errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
-from fbsec.params import METRICS, outage_value
+from fbsec.params import METRICS, link_factors, outage_value
 
 import oracles
 from conftest import draw_params
 from oracles import cdf_case2, pdf_case2
 
 EPS = np.finfo(float).eps
+
+
+def case2_factors(p):
+    """The (pole, integer exponent) factors that link_expansion decomposes: the link's regular
+    factors (fbsec.params.link_factors), those of exponent 0 left out."""
+    regular, _ = link_factors(derive(p), p.avg_snr)
+    return [(complex(x), int(round(a))) for x, a in regular if round(a) != 0]
 
 
 def quad_asc(bob, eve, upper):
@@ -91,8 +98,7 @@ class TestPartialFractions:
         p = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2)
         dp = derive(p)
         exp = link_expansion(p)
-        groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
-        factors = [(x, int(round(a))) for x, a in groups]
+        factors = case2_factors(p)
         _validate_expansion(exp, factors, dp.ln_omega)
         coef = exp.term_A if side == "density" else exp.term_B
         coef[np.argmax(np.abs(coef))] *= factor
@@ -124,9 +130,7 @@ class TestPartialFractions:
         rows = 0
         for _ in range(396):
             for p in (draw_params(rng, case2=True), draw_params(rng, case2=True)):
-                dp = derive(p)
-                groups = fbsec.merge_rate_groups(dp.theta_rates / p.avg_snr, dp.exponents)
-                factors = [(x, int(round(a))) for x, a in groups]
+                factors = case2_factors(p)
                 for i, (_, a) in enumerate(factors):
                     if a > 0:
                         A, B = _taylor_rows(factors, i)

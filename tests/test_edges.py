@@ -8,7 +8,7 @@ import pytest
 from fbsec import FBParams, SecrecyConfig, numeric_metrics
 from fbsec.casetwo import closed_metrics
 from fbsec.cli import main
-from fbsec.errors import ConvergenceError, DomainError, ParameterError
+from fbsec.errors import CaseMismatchError, ConvergenceError, DomainError, ParameterError
 
 from conftest import EVE_REFERENCE
 
@@ -34,21 +34,25 @@ def spec(link: dict) -> str:
 
 # (link without its SNR, why derive refuses it)
 EDGE_LINKS = [
-    (dict(mu=1e-300, m=1.0, kappa=0.0, eta=1.0, rho2=1.0), "loses mu/2"),
-    (dict(mu=1e-300, m=1e-301, kappa=0.0, eta=1.0, rho2=1.0), "float range"),  # alpha2 divides by 0
+    (dict(mu=1e-300, m=1.0, kappa=0.0, eta=1.0, rho2=1.0), "float range"),  # mu^2 underflows in alpha2
+    (dict(mu=1e-300, m=1e-301, kappa=0.0, eta=1.0, rho2=1.0), "float range"),
     (dict(mu=1e300, m=1.0, kappa=1.0, eta=1.0, rho2=1.0), "float range"),
     (dict(mu=1.0, m=1.0, kappa=1e300, eta=1.0, rho2=1.0), "float range"),
     (dict(mu=1.0, m=1.0, kappa=1.0, eta=1e200, rho2=1.0), "float range"),
-    (dict(mu=1e-150, m=1.0, kappa=1.0, eta=1.0, rho2=1.0), "loses mu/2"),
-    (dict(mu=1.0, m=1e300, kappa=1.0, eta=1.0, rho2=1.0), "loses mu/2"),
-    (dict(mu=3.0, m=1e16, kappa=1.5, eta=0.4, rho2=1.0), "loses mu/2"),
-    (dict(mu=3.0, m=1e17, kappa=0.0, eta=0.4, rho2=1.0), "loses mu/2"),
-    # silent wrong values before: the SOP against fig1's Eve moved with m
-    (dict(mu=3.0, m=1e16, kappa=0.0, eta=0.4, rho2=1.0), "loses mu/2"),
-    (dict(mu=2.7, m=1e15, kappa=0.0, eta=0.4, rho2=1.0), "loses mu/2"),
-    (dict(mu=2.7, m=1e12, kappa=0.0, eta=0.4, rho2=1.0), "loses mu/2"),
-    # mu/2 and m are both below the merge's drop tolerance: no factor is left
-    (dict(mu=1e-12, m=1e-13, kappa=1.0, eta=1.0, rho2=1.0), "cancel to nothing"),
+]
+
+# Links with m huge against mu, or exponents below 1e-9: each root sits an exact delta from its
+# partner (none at kappa = 0), so the numeric route answers; the closed route refuses them as not
+# Case 2, where mu/2 - m loses mu/2, an exponent is not an integer or no pole is left
+LARGE_M_LINKS = [
+    dict(mu=1e-150, m=1.0, kappa=1.0, eta=1.0, rho2=1.0),
+    dict(mu=1.0, m=1e300, kappa=1.0, eta=1.0, rho2=1.0),
+    dict(mu=3.0, m=1e16, kappa=1.5, eta=0.4, rho2=1.0),
+    dict(mu=3.0, m=1e17, kappa=0.0, eta=0.4, rho2=1.0),
+    dict(mu=3.0, m=1e16, kappa=0.0, eta=0.4, rho2=1.0),
+    dict(mu=2.7, m=1e15, kappa=0.0, eta=0.4, rho2=1.0),
+    dict(mu=2.7, m=1e12, kappa=0.0, eta=0.4, rho2=1.0),
+    dict(mu=1e-12, m=1e-13, kappa=1.0, eta=1.0, rho2=1.0),
 ]
 
 
@@ -67,14 +71,40 @@ class TestEdgeLinks:
         assert code == 2 and out == ""
         assert err.startswith("error: FBParams(") and why in err and err.count("\n") == 1
 
-    def test_a_large_m_that_keeps_mu_answers(self, capsys):
-        # m = 1e6 keeps mu/2 - m exact; its SOP is that of every smaller m with kappa = 0
-        code, out, err = run(capsys, "eval", "--bob", "mu=3,m=1e6,kappa=0,eta=0.4,rho2=1,snr_db=10",
-                             "--eve", FIG1_EVE, "--rs", "0.5", "--metric", "sop")
-        assert code == 0, err
-        ref = numeric_metrics(FBParams(3.0, 1.0, 0.0, 0.4, 1.0, 10.0), EVE_REFERENCE, SecrecyConfig(0.5),
-                              metrics=("sop",))[0]["sop"]
-        assert json.loads(out)["sop"] == pytest.approx(ref, rel=1e-6)
+    @pytest.mark.parametrize("link", LARGE_M_LINKS)
+    def test_large_m_answers_on_the_numeric_route(self, capsys, link):
+        bob = FBParams(**link, avg_snr=10.0)
+        with pytest.raises(CaseMismatchError):
+            closed_metrics(bob, EVE_REFERENCE, SecrecyConfig(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = numeric_metrics(bob, EVE_REFERENCE, SecrecyConfig(0.5), metrics=("sop", "sopl", "spsc"))
+        assert all(0.0 < values[k] < 1.0 and errors[k] < 1e-9 for k in values)
+        assert values["sopl"] <= values["sop"]
+        code, out, err = run(capsys, "eval", "--bob", spec(link) + ",snr_db=10.0", "--eve", FIG1_EVE,
+                             "--rs", "0.5", "--metric", "sop")
+        assert code == 0 and err == ""
+        assert json.loads(out)["path"] == "numeric" and json.loads(out)["sop"] == values["sop"]
+
+    @pytest.mark.parametrize("route", ["numeric", "closed"])
+    def test_kappa_zero_makes_m_inert_exactly(self, capsys, route):
+        # kappa = 0 puts each root on its partner exactly: m is in no factor and not in omega
+        def bits(m):
+            if route == "numeric":
+                bob, eve = FBParams(3.0, m, 0.0, 0.4, 1.0, 10.0), EVE_REFERENCE
+                values, errors = numeric_metrics(bob, eve, SecrecyConfig(0.5))
+                return [(values[k].hex(), errors[k].hex()) for k in values]
+            bob, eve = FBParams(4.0, m, 0.0, 0.4, 1.0, 10.0), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+            return [v.hex() for v in closed_metrics(bob, eve, SecrecyConfig(0.5)).values()]
+
+        assert bits(0.5) == bits(1.0) == bits(1e6) == bits(1e17)
+        if route == "numeric":  # and so the CLI's value, whatever m it is given
+            code, out, err = run(capsys, "eval", "--bob", "mu=3,m=1e17,kappa=0,eta=0.4,rho2=1,snr_db=10",
+                                 "--eve", FIG1_EVE, "--rs", "0.5", "--metric", "sop")
+            assert code == 0, err
+            ref = numeric_metrics(FBParams(3.0, 1.0, 0.0, 0.4, 1.0, 10.0), EVE_REFERENCE, SecrecyConfig(0.5),
+                                  metrics=("sop",))[0]["sop"]
+            assert json.loads(out)["sop"] == ref
 
 
 class TestLargeTargetRate:

@@ -18,12 +18,12 @@ from fbsec import (
     numeric_metrics,
 )
 from fbsec.errors import AccuracyWarning, ConvergenceError, ParameterError
-from fbsec._kernels import log_transform
-from fbsec.inversion import _AscRule, _Bromwich, _Link, _stable_factors
+from fbsec.inversion import _AscRule, _Bromwich, _Link
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
-from oracles import TalbotLink, mgf, opening_reference, saddle_start_reference, truncation_reference
+from oracles import (TalbotLink, law_reference, mgf, opening_reference, saddle_start_reference,
+                     truncation_reference)
 
 class TestControl:
     def test_defaults(self):
@@ -440,7 +440,7 @@ class TestOutageContour:
 
 
 class TestStableFactors:
-    """The paired factors of the no-shadowing surrogates give log M of the unpaired product."""
+    """The paired factors of the no-shadowing surrogates give log M of the law itself."""
 
     # (link, stiff pairs, exponents left at +-1e6): the third has one pair and one
     # couple whose rates lie more than 10% apart, so it stays unpaired
@@ -455,22 +455,54 @@ class TestStableFactors:
     def test_log_m_against_unpaired_sum(self, index):
         mp = pytest.importorskip("mpmath")
         p, n_pairs, n_big = self.LINKS[index]
-        dp = derive(p)
-        factors = _stable_factors(dp, p.avg_snr)
-        poles, exps, pair_x = factors[:3]
+        link = _Link(p)
+        poles, exps, pair_x = link.factors[:3]
         assert len(pair_x) == n_pairs
         assert np.sum(np.abs(exps) > 1e5) == n_big
-        rates = (dp.theta_rates / p.avg_snr).real  # the rates as the library divides them
         for s in (0.5, 3.0, 1 + 2j, 0.05 - 0.3j, 10 + 40j):
             s = complex(s)
-            re, im = log_transform(np.array([s.real]), np.array([s.imag]), *factors, dp.ln_omega)
-            with mp.workdps(50):
-                terms = [mp.mpf(a) * mp.log(mp.mpc(s) + mp.mpf(r)) for r, a in zip(rates, dp.exponents)]
-                ref = mp.mpf(dp.ln_omega) - mp.fsum(terms)
+            re, im = link.log_m(np.array([s.real]), np.array([s.imag]))
+            with mp.workdps(60):
+                # the unpaired sum of the law's own constants, from its parameters
+                ln_omega, rates, exponents = law_reference(p)
+                ref = ln_omega - mp.fsum(a * mp.log(mp.mpc(s) + r) for r, a in zip(rates, exponents))
             # 1e-12, plus the rounding of each unpaired factor's log times its exponent
             floor = 4 * np.finfo(float).eps * sum(abs(a * np.log(complex(s + x))) for x, a in zip(poles, exps))
             assert abs(re[0] - float(ref.real)) <= 1e-12 + floor
             assert abs(im[0] - float(ref.imag)) <= 1e-12 + floor
+
+
+def _settling(values, errors):
+    """Whether each successive difference of ``values`` is at most a tenth of the one before it,
+    or within the achieved errors of its two values."""
+    d = np.abs(np.diff(values))
+    return all(d[i] <= 0.1 * d[i - 1] or d[i] <= errors[i] + errors[i + 1] for i in range(1, len(d)))
+
+
+class TestLargeM:
+    """Links toward the no-shadowing limit m -> inf: each root an exact delta from its partner."""
+
+    @staticmethod
+    def _sop(bob, rs):
+        values, errors = numeric_metrics(bob, EVE_REFERENCE, SecrecyConfig(rs), metrics=("sop",))
+        return values["sop"], errors["sop"]
+
+    @pytest.mark.parametrize("kappa", [1e-4, 1.5])
+    def test_sop_settles_as_m_grows(self, kappa):
+        # merging a root with its partner at 1e-9 dropped the line-of-sight term: at kappa = 1.5
+        # the SOP went 0.0593345 -> 0.0551050 -> 0.0365787 from m = 1e6 to 1e9 and 1e12
+        values, errors = zip(*(self._sop(FBParams(1.0, m, kappa, 0.3, 0.64, 100.0), 1.0)
+                               for m in (1e4, 1e6, 1e9, 1e12, 1e15)))
+        assert _settling(values, errors), values
+
+    def test_kappa_mu_shadowed_limit(self):
+        # eta = 1: one root is its partner exactly, the other delta = -(2 X x + Y) / (alpha2 + X) from it
+        limit = 0.3510802351
+        values, errors = zip(*(self._sop(FBParams(1.0, m, 1.0, 1.0, 1.0, 10.0), 0.5)
+                               for m in (1e6, 1e9, 1e12, 1e16, 1e300)))
+        assert _settling(values, errors), values
+        assert abs(values[0] - limit) <= 1e-6
+        assert all(abs(v - limit) <= 1e-10 for v in values[2:])
 
 
 # The pairs of the numeric-sweep benchmark workload (perfbench/workloads.py):
@@ -491,12 +523,17 @@ def _sweep_links(names=tuple(SWEEP_PAIRS)):
             for bob, eve in (SWEEP_PAIRS[k] for k in names) for lam in SWEEP_LAMBDAS_DB]
 
 
+def _asc_rule(contour, avg_snr):
+    """The ASC rule of one row at the default tolerance, on its own tail cut."""
+    return _AscRule(contour, 1e-8, avg_snr, _AscRule.tails(contour, [avg_snr])[0])
+
+
 def _first_batch(bob, eve):
     """The contour and the first batch of an all-metrics row at R_s = 1: the
     outage problems and ASC's first nodes, as numeric_metrics sends them."""
     contour = _Bromwich(_Link(bob), _Link(eve))
     keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
-    theta_r, z_r = _AscRule(contour, 1e-8, bob.avg_snr).problems()
+    theta_r, z_r = _asc_rule(contour, bob.avg_snr).problems()
     return contour, np.r_[[k[0] for k in keys], theta_r], np.r_[[k[1] for k in keys], z_r]
 
 
@@ -650,7 +687,7 @@ class TestSaddleStart:
             keys = sorted(set(cfg.outage_problems(METRICS).values()))
             theta, z = np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
             try:
-                theta_r, z_r = _AscRule(contour, 1e-8, bob.avg_snr).problems()
+                theta_r, z_r = _asc_rule(contour, bob.avg_snr).problems()
             except ConvergenceError:
                 theta_r = z_r = np.empty(0)
             yield contour, np.r_[theta, theta_r], np.r_[z, z_r]
@@ -727,8 +764,8 @@ class TestSweepBatch:
         built = []
 
         class Recorded(_AscRule):
-            def __init__(self, contour, rel_tol, avg_snr, *tail):
-                super().__init__(contour, rel_tol, avg_snr, *tail)
+            def __init__(self, contour, rel_tol, avg_snr, tail):
+                super().__init__(contour, rel_tol, avg_snr, tail)
                 built.append((contour, avg_snr, self, self.problems()))
 
         monkeypatch.setattr("fbsec.inversion._AscRule", Recorded)
@@ -738,7 +775,7 @@ class TestSweepBatch:
             numeric_metrics(rows[13], eve, SecrecyConfig(1.0), metrics=("asc",))
         assert len(built) == len(rows) + 1
         for contour, avg_snr, rule, problems in built:
-            alone = _AscRule(contour, 1e-8, avg_snr)
+            alone = _asc_rule(contour, avg_snr)
             for field in ("r_hi", "b", "cut"):
                 assert getattr(rule, field).hex() == getattr(alone, field).hex(), field
             assert all(_same_bits(x, y) for x, y in zip(problems, alone.problems()))
@@ -748,8 +785,8 @@ class TestSweepBatch:
         rows, eve = self._rows("fig1")
         first = _Bromwich(_Link(rows[0]), _Link(eve))
         for row in rows[1::6]:
-            scaled = _AscRule(first, 1e-8, row.avg_snr)
-            own = _AscRule(_Bromwich(_Link(row), _Link(eve)), 1e-8, row.avg_snr)
+            scaled = _asc_rule(first, row.avg_snr)
+            own = _asc_rule(_Bromwich(_Link(row), _Link(eve)), row.avg_snr)
             for name in ("r_hi", "b", "cut"):
                 assert getattr(scaled, name) == pytest.approx(getattr(own, name), rel=1e-12, abs=0.0), name
             for x, x_own in zip(scaled.problems(), own.problems()):

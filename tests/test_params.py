@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import fbsec
-from fbsec import FBParams, derive, merge_rate_groups
+from fbsec import FBParams, derive
 from fbsec.errors import ParameterError
+from fbsec.params import link_factors
 
 import oracles
 from conftest import EVE_REFERENCE
@@ -55,10 +56,9 @@ class TestDerive:
         assert quadratic(p) == pytest.approx((0.25, -1.0), rel=1e-14)
         assert np.allclose(dp.theta_rates, 2.0)
         assert math.exp(dp.ln_omega) == pytest.approx(4.0, rel=1e-13)
-        merged = merge_rate_groups(dp.theta_rates, dp.exponents)
-        assert len(merged) == 1
-        assert merged[0][0] == pytest.approx(2.0)
-        assert merged[0][1] == pytest.approx(2.0)
+        # kappa = 0 and eta = 1: both roots sit on the one partner, a single factor (s + 2)^-2
+        regular, pairs = link_factors(dp, 1.0)
+        assert regular == [(2.0, 2.0)] and pairs == []
 
     def test_gamma_reduction_normalization(self):
         dp = derive(FBParams(2, 1, 0, 1, 1, 1))
@@ -73,7 +73,7 @@ class TestDerive:
         c1, c2 = dp.theta_rates[:2]
         assert c1 * c2 == pytest.approx(1.0 / alpha1, rel=1e-12)
         assert c1 + c2 == pytest.approx(-beta / alpha1, rel=1e-12)
-        assert len(merge_rate_groups(dp.theta_rates, dp.exponents)) == 4
+        assert len(link_factors(dp, 1.0)[0]) == 4
 
     def test_normalization_and_vieta_on_draws(self):
         rng = np.random.default_rng(7)
@@ -109,33 +109,71 @@ class TestDerive:
         assert d1.exponents.sum() == pytest.approx(mu, rel=1e-12)
 
     @given(
-        rates=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=6),
-        exps=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+        mu=st.floats(0.05, 50.0), ln_m=st.floats(math.log(0.05), math.log(1e300)),
+        kappa=st.sampled_from([0.0, 1e-6, 1.0, 1e4]) | st.floats(0.0, 1e4),
+        eta=st.sampled_from([1.0]) | st.floats(1e-4, 1e4), rho2=st.floats(0.0, 1e4),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_merge_preserves_exponent_mass(self, rates, exps):
-        rates = (rates * 6)[:6]
-        merged = merge_rate_groups(rates, exps)
-        kept = sum(a for _, a in merged)
-        # dropped groups carry |net| <= 1e-9 each, at most 6 of them
-        assert abs(kept - sum(exps)) <= 6e-9 + 1e-9 * sum(abs(e) for e in exps)
-        for rate, _ in merged:
-            assert min(abs(rate - r) for r in rates) <= 1e-6 * max(abs(rate), 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_factor_list_keeps_the_law(self, mu, ln_m, kappa, eta, rho2):
+        # the factor exponents add up to mu and a pair carries its root's exponent m, whether the
+        # couples are written as pairs or as two factors, and each root is its partner plus delta
+        p = FBParams(mu, math.exp(ln_m), kappa, eta, rho2, 3.0)
+        dp = derive(p)
+        roots, partners = (dp.theta_rates / 3.0).real.reshape(2, 2)
+        for paired in (lambda x, delta, c: False, lambda x, delta, c: True):
+            regular, pairs = link_factors(dp, 3.0, paired)
+            assert sum(a for _, a in regular) == pytest.approx(mu, rel=1e-9, abs=1e-9 * p.m)
+            assert all(x in partners and c == p.m for x, _, c in pairs)
+            assert all(x in roots or x in partners for x, _ in regular)
+        assert len(pairs) == np.count_nonzero(dp.deltas / 3.0)
+        assert kappa > 0.0 or len(pairs) == 0
+        for root, x, delta in zip(roots, sorted(partners, reverse=True), dp.deltas / 3.0):
+            # near a double root the quadratic formula's roots carry errors up to sqrt(eps)
+            assert abs(x + delta - root) <= 1e-7 * root
 
     def test_kappa_zero_makes_m_and_rho2_inert(self):
-        def canon(m, rho2):
-            dp = derive(FBParams(3.0, m, 0.0, 0.4, rho2, 2.0))
-            groups = sorted(merge_rate_groups(dp.theta_rates, dp.exponents), key=lambda g: g[0].real)
-            return groups
-
-        ref = canon(0.7, 0.3)
-        for m in (3.0, 50.0):
+        # both roots are their partners exactly: no m in any factor, and the same ln omega
+        ref = derive(FBParams(3.0, 0.7, 0.0, 0.4, 0.3, 2.0))
+        for m in (3.0, 50.0, 1e17, 1e300):
             for rho2 in (0.0, 5.0):
-                got = canon(m, rho2)
-                assert len(got) == len(ref)
-                for (r1, a1), (r2, a2) in zip(ref, got):
-                    assert abs(r1 - r2) <= 1e-12 * abs(r1)
-                    assert abs(a1 - a2) <= 1e-12 * max(1.0, abs(a1))
+                dp = derive(FBParams(3.0, m, 0.0, 0.4, rho2, 2.0))
+                assert link_factors(dp, 2.0) == ([(x, 1.5) for x in (ref.theta_rates[2:] / 2.0).real], [])
+                assert dp.ln_omega == ref.ln_omega
+
+    # links whose roots lie delta from their partners: (link, 60-digit check of delta itself)
+    DELTA_LINKS = [
+        (FBParams(1.0, 1e6, 1.0, 1.0, 1.0, 10.0), True),  # eta = 1: one root on the partner exactly
+        (FBParams(1.0, 1e12, 1.0, 1.0, 1.0, 10.0), True),
+        (FBParams(1.0, 1e300, 1.0, 1.0, 1.0, 10.0), False),  # delta below an ulp of the partner
+        (FBParams(3.0, 2.5, 0.0, 0.4, 1.0, 10.0), True),  # kappa = 0: each root on its partner
+        (FBParams(26.3253255466307, 1e6, 207.48079556974696, 8395.498315023075, 0.00021969427582897144,
+                  8577499.867362984), True),
+        # kappa / m not small: the smaller partner's nearer root is the larger partner's too
+        (FBParams(41.59644719741527, 3154.6794204679554, 5151.765703734275, 1.6703645495601778,
+                  0.5016200789685173, 711599346.0916233), True),
+        (FBParams(1.0, 1e6, 1.5, 0.3, 0.64, 100.0), True),
+    ]
+
+    @pytest.mark.parametrize("p, resolved", DELTA_LINKS)
+    def test_deltas_against_60_digit_roots(self, p, resolved):
+        mp = pytest.importorskip("mpmath")
+        dp = derive(p)
+        partners = sorted(dp.theta_rates.real[2:], reverse=True)  # the larger root's first
+        if p.kappa == 0.0:
+            assert list(dp.deltas) == [0.0, 0.0]
+        with mp.workdps(60):
+            _, rates, _ = oracles.law_reference(p)
+            exact = sorted(rates[2:], reverse=True)
+            for k, (x, delta) in enumerate(zip(partners, dp.deltas)):
+                root = rates[k] * p.avg_snr
+                # x + delta is the root, to a few ulps of x (the far couple of the kappa = 207 link: 17)
+                assert abs(mp.mpf(x) + mp.mpf(delta) - root) <= 1e-14 * (x + root)
+                if resolved:  # and delta is the root's offset from its exact partner, where the
+                    # 60-digit roots resolve it: near a double root they carry 5e-49 at eta = 1, m = 1e12
+                    offset = root - exact[k] * p.avg_snr
+                    assert abs(mp.mpf(delta) - offset) <= 1e-13 * abs(offset) + mp.mpf(10) ** -40 * root
+        if p.eta == 1.0:
+            assert dp.deltas[0] == 0.0 and dp.deltas[1] < 0.0
 
 
 def kappa_mu_shadowed_pdf(g, kappa, mu, m, snr):
