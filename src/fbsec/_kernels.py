@@ -19,6 +19,12 @@ axis), so with ``z = sr + p`` each factor's log is
 
 the principal branch of the complex log.  The stiff pairs use ``log1p(2
 wr + wr^2 + wi^2) / 2`` and ``arctan2(wi, 1 + wr)`` for w = delta / z.
+
+Only the trapezoid terms of the outage contour read the imaginary part
+(the phase).  The callers that read the modulus alone (the opening
+probes, the saddle candidates' phi, the Chernoff bounds and the closed
+route's expansion check) pass ``phase=False``, which skips the
+``arctan2`` loop and leaves the real part bit-identical.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ import numpy as np
 __all__ = ["log_transform"]
 
 
-def log_transform(sr, si, poles, exps, pair_x, pair_delta, pair_coef, ln_omega):
+def log_transform(sr, si, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, phase=True):
     """Real and imaginary parts of the log of the transform at ``s = sr + i si``.
 
     ``sr``, ``si`` and the constant ``ln_omega`` (the log of the
     transform's scale factor) broadcast against each other, as may each
-    entry of ``poles``, ``pair_x`` and ``pair_delta``.
+    entry of ``poles``, ``pair_x`` and ``pair_delta``.  Without ``phase``
+    the imaginary part is not computed and comes back as None.
     """
     si2 = si * si
     re = ln_omega
@@ -41,12 +48,14 @@ def log_transform(sr, si, poles, exps, pair_x, pair_delta, pair_coef, ln_omega):
     for p, a in zip(np.real(poles), exps):
         z = sr + p
         re = re - (0.5 * a) * np.log(z * z + si2)
-        im = im - a * np.arctan2(si, z)
+        if phase:
+            im = im - a * np.arctan2(si, z)
     for x, d, c in zip(np.real(pair_x), np.real(pair_delta), pair_coef):
         # w = delta / (s + x), and log(1 + w) from log1p
         z = sr + x
         k = d / (z * z + si2)
         wr, wi = k * z, -k * si
         re = re - (0.5 * c) * np.log1p(wr * (2.0 + wr) + wi * wi)
-        im = im - c * np.arctan2(wi, 1.0 + wr)
-    return re, im
+        if phase:
+            im = im - c * np.arctan2(wi, 1.0 + wr)
+    return re, im if phase else None

@@ -183,8 +183,8 @@ def _validate_expansion(pfe, factors, ln_omega):
     mags = np.abs(pfe.poles)
     s = 0.3 * mags.min() * (10.0 * mags.max() / mags.min()) ** _PROBE
     rates, exps = np.array(factors, dtype=complex).T
-    # real s right of every pole: the transform is real, and no factor is stiff
-    ln_direct, _ = log_transform(s, 0.0, rates, exps.real, (), (), (), ln_omega)
+    # real s right of every pole: the transform is real (its phase is 0), and no factor is stiff
+    ln_direct, _ = log_transform(s, 0.0, rates, exps.real, (), (), (), ln_omega, phase=False)
     direct = np.exp(ln_direct)
     # F = 1 + the B mixture, so the B mixture's transform plus 1/s is direct / s
     for side, coef, target, unit in (("density", pfe.term_A, direct, 0.0),

@@ -95,9 +95,10 @@ class _Link:
         self.exps_abs = float(np.sum(np.abs(exps)))
         self.pairs = list(zip(pair_x, np.abs(pair_delta * pair_coef)))
 
-    def log_m(self, sr, si):
-        """Real and imaginary parts of log M(s) at s = sr + i si."""
-        return _kernels.log_transform(sr, si, *self.factors, self.ln_omega)
+    def log_m(self, sr, si, phase=True):
+        """Real and imaginary parts of log M(s) at s = sr + i si; the real part alone, and None,
+        without ``phase``."""
+        return _kernels.log_transform(sr, si, *self.factors, self.ln_omega, phase)
 
     def upper_limit(self, eps: float) -> float:
         """Abscissa beyond which the survival mass is below ``eps``.
@@ -110,7 +111,7 @@ class _Link:
         # a distance that underflows makes the limit infinite, or not a number
         # where two such logs cancel; either way no finite cut is found
         with np.errstate(divide="ignore", invalid="ignore"):
-            ln_m, _ = self.log_m(-tau, 0.0)
+            ln_m, _ = self.log_m(-tau, 0.0, phase=False)
         return max(float(np.min((ln_m - math.log(eps)) / tau)), 10.0 * self.avg_snr)
 
 
@@ -176,19 +177,21 @@ def _chunks(counts):
         start = stop
 
 
-def _log_derivatives(factors, y):
-    """First and second derivatives of log M at real ``y`` inside the strip."""
+def _log_derivatives(factors, y, second=True):
+    """First and second derivatives of log M at real ``y`` inside the strip; the first alone,
+    and None, without ``second``."""
     poles, exps, pair_x, pair_delta, pair_coef = factors
     y = np.asarray(y)[..., None]
     u = 1.0 / (y + poles)
     au = exps * u
-    d1, d2 = -au.sum(-1), (au * u).sum(-1)
+    d1, d2 = -au.sum(-1), (au * u).sum(-1) if second else None
     if len(pair_x):
         # -c log1p(d / (y + x)) = c log(y + x) - c log(y + x + d), and u - v = d u v
         u, v = 1.0 / (y + pair_x), 1.0 / (y + pair_x + pair_delta)
         cduv = pair_coef * pair_delta * u * v
         d1 = d1 + cduv.sum(-1)
-        d2 = d2 - (cduv * (u + v)).sum(-1)
+        if second:
+            d2 = d2 - (cduv * (u + v)).sum(-1)
     return d1, d2
 
 
@@ -209,17 +212,19 @@ class _Bromwich:
         self.d, self.e = link_d, link_e
         self.decay = _DECAY / (link_d.mu + link_e.mu)
 
-    def _log_m(self, sr, si, theta):
-        """Real and imaginary parts of log M_D(s) + log M_E(-theta s)."""
-        re_d, im_d = self.d.log_m(sr, si)
-        re_e, im_e = self.e.log_m(-theta * sr, -theta * si)
-        return re_d + re_e, im_d + im_e
+    def _log_m(self, sr, si, theta, phase=True):
+        """Real and imaginary parts of log M_D(s) + log M_E(-theta s); the real part alone, and
+        None, without ``phase``."""
+        re_d, im_d = self.d.log_m(sr, si, phase)
+        re_e, im_e = self.e.log_m(-theta * sr, -theta * si, phase)
+        return re_d + re_e, im_d + im_e if phase else None
 
-    def _phi_derivatives(self, c, theta, z):
-        """phi' and phi'' at real ``c``."""
-        d1_d, d2_d = _log_derivatives(self.d.factors, c)
-        d1_e, d2_e = _log_derivatives(self.e.factors, -theta * c)
-        return z - 1.0 / c + d1_d - theta * d1_e, 1.0 / (c * c) + d2_d + theta**2 * d2_e
+    def _phi_derivatives(self, c, theta, z, second=True):
+        """phi' and phi'' at real ``c``; phi' alone, and None, without ``second``."""
+        d1_d, d2_d = _log_derivatives(self.d.factors, c, second)
+        d1_e, d2_e = _log_derivatives(self.e.factors, -theta * c, second)
+        d1 = z - 1.0 / c + d1_d - theta * d1_e
+        return d1, 1.0 / (c * c) + d2_d + theta**2 * d2_e if second else None
 
     def saddle_start(self, theta, z):
         """The first guess at c, the bracket (lo, hi) around it and its side's edge, per problem.
@@ -238,11 +243,12 @@ class _Bromwich:
         theta, z = theta[:, None], z[:, None]
         lo, hi = np.zeros((n, 2), dtype=int), np.full((n, 2), m)  # the first point with phi' >= 0 outward
         # an underflowed distance makes phi' infinite, or not a number where two such terms
-        # cancel (read as falling), and phi'' overflow
+        # cancel (read as falling); the bisection reads the slope alone
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for _ in range(m.bit_length()):
                 mid = (lo + hi) // 2
-                d1, _ = self._phi_derivatives(edge * _EDGE_FRACTIONS[np.minimum(mid, m - 1)], theta, z)
+                d1, _ = self._phi_derivatives(edge * _EDGE_FRACTIONS[np.minimum(mid, m - 1)], theta, z,
+                                              second=False)
                 rising = d1 * [1.0, -1.0] >= 0.0
                 hi = np.where(rising, mid, hi)
                 lo = np.where(rising, lo, np.minimum(mid + 1, hi))
@@ -252,7 +258,7 @@ class _Bromwich:
         points = edge[rows[:, None], side] * _EDGE_FRACTIONS[k]
         # a distance that underflows makes phi infinite there, or not a number where two such logs cancel
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = self._log_m(points, 0.0, theta)[0] + z * points - np.log(np.abs(points))
+            phi = self._log_m(points, 0.0, theta, phase=False)[0] + z * points - np.log(np.abs(points))
         j = np.argmin(phi, axis=1)
         side, k = side[0, j], k[rows, j]
         edge = edge[rows, side]
@@ -354,19 +360,23 @@ class _Bromwich:
 
     @staticmethod
     def _path(t, c, w, beta):
-        """s(t) = c - beta (cosh t - 1) + i w sinh t: (sinh t, s, s'(t), |s|, log|s|, log|s'(t)|)."""
+        """s(t) = c - beta (cosh t - 1) + i w sinh t: (sinh t, s, s'(t), |s|, log|s|, log|s'(t)|).
+
+        The moduli come from squares, not ``np.hypot``: ``_LN_REACH`` keeps |s| and |s'(t)|
+        (within beta + w of |s - c|) so far below the float range that every square is finite.
+        """
         sh = np.sinh(t)
         sr = c - beta * (2.0 * np.sinh(0.5 * t) ** 2)  # cosh t - 1 without cancellation
         si = w * sh
         dr, di = -beta * sh, w * np.cosh(t)
-        abs_s = np.hypot(sr, si)
-        return sh, sr, si, dr, di, abs_s, np.log(abs_s), np.log(np.hypot(dr, di))
+        abs_s = np.sqrt(sr * sr + si * si)
+        return sh, sr, si, dr, di, abs_s, np.log(abs_s), 0.5 * np.log(dr * dr + di * di)
 
     def log_magnitude(self, t, c, w, beta, theta, z):
         """log|F(s) s'(t)| at every node: the third output of :meth:`terms`, without its phase,
         its exponential or its rounding bound."""
         _, sr, si, _, _, _, ln_s, ln_ds = self._path(t, c, w, beta)
-        re, _ = self._log_m(sr, si, theta)
+        re, _ = self._log_m(sr, si, theta, phase=False)
         return re + z * sr - ln_s + ln_ds
 
     def terms(self, t, c, w, beta, theta, z):
@@ -428,7 +438,7 @@ class _Bromwich:
                 raise ConvergenceError(f"outage contour did not converge in {_MAX_NODES} nodes per problem",
                                        row=int(live[over][0]))
             new = (count[live] - start) // stride + 1
-            even, odd, bound = np.empty((3, live.size))
+            parity, bound = np.empty((live.size, 2)), np.empty(live.size)  # (even, odd) sums
             # a term out of the float range (a squared distance to a rate that
             # underflows, an overflowed magnitude) is refused below
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -440,9 +450,9 @@ class _Bromwich:
                     half = np.where(k == 0, 0.5, 1.0)  # the trapezoid end weight at t = 0
                     f, b = f * half, b * half
                     size = new[part].size
-                    even[part] = np.bincount(pos, f * (k % 2 == 0), size)
-                    odd[part] = np.bincount(pos, f * (k % 2 == 1), size)
+                    parity[part] = np.bincount(2 * pos + k % 2, f, 2 * size).reshape(size, 2)
                     bound[part] = np.bincount(pos, b, size)
+            even, odd = parity.T
             lost = ~(np.isfinite(even) & np.isfinite(odd) & np.isfinite(bound))
             if lost.any():
                 raise ConvergenceError("outage contour: the terms on the path leave the float range "
@@ -559,7 +569,7 @@ class _AscRule:
         scale = np.array(scale)[:, None]
         tau = link_d.r * _CHERNOFF_FRACTIONS
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / scale)
+            ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / scale, phase=False)
             t = tau / scale
             cut = np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi), axis=1)).tolist()
         for i, (snr, x, c) in enumerate(zip(avg_snrs, r_hi, cut)):

@@ -18,7 +18,8 @@ from fbsec import (
     numeric_metrics,
 )
 from fbsec.errors import AccuracyWarning, ConvergenceError, ParameterError
-from fbsec.inversion import _AscRule, _Bromwich, _Link
+from fbsec.inversion import (_CHERNOFF_FRACTIONS, _EDGE_FRACTIONS, _LN_REACH, _OPENINGS, _PROBE_STEP, _AscRule,
+                             _Bromwich, _Link, _ragged)
 from fbsec.params import METRICS
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
@@ -655,6 +656,66 @@ class TestContourWork:
         calls.clear()
         numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
         assert calls == [1]
+
+    @staticmethod
+    def _assert_modulus_pass(contour, sr, si, theta):
+        """log_m without its phase is the real part of the full log_m, bit for bit, on both links."""
+        for link, x, y in ((contour.d, sr, si), (contour.e, -theta * sr, -theta * si)):
+            # a distance that underflows makes a log infinite, or not a number: the same on both passes
+            with np.errstate(divide="ignore", invalid="ignore"):
+                re, _ = link.log_m(x, y)
+                modulus, phase = link.log_m(x, y, phase=False)
+            assert phase is None and np.array_equal(modulus, re, equal_nan=True)
+
+    def test_modulus_pass_is_the_real_part_of_the_full_kernel(self):
+        assert len(_Link(SWEEP_PAIRS["stiff"][0]).factors[2]) > 0  # its couples take the log1p branch
+        for bob, eve in _sweep_links():
+            contour, theta, z = _first_batch(bob, eve)
+            c, w, _, _ = contour.contour(theta, z)
+            # the probe grid of every opening: t = 0, 0.5, ... up to the truncation or the reach
+            for opening in _OPENINGS:
+                beta = np.where(z > 0.0, w * opening, 0.0)
+                t_max = contour._truncation(w, beta, theta, z)
+                last = np.minimum(np.floor(t_max / _PROBE_STEP), np.ceil((_LN_REACH - np.log(w)) / _PROBE_STEP))
+                p, node = _ragged(last.astype(int) + 1)
+                _, sr, si, *_ = contour._path(_PROBE_STEP * node, c[p], w[p], beta[p])
+                self._assert_modulus_pass(contour, sr, si, theta[p])
+            # real axes: the Chernoff bounds' -t inside the strip, at ASC's tail thetas, and right of it
+            tau = contour.d.r * np.r_[_CHERNOFF_FRACTIONS, np.linspace(0.01, 0.99, 99)]
+            for theta_hi in (np.exp(np.linspace(0.0, 40.0, 9))[:, None], 1.0):
+                self._assert_modulus_pass(contour, -tau, 0.0, theta_hi)
+            self._assert_modulus_pass(contour, np.geomspace(1e-3, 1e6, 100), 0.0, 1.0)
+
+    def test_saddle_slope_is_the_first_derivative(self):
+        # phi' of the bisection, without phi'', at all 64 candidate points of both sides
+        for bob, eve in _sweep_links():
+            contour, theta, z = _first_batch(bob, eve)
+            edge = np.stack([contour.e.r / theta, np.full(theta.size, -contour.d.r)], axis=1)
+            args = edge[..., None] * _EDGE_FRACTIONS, theta[:, None, None], z[:, None, None]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                slope, second = contour._phi_derivatives(*args, second=False)
+                ref, _ = contour._phi_derivatives(*args)
+            assert second is None and slope.shape == (theta.size, 2, _EDGE_FRACTIONS.size)
+            assert _same_bits(slope, ref)
+
+    def test_path_moduli_from_squares_near_the_reach(self):
+        # mu_D = mu_E chosen so that the vertical path of (theta, z) = (1, 0) ends at
+        # |s| = e^(_LN_REACH - 1), near the farthest a path goes before integrals refuses it
+        def path_end(mu):
+            contour = _Bromwich(_Link(FBParams(mu, 1, 1, 1, 1, 10.0)), _Link(FBParams(mu, 1, 1, 1, 1, 1.0)))
+            c, w, beta, t_max = contour.contour(np.array([1.0]), np.array([0.0]))
+            return contour._path(np.linspace(0.0, t_max[0], 4001), c, w, beta)
+
+        lo, hi = math.log(0.01), math.log(10.0)  # ln mu; a larger mu ends the path sooner
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if path_end(math.exp(mid))[6][-1] > _LN_REACH - 1.0 else (lo, mid)
+        _, sr, si, dr, di, _, ln_s, ln_ds = path_end(math.exp(lo))
+        assert _LN_REACH - math.log(10.0) <= ln_s[-1] <= _LN_REACH
+        for ln, ref in ((ln_s, np.log(np.hypot(sr, si))), (ln_ds, np.log(np.hypot(dr, di)))):
+            assert np.isfinite(ln).all()
+            # relative to the log, or to 1 near |s| = 1, where one ulp of |s| is most of log|s|
+            assert np.all(np.abs(ln - ref) <= 1e-15 * np.maximum(np.abs(ref), 1.0))
 
 
 def _domain_link(rng, case2):
