@@ -2,13 +2,14 @@
 
 Average secrecy capacity, secrecy outage probability (with its lower
 bound), and the probability of strictly positive secrecy capacity for a
-wiretap link pair, by three routes with one entry point each: exact closed
-forms when the fading exponents are integers (:func:`closed_metrics`),
-numerical inversion for any parameters (:func:`numeric_metrics`), and
-Monte Carlo (:func:`estimate`).
+wiretap link pair, by three routes with one entry point each: closed
+forms when the fading exponents are integers, as residue sums returned
+only with a rounding bound within 1e-7 of their smaller tail
+(:func:`closed_metrics`), numerical inversion for any parameters
+(:func:`numeric_metrics`), and Monte Carlo (:func:`estimate`).
 """
 
-from .casetwo import PartialFractionExpansion, closed_metrics, link_expansion
+from .casetwo import closed_metrics
 from .errors import (
     AccuracyWarning,
     CaseMismatchError,
@@ -50,7 +51,6 @@ __all__ = [
     "from_rayleigh", "from_beckmann", "from_eta_mu",
     "db_to_linear", "linear_to_db",
     "METRICS", "SecrecyConfig",
-    "PartialFractionExpansion", "link_expansion",
     "closed_metrics",
     "InversionControl", "numeric_metrics",
     "MCConfig", "MCEstimate", "PhysicalModel", "physical_model",

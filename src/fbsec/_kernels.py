@@ -22,9 +22,9 @@ wr + wr^2 + wi^2) / 2`` and ``arctan2(wi, 1 + wr)`` for w = delta / z.
 
 Only the trapezoid terms of the outage contour read the imaginary part
 (the phase).  The callers that read the modulus alone (the opening
-probes, the saddle candidates' phi, the Chernoff bounds and the closed
-route's expansion check) pass ``phase=False``, which skips the
-``arctan2`` loop and leaves the real part bit-identical.
+probes, the saddle candidates' phi and the Chernoff bounds) pass
+``phase=False``, which skips the ``arctan2`` loop and leaves the real part
+bit-identical.
 """
 
 from __future__ import annotations

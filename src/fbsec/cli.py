@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import sys
 import warnings
@@ -48,6 +49,7 @@ from .params import (
 )
 
 LN2 = math.log(2.0)
+_log = logging.getLogger("fbsec")
 
 _LINK_KEYS = ("mu", "m", "kappa", "eta", "rho2", "snr_db")
 # rows a sweep takes: each keeps about 1.5 kB (a 10,001-row fig1 sweep peaked 15 MB
@@ -124,16 +126,17 @@ def _control(args) -> InversionControl:
 
 
 def _closed_or_none(bob, eve, cfg, wanted=METRICS):
-    """The closed route's metrics, or None where it refuses the pair.
+    """(the closed route's metrics, None), or (None, its refusal) where it refuses the pair.
 
-    The closed path is attempted whenever the expansions exist (net integer
-    exponents after pole merging, which covers slightly more than the plain
-    mu-even/m-integer test), and refuses on any numerical failure there.
+    It takes the pairs whose net rate exponents are integers (slightly more
+    than the plain mu-even/m-integer test) and whose values it certifies.  A
+    refusal is logged at INFO on the ``fbsec`` logger, class and message.
     """
     try:
-        return casetwo.closed_metrics(bob, eve, cfg, wanted)
-    except (CaseMismatchError, ConvergenceError):
-        return None
+        return casetwo.closed_metrics(bob, eve, cfg, wanted), None
+    except (CaseMismatchError, ConvergenceError) as exc:
+        _log.info("closed route refused: %s: %s", type(exc).__name__, exc)
+        return None, exc
 
 
 def _apply_units(vals: dict, units: str) -> dict:
@@ -161,13 +164,13 @@ def cmd_eval(args) -> int:
     ctrl = _control(args)
     cfg = SecrecyConfig(rate_rs=args.rs)
     # the closed form when the closed route takes the pair, the numeric route otherwise
-    vals = _closed_or_none(bob, eve, cfg, wanted)
+    vals, _ = _closed_or_none(bob, eve, cfg, wanted)
     if vals is None:
         vals, errs = inversion.numeric_metrics(bob, eve, cfg, ctrl, wanted)
         path = "numeric"
         estimates = {"quad_rel_tol": ctrl.quad_rel_tol, "achieved": _apply_units(errs, args.units)}
     else:
-        path, estimates = "case2", {"reconstruction_rel_tol": casetwo._RECON_TOL}
+        path, estimates = "case2", {"certified_rel_tol": casetwo._CERTIFIED_REL_TOL}
     record = {**_apply_units(vals, args.units), "path": path, "rs": args.rs, "units": args.units,
               "error_estimates": estimates}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
@@ -186,7 +189,7 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
         snr_db = eve_db + x_db if args.axis == "lambda_db" else x_db
         # a mean SNR underflows at the low end of a sweep and overflows at the high end
         bobs.append(bob.with_snr(_snr(snr_db, "--start-db" if snr_db < 0.0 else "--stop-db")))
-    values = [_closed_or_none(bob_i, eve, scfg, wanted) for bob_i in bobs]
+    values = [_closed_or_none(bob_i, eve, scfg, wanted)[0] for bob_i in bobs]
     todo = [i for i, vals in enumerate(values) if vals is None]
     if todo:
         try:
@@ -282,7 +285,7 @@ def cmd_validate(args) -> int:
     cfg = MCConfig(n_samples=args.mc_samples, seed=args.seed, n_streams=args.mc_streams)
 
     numeric, _ = inversion.numeric_metrics(bob, eve, scfg, ctrl)
-    closed = _closed_or_none(bob, eve, scfg)
+    closed, refusal = _closed_or_none(bob, eve, scfg)
     mc = montecarlo.estimate(bob, eve, scfg, cfg)
 
     comparisons = []
@@ -308,7 +311,9 @@ def cmd_validate(args) -> int:
         "mc_std_error": _apply_units({name: mc[name].std_error for name in METRICS}, args.units),
     }
     report = {
-        "path_closed": "case2" if closed is not None else "n/a (case 1)",
+        # a Case-2 pair whose values the closed route could not certify is not case 1
+        "path_closed": "case2" if closed is not None else (
+            "n/a (case 1)" if isinstance(refusal, CaseMismatchError) else f"refused: {refusal}"),
         "units": args.units,
         "metrics": {name: {col: vals[name] for col, vals in columns.items()} for name in METRICS},
         "mc_samples": cfg.n_samples,

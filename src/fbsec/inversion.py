@@ -12,7 +12,8 @@ is the layer-cake integral of E[(C_D - C_E)^+],
 the area under the secrecy outage curve, by Gauss-Legendre panels in R
 whose nodes are contour problems of the same batch (:class:`_AscRule`).
 The same routines also serve as the independent cross-check for the
-Case-2 closed forms.
+Case-2 closed forms, which take the links (:class:`_Link`) and the ASC
+rule from here, with residue sums in place of contours.
 """
 
 from __future__ import annotations
@@ -81,10 +82,11 @@ class _Link:
     :func:`~fbsec.params.link_factors` with :func:`_paired`), ``ln_omega``, ``mu``, ``avg_snr``, the
     nearest singularity ``r`` and largest rate ``big`` (:func:`_rates`), ``exps_abs`` = sum |a|,
     and each stiff pair's (x, |c delta|) in ``pairs``: its log-term is at most |c delta / (s + x)|.
+    ``dp`` is the link's :func:`~fbsec.params.derive`, where the caller has it already.
     """
 
-    def __init__(self, params: FBParams):
-        dp = derive(params)
+    def __init__(self, params: FBParams, dp=None):
+        dp = derive(params) if dp is None else dp
         regular, pairs = link_factors(dp, params.avg_snr, _paired)
         self.factors = (*np.array(regular).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
         self.ln_omega = dp.ln_omega

@@ -19,15 +19,15 @@ for all three routes.
 
 The quadratic whose roots give the first two rates always has a
 non-negative discriminant (it can be rearranged into A^2 + 2*A*B*w + B^2
-with |w| <= 1), so the roots are real and positive.  They are kept as
-complex numbers for the closed route, whose coefficient arithmetic is
-complex and which checks every metric for a negligible imaginary residue.
+with |w| <= 1), so the roots are real and positive, and every rate is a
+real number: both routes work in real arithmetic (a discriminant that
+rounds below 0 is taken as 0).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +106,8 @@ class DerivedParams:
     numerator factors).  Each root has a scattered partner, the larger
     root the larger rate, and root k lies ``deltas[k]`` from it: exactly 0
     where ``kappa = 0``.  ``ln_omega`` is the log of the scale factor
-    omega, which itself overflows at very low mean SNR.
+    omega, which itself overflows at very low mean SNR.  ``link`` is the
+    link they were derived from.
     """
 
     theta_rates: np.ndarray
@@ -114,6 +115,7 @@ class DerivedParams:
     deltas: np.ndarray
     mu: float
     ln_omega: float
+    link: FBParams
 
 
 def derive(params: FBParams) -> DerivedParams:
@@ -146,7 +148,7 @@ def derive(params: FBParams) -> DerivedParams:
         # roots of alpha1*s^2 + beta*s + 1; beta < 0 always, so the stable
         # quadratic form q = (-beta + sqrt(disc))/2 never cancels
         disc = beta * beta - 4.0 * alpha1
-        sq = cmath.sqrt(complex(disc))
+        sq = math.sqrt(max(disc, 0.0))
         q = (-beta + sq) / 2.0
         c1 = q / alpha1
         c2 = 1.0 / q
@@ -171,7 +173,7 @@ def derive(params: FBParams) -> DerivedParams:
                 mb = m * split + (mx * x + mxy)
                 d = (-mb + sign * math.sqrt(max(mb * mb - 4.0 * alpha1 * m * x * mxy, 0.0))) / (2.0 * alpha1)
             deltas.append(d / m)
-        theta = np.array([c1, c2, scattered / eta, scattered], dtype=complex)
+        theta = np.array([c1, c2, scattered / eta, scattered])
         lno = -m * math.log1p(alpha_gap / alpha2) - (mu / 2.0) * math.log(alpha2) - mu * math.log(snr)
     except (ArithmeticError, ValueError):  # a division by zero, an overflow, a log of 0
         lno = math.nan
@@ -179,7 +181,11 @@ def derive(params: FBParams) -> DerivedParams:
         raise DomainError(f"{params}: a constant of its transform is past the float range")
     exps = np.array([m, m, mu / 2.0 - m, mu / 2.0 - m], dtype=float)
 
-    return DerivedParams(theta_rates=theta, exponents=exps, deltas=np.array(deltas), mu=mu, ln_omega=lno)
+    return DerivedParams(theta_rates=theta, exponents=exps, deltas=np.array(deltas), mu=mu, ln_omega=lno,
+                         link=params)
+
+
+_LEAST_NORMAL = sys.float_info.min
 
 
 def link_factors(dp: DerivedParams, avg_snr: float, paired=lambda x, delta, c: False):
@@ -193,12 +199,23 @@ def link_factors(dp: DerivedParams, avg_snr: float, paired=lambda x, delta, c: F
     exact: a root with delta = 0 (kappa = 0) is its partner's, one factor
     (x, mu/2) with no m in it, partners that coincide (eta = 1) are one
     factor, and a factor of exponent 0 is left out.  The roots come first.
+
+    Raises DomainError, naming the link, where ``delta / avg_snr`` falls
+    below the normal float range (or to 0) while m times it still moves the
+    transform by more than an ulp of its partner (m near the float range at
+    a high mean SNR): its few significant bits would leave the value wrong
+    past any error estimate.
     """
     m = float(dp.exponents[0])
-    roots, partners = (dp.theta_rates / avg_snr).real.reshape(2, 2).tolist()
+    roots, partners = (dp.theta_rates * (1.0 / avg_snr)).reshape(2, 2).tolist()  # each times one reciprocal
     net = dict.fromkeys(partners, 0.0)  # each partner's exponent
     regular, pairs = [], []
-    for root, x, delta in zip(roots, sorted(partners, reverse=True), (dp.deltas / avg_snr).tolist()):
+    for root, x, delta, exact in zip(roots, sorted(partners, reverse=True), (dp.deltas / avg_snr).tolist(),
+                                     dp.deltas.tolist()):
+        if exact != 0.0 and abs(delta) < _LEAST_NORMAL and abs(m * exact) / avg_snr > sys.float_info.epsilon * x:
+            raise DomainError(f"{dp.link.with_snr(avg_snr)}: a root's offset from its partner, over the mean SNR, "
+                              f"is {delta!r}, below the normal float range, while m times it, "
+                              f"{m * exact / avg_snr:.3g}, still moves the transform")
         net[x] += dp.mu / 2.0
         if delta != 0.0 and paired(x, delta, m):
             pairs.append((x, delta, m))

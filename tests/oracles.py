@@ -1,12 +1,18 @@
 """Reference code that only the tests use.
 
-The upper incomplete gamma function at any real order, the ``ln(1+x)``
-moment integral as a scalar, Pochhammer symbols, binomial coefficients,
-a direct power-series evaluator for the four-variable confluent
-hypergeometric function, which cross-checks the SNR law at small
+The partial-fraction route to the Case-2 metrics that the package's
+residue sums replaced: each link's expansion into exponential-polynomial
+mixtures (:func:`link_expansion`), checked at construction, and the
+closed-form sums over two expansions (:func:`closed_sums`), whose ASC
+reads tables of the ``ln(1+x)`` moment integral (:func:`ln1p_moment_table`,
+from incomplete gamma values by one continued fraction and the order
+recurrence).  The upper incomplete gamma function at any real order, the
+``ln(1+x)`` moment integral as a scalar, Pochhammer symbols, binomial
+coefficients, a direct power-series evaluator for the four-variable
+confluent hypergeometric function, which cross-checks the SNR law at small
 arguments, and the term-by-term loops of the closed-form sums and of the
 partial-fraction rows.  They reuse the continued fraction and the
-exponential-integral anchor of :mod:`fbsec.special`, and scipy where the
+exponential-integral anchor of the moment tables, and scipy where the
 package needs none.
 
 One link's density and distribution, which no metric needs: the
@@ -22,6 +28,7 @@ its path, on which the sums must come out the same.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import lgamma
@@ -29,8 +36,7 @@ from math import lgamma
 import numpy as np
 import scipy.special as sc
 
-from fbsec.casetwo import _MAX_TOTAL_MULT, _realify
-from fbsec.errors import ConvergenceError, DomainError, FbsecError
+from fbsec.errors import CaseMismatchError, ConvergenceError, DomainError, FbsecError
 from fbsec.inversion import (
     _EDGE_FRACTIONS,
     _GROWTH,
@@ -41,18 +47,372 @@ from fbsec.inversion import (
     _paired,
     _rates,
 )
-from fbsec.params import link_factors
-from fbsec._kernels import log_transform
-from fbsec.special import (
-    _CF_SWITCH,
-    _TINY,
-    _cf_scaled,
-    _exp1_scaled,
-    _require_right_half_plane,
-    ln1p_moment_table,
+from fbsec.params import (
+    METRICS,
+    FBParams,
+    SecrecyConfig,
+    check_metrics,
+    derive,
+    link_factors,
+    outage_value,
 )
+from fbsec._kernels import log_transform
 
 _COND_LIMIT = 1e7  # recurrence condition ratio ~ 1e-9 residual accuracy
+
+
+# ---------------------------------------------------------------------------
+# the incomplete-gamma moment tables of the closed-form ASC sums
+# ---------------------------------------------------------------------------
+# The moment integral of ln(1+x) against x^(a-1) exp(-b x) for integer a and
+# complex b in the right half-plane is a finite sum of upper incomplete gamma
+# values at non-positive integer order (ln1p_moment_table).  A table of the
+# incomplete gamma at orders 0, -1, ..., -(n-1) is one anchor value and the
+# order recurrence.  For |x| >= 2 the anchor is one continued fraction at
+# order -k0, k0 = min(n-1, floor|x|), and the recurrence runs from it towards
+# order 0 and towards order -(n-1), the two directions in which it damps
+# errors.  Below |x| = 2 the anchor is the exponential integral, summed from
+# its convergent power series, and the recurrence runs down from order 0.
+
+_TINY = 1e-300
+_CF_SWITCH = 2.0
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _require_right_half_plane(x) -> complex:
+    z = complex(x)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.real <= 0.0:
+        raise DomainError(f"argument must satisfy Re(x) > 0, got {x!r}")
+    return z
+
+
+def _cf_scaled(a: float, z: complex) -> complex:
+    """exp(z) * Gamma(a, z) by modified-Lentz continued fraction, Re(z) > 0."""
+    b = z + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / (b if b != 0 else _TINY)
+    h = d
+    for j in range(1, 600):
+        an = -j * (j - a)
+        b = b + 2.0
+        d = an * d + b
+        if d == 0:
+            d = _TINY
+        c = b + an / c
+        if c == 0:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return z**a * h
+    raise ConvergenceError(f"incomplete-gamma continued fraction stalled at a={a}, x={z}")
+
+
+def _exp1_scaled(z: complex) -> complex:
+    """exp(z) * E1(z) for Re(z) > 0.
+
+    Below |z| = 2 this sums E1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!),
+    whose terms stay below e^2 in sum of magnitudes.
+    """
+    if abs(z) >= _CF_SWITCH:
+        return _cf_scaled(0.0, z)
+    term = 1.0 + 0j  # (-z)^k / k!
+    series = 0j
+    for k in range(1, 60):
+        term *= -z / k
+        series += term / k
+        if abs(term) < 1e-17 * abs(series):
+            break
+    return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) - series)
+
+
+def _scaled_gamma_table(nmax: int, b) -> list[complex]:
+    """exp(b)*Gamma(-k, b) for k = 0..nmax-1, at index k.
+
+    Below |b| = 2 the table runs up from the exponential integral.  Above,
+    one continued fraction anchors it at k0 = min(nmax - 1, floor|b|), and
+    the order recurrence e^b Gamma(1-k, b) = b^-k - k e^b Gamma(-k, b) runs
+    from there in whichever direction damps errors: down to 0, where each
+    step scales them by about k/|b| <= 1, and up to nmax - 1, where each
+    step scales them by about |b|/k < 1.
+    """
+    z = _require_right_half_plane(b)
+    if abs(z) < _CF_SWITCH:
+        table = [_exp1_scaled(z)]
+        for k in range(1, nmax):
+            table.append((table[-1] - z ** (-k)) / (-k))
+        return table
+    k0 = min(nmax - 1, int(abs(z)))
+    table = [0j] * nmax
+    table[k0] = _cf_scaled(float(-k0), z)
+    for k in range(k0, 0, -1):
+        table[k - 1] = z ** (-k) - k * table[k]
+    for k in range(k0 + 1, nmax):
+        table[k] = (z ** (-k) - table[k - 1]) / k
+    return table
+
+
+def ln1p_moment_table(nmax: int, b) -> np.ndarray:
+    """T[n-1] = exp(b) * sum_{k=1..n} Gamma(k-n, b) / b**k for n = 1..nmax.
+
+    ``Gamma(n) * T[n-1]`` equals ``int_0^inf x^(n-1) ln(1+x) e^(-bx) dx``.
+    The same sum, grouped from the innermost term out, is one pass:
+    T[n-1] = (exp(b) Gamma(1-n, b) + T[n-2]) / b.  For b > 0 every term is
+    positive, so the grouping keeps the plain sum's accuracy.
+    """
+    z = complex(b)
+    out = np.empty(nmax, dtype=complex)
+    row = 0j
+    for n, g in enumerate(_scaled_gamma_table(nmax, z)):
+        row = out[n] = (g + row) / z
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Case-2 partial-fraction expansions and the closed-form sums over them
+# ---------------------------------------------------------------------------
+# When mu/2 and m are integers the transform is a rational function, so the
+# density and distribution are finite exponential-polynomial mixtures
+#
+#     f(g) = omega * sum_i e^(-p_i g) sum_j A_ij g^(j-1) / (j-1)!
+#     F(g) = 1 + omega * sum_i e^(-p_i g) sum_j B_ij g^(j-1) / (j-1)!
+#
+# (link_expansion), and ASC and P(g_D - theta g_E < z) are finite sums over
+# the two links' tables (closed_sums).  These are the densities and
+# distributions the tests integrate, and the sums the term-by-term loops
+# below check.
+
+_IMAG_TOL = 1e-9
+_MAX_TOTAL_MULT = 64
+_RECON_TOL = 1e-9
+# ln k! for every k the sums index: powers run to _MAX_TOTAL_MULT per link
+_LN_FACT = np.array([math.lgamma(k + 1) for k in range(2 * _MAX_TOTAL_MULT)])
+_PROBE = np.linspace(0.0, 1.0, 20)  # log-spaced probe points, as fractions of the span
+_POWERS = np.arange(1, _MAX_TOTAL_MULT + 1)  # power j of a pole's terms: _POWERS[:n]
+_ORIGIN = (0.0 + 0j, 1)  # the factor 1/s of the distribution's transform, as (x, a)
+
+
+@dataclass(frozen=True, eq=False)
+class PartialFractionExpansion:
+    """Pole/coefficient tables of one link's transform (see :func:`link_expansion`).
+
+    ``poles`` are the distinct decay rates (already divided by the mean
+    SNR) and ``mults`` their multiplicities.  The terms ``coef / (s +
+    pole)^j`` are flat, one entry each, grouped by pole in the order of
+    ``poles``: ``term_pole``, the power ``term_j`` (1 .. the pole's
+    multiplicity), and the coefficients of the density (``term_A``) and
+    distribution (``term_B``) mixtures.  ``omega_norm`` is carried
+    alongside so the expansion is self-contained.
+    """
+
+    poles: np.ndarray
+    mults: np.ndarray
+    term_pole: np.ndarray
+    term_j: np.ndarray
+    term_A: np.ndarray
+    term_B: np.ndarray
+    omega_norm: float
+
+
+def _taylor_rows(factors: list[tuple[complex, int]], i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion coefficients at pole group ``i`` of prod_k (s+x_k)^(-a_k), alone and times 1/s.
+
+    Returns (A, B): A[j-1] for j = 1..n_i such that the group contributes
+    sum_j A_j (s + p_i)^(-j), and B the same for the product with the
+    origin's factor 1/s, whose residues make the distribution.  Uses the
+    Taylor series of the co-factor h(s) = prod_{k != i} (s+x_k)^(-a_k)
+    about s = -p_i, generated by the recurrence
+    t_{l+1} = (1/(l+1)) sum_q t_q w_{l+1-q} with w_r the power sums of the
+    logarithmic derivative.  The log of h and the power sums are formed once:
+    B's are A's with the origin's term added last, which is bit for bit the
+    left-to-right sums over the factors with the origin appended.
+    """
+    p, n = factors[i]
+    others = [(x, a) for k, (x, a) in enumerate(factors) if k != i]
+    log_h = 0.0 + 0j
+    for x, a in others:
+        log_h -= a * np.log(x - p)
+    x0, a0 = _ORIGIN
+    t = np.zeros((2, n), dtype=complex)
+    t[0, 0] = np.exp(log_h)
+    t[1, 0] = np.exp(log_h - a0 * np.log(x0 - p))
+    if n > 1:
+        w = np.zeros((2, n), dtype=complex)
+        for r in range(1, n):
+            try:
+                w[0, r] = sum((-a) * (-1.0) ** (r - 1) / (x - p) ** r for x, a in others)
+                w[1, r] = w[0, r] + (-a0) * (-1.0) ** (r - 1) / (x0 - p) ** r
+            except ZeroDivisionError:
+                raise ConvergenceError(f"a distance between two poles, raised to the power {r}, "
+                                       "underflows (a mean SNR near the float range?)") from None
+        for row, wr in zip(t, w):
+            for l in range(n - 1):
+                row[l + 1] = np.dot(row[: l + 1], wr[1 : l + 2][::-1]) / (l + 1)
+    return t[0, ::-1].copy(), t[1, ::-1].copy()
+
+
+def _mixture_value(pfe: PartialFractionExpansion, coef: np.ndarray, s):
+    """omega * sum coef / (s + pole)^j over the expansion's terms, and the sum of their magnitudes."""
+    terms = coef / (np.asarray(s, dtype=complex)[..., None] + pfe.term_pole) ** pfe.term_j
+    return pfe.omega_norm * terms.sum(-1), abs(pfe.omega_norm) * np.abs(terms).sum(-1)
+
+
+def link_expansion(params: FBParams) -> PartialFractionExpansion:
+    """Decompose one link's transform over its distinct poles.
+
+    The factors are the link's regular factors (:func:`fbsec.params.link_factors`):
+    each root at m and its partner at ``mu/2 - m``, or at ``mu/2`` alone where
+    kappa = 0.  Numerator factors (negative exponents) are carried and the
+    decomposition runs over the poles only.  Raises a case-mismatch error
+    where ``mu/2 - m`` loses ``mu/2`` (m past a few 1e9 times mu, kappa > 0),
+    where an exponent is not an integer, and where there is no pole or more
+    than 64; and ConvergenceError where the scale factor omega or a pole
+    distance leaves the float range.
+    """
+    dp = derive(params)
+    half, m = params.mu / 2.0, params.m
+    if dp.deltas.any() and abs((half - m) + m - half) > 1e-6 * half:
+        raise CaseMismatchError("m is too large against mu, so mu/2 - m loses mu/2; use the numeric path")
+    regular, _ = link_factors(dp, params.avg_snr)
+    net = [float(a) for _, a in regular]
+    if any(abs(a - round(a)) > 1e-9 for a in net):
+        raise CaseMismatchError(
+            f"net rate exponents {net!r} are not integers; use the numeric path"
+        )
+    factors = [(complex(p), int(round(a))) for p, a in regular if round(a) != 0]
+    total = sum(a for _, a in factors if a > 0)
+    if not 0 < total <= _MAX_TOTAL_MULT:
+        raise CaseMismatchError(
+            f"total pole multiplicity {total} is not in 1..{_MAX_TOTAL_MULT}; use the numeric path"
+        )
+
+    try:
+        omega_norm = math.exp(dp.ln_omega)
+    except OverflowError:
+        raise ConvergenceError(f"the transform's scale factor exp({dp.ln_omega:.6g}) overflows "
+                               "(a mean SNR near the float range?)") from None
+    poles = np.asarray([p for p, a in factors if a > 0], dtype=complex)
+    mults = np.asarray([a for _, a in factors if a > 0], dtype=int)
+    rows_A, rows_B = zip(*(_taylor_rows(factors, i) for i, (_, a) in enumerate(factors) if a > 0))
+    pfe = PartialFractionExpansion(
+        poles=poles,
+        mults=mults,
+        term_pole=np.repeat(poles, mults),
+        term_j=np.concatenate([_POWERS[:n] for n in mults]),
+        term_A=np.concatenate(rows_A),
+        term_B=np.concatenate(rows_B),
+        omega_norm=omega_norm,
+    )
+    _validate_expansion(pfe, factors, dp.ln_omega)
+    return pfe
+
+
+def _validate_expansion(pfe, factors, ln_omega):
+    # Far above the smallest pole the identity cancels its own leading 1/s
+    # moments, so errors are measured against the term-magnitude sum
+    # (backward error); a wrong coefficient still shows up at full size.
+    mags = np.abs(pfe.poles)
+    s = 0.3 * mags.min() * (10.0 * mags.max() / mags.min()) ** _PROBE
+    rates, exps = np.array(factors, dtype=complex).T
+    # real s right of every pole: the transform is real (its phase is 0), and no factor is stiff
+    ln_direct, _ = log_transform(s, 0.0, rates, exps.real, (), (), (), ln_omega, phase=False)
+    direct = np.exp(ln_direct)
+    # F = 1 + the B mixture, so the B mixture's transform plus 1/s is direct / s
+    for side, coef, target, unit in (("density", pfe.term_A, direct, 0.0),
+                                     ("distribution", pfe.term_B, direct / s, 1.0 / s)):
+        recon, cond = _mixture_value(pfe, coef, s)
+        err = np.max(np.abs(recon + unit - target) / np.maximum(np.abs(target), cond + unit))
+        if not err <= _RECON_TOL:  # a NaN error is refused too
+            raise ConvergenceError(
+                f"{side}-side partial-fraction reconstruction error {err:.2e} (near-degenerate poles?)",
+                achieved=float(err),
+            )
+
+
+def _realify(z, what: str):
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ConvergenceError(f"{what} is not finite ({z}); a mean SNR near the float range?")
+    if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z.real)):
+        raise ConvergenceError(f"{what} has non-negligible imaginary residue {z.imag:.2e}")
+    return z.real
+
+
+def _asc(bob: PartialFractionExpansion, eve: PartialFractionExpansion) -> float:
+    """Average secrecy capacity in nats.
+
+    The cross term's moment tables, one per pole-pair sum p_D + p_E, are
+    padded into one array and read per term pair at power jd + je - 1.
+    """
+    own = np.concatenate([ln1p_moment_table(int(n), p) for p, n in zip(bob.poles, bob.mults)])
+    total = bob.omega_norm * np.dot(bob.term_A, own)
+
+    tables = np.zeros((bob.poles.size, eve.poles.size, bob.mults.max() + eve.mults.max() - 1), dtype=complex)
+    for i, (pd, nd) in enumerate(zip(bob.poles, bob.mults)):
+        for k, (pe, ne) in enumerate(zip(eve.poles, eve.mults)):
+            tables[i, k, : nd + ne - 1] = ln1p_moment_table(int(nd + ne - 1), pd + pe)
+    jd, je = bob.term_j[:, None], eve.term_j[None, :]
+    gd, ge = (np.repeat(np.arange(x.poles.size), x.mults) for x in (bob, eve))
+    T = tables[gd[:, None], ge[None, :], jd + je - 2]
+    w = np.exp(_LN_FACT[jd + je - 2] - _LN_FACT[jd - 1] - _LN_FACT[je - 1])
+    cross = w * (bob.term_A[:, None] * eve.term_B + eve.term_A * bob.term_B[:, None]) * T
+    total += bob.omega_norm * eve.omega_norm * cross.sum()
+    return _realify(total, "average secrecy capacity")
+
+
+def _outage(
+    bob: PartialFractionExpansion, eve: PartialFractionExpansion, theta: float, z: float
+) -> float:
+    """P(g_D - theta g_E < z) for theta > 0 and z >= 0.
+
+    The integral of F_D(theta g + z) f_E(g) over the two mixtures: the
+    binomial expansion of (theta g + z)^(jd-1) runs over r = 0..jd-1, and
+    at z = 0 only its top term r = jd - 1 survives the vanishing z powers.
+    """
+    # axes: Bob's term, Eve's term, binomial index r (only r < jd is a term)
+    pd, jd = bob.term_pole[:, None, None], bob.term_j[:, None, None]
+    pe, je = eve.term_pole[None, :, None], eve.term_j[None, :, None]
+    r = np.arange(jd.max()) if z > 0.0 else jd - 1
+    pw = jd - 1 - r
+    # binomial(jd-1, r) and the rising factorial (je)_r, with the 1/(jd-1)!
+    # prefactor folded in
+    L = (
+        -z * pd
+        + r * math.log(theta)
+        - _LN_FACT[r] - _LN_FACT[np.maximum(pw, 0)]
+        + _LN_FACT[je + r - 1] - _LN_FACT[je - 1]
+        - (r + je) * np.log(theta * pd + pe)
+    )
+    if z > 0.0:
+        L = L + pw * math.log(z)
+    terms = eve.term_A[None, :, None] * bob.term_B[:, None, None] * np.exp(np.where(pw >= 0, L, -np.inf))
+    val = 1.0 + bob.omega_norm * eve.omega_norm * terms.sum()
+    return min(1.0, max(0.0, _realify(val, "secrecy outage probability")))
+
+
+def closed_sums(
+    bob: FBParams, eve: FBParams, cfg: SecrecyConfig, metrics=METRICS
+) -> dict[str, float]:
+    """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) of Case-2 links from their expansions.
+
+    The closed-form sums over both links' partial-fraction tables: ASC by
+    :func:`_asc` and each distinct (theta, z) problem of
+    ``cfg.outage_problems`` by :func:`_outage`, once each.  Raises
+    CaseMismatchError when an exponent is not an integer, and
+    ConvergenceError when an expansion or a value cannot be trusted (a
+    non-finite value included).
+    """
+    check_metrics(metrics)
+    # what overflows comes out non-finite, and _realify refuses it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exp_d, exp_e = link_expansion(bob), link_expansion(eve)
+        problems = cfg.outage_problems(metrics)
+        prob = {pz: _outage(exp_d, exp_e, *pz) for pz in set(problems.values())}
+        values = {k: outage_value(k, prob[pz]) for k, pz in problems.items()}
+        if "asc" in metrics:
+            values["asc"] = _asc(exp_d, exp_e)
+    return {k: values[k] for k in metrics}
 
 
 @dataclass(frozen=True)
@@ -372,6 +732,40 @@ def cdf_case2(pfe, g):
     vals = 1.0 + _mixture_time_domain(pfe, pfe.term_B, g)
     out = np.where(g == 0.0, 0.0, np.clip(vals.real, 0.0, 1.0))  # 0 at g = 0 exactly, by construction
     return out if out.ndim else float(out)
+
+
+def residue_tail_mp(bob, eve, theta: float, z: float):
+    """1 - P(g_D - theta g_E < z) as the sum of Bob's residues, at mpmath's working precision.
+
+    From the float factors of two Case-2 contour links (``inversion._Link``), as the package's
+    residue sums read them, so that the difference from theirs is their own rounding: at Bob's
+    pole -p of order n, the Taylor coefficient t_(n-1) of the co-factor by the plain
+    logarithmic-derivative recurrence, every factor in its power sums.
+    """
+    import mpmath as mp
+
+    x = [mp.mpf(v) for v in bob.factors[0].tolist()]
+    a = [round(v) for v in bob.factors[1].tolist()]
+    y = [mp.mpf(v) for v in eve.factors[0].tolist()]
+    b = [round(v) for v in eve.factors[1].tolist()]
+    theta, z = mp.mpf(theta), mp.mpf(z)
+    total = mp.mpf(0)
+    for i, (p, n) in enumerate(zip(x, a)):
+        if n <= 0:
+            continue
+        others = [(a[k], x[k]) for k in range(len(x)) if k != i]
+        cofactor = others + [(1, 0)] + [(bj, -yj / theta) for bj, yj in zip(b, y)]  # (c, x): (s + x)^-c
+        t0 = (mp.exp(mp.mpf(bob.ln_omega) + mp.mpf(eve.ln_omega) - p * z)
+              * mp.fprod((xk - p) ** -ak for ak, xk in others) / -p
+              * mp.fprod((yj + theta * p) ** -bj for bj, yj in zip(b, y)))
+        w = [0] + [mp.fsum(c / (p - xk) ** r for c, xk in cofactor) for r in range(1, n)]
+        if n > 1:
+            w[1] += z
+        t = [mp.mpf(1)]
+        for l in range(n - 1):
+            t.append(mp.fsum(t[q] * w[l + 1 - q] for q in range(l + 1)) / (l + 1))
+        total += t0 * t[n - 1]
+    return -total
 
 
 def law_reference(p):

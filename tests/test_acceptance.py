@@ -23,14 +23,13 @@ from fbsec import (
     closed_metrics,
     derive,
     estimate,
-    link_expansion,
     numeric_metrics,
     physical_model,
     sample_snr,
 )
 
 from conftest import draw_params
-from oracles import TalbotLink, cdf_case2, cdf_numeric, pdf_case2
+from oracles import TalbotLink, cdf_case2, cdf_numeric, link_expansion, pdf_case2
 
 
 # metrics are O(1)-scaled (nats, probabilities); below this the relative

@@ -1,27 +1,33 @@
-"""Closed-form expansions and secrecy metrics against quadrature and sampling."""
+"""Closed-route metrics (certified residue sums) and the partial-fraction oracle against quadrature,
+sampling and the numeric route."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import fbsec
+import fbsec.cli
 from fbsec import (
     FBParams,
     MCConfig,
     SecrecyConfig,
     closed_metrics,
+    db_to_linear,
     derive,
-    link_expansion,
+    numeric_metrics,
 )
-from fbsec.casetwo import _mixture_value, _realify, _taylor_rows, _validate_expansion
-from fbsec.errors import CaseMismatchError, ConvergenceError, FbsecError, ParameterError
+from fbsec.casetwo import _ResidueSum
+from fbsec.errors import AccuracyWarning, CaseMismatchError, ConvergenceError, FbsecError, ParameterError
+from fbsec.inversion import _Link
 from fbsec.params import METRICS, link_factors, outage_value
 
 import oracles
 from conftest import draw_params
-from oracles import cdf_case2, pdf_case2
+from oracles import _mixture_value, _realify, _taylor_rows, _validate_expansion, cdf_case2, link_expansion, pdf_case2
 
 EPS = np.finfo(float).eps
 
@@ -325,7 +331,7 @@ class TestMetrics:
 
 
 class TestArraySumsMatchLoops:
-    """The array sums of casetwo against the term-by-term loops of ``oracles``.
+    """The partial-fraction oracle's array sums against its term-by-term loops.
 
     Reordering a sum moves it by a small multiple of eps times the sum of
     its terms' magnitudes, which each loop returns; near-double-pole pairs
@@ -356,12 +362,12 @@ class TestArraySumsMatchLoops:
         out["asc"] = oracles.asc_loops(exp_d, exp_e)
         return out
 
-    def test_closed_metrics(self, pairs):
+    def test_closed_sums(self, pairs):
         compared = 0
         for bob, eve in pairs:
             for rs in (0.0, 0.5, 1.0, 2.0):
                 cfg = SecrecyConfig(rs)
-                new = self.outcome(lambda: closed_metrics(bob, eve, cfg))
+                new = self.outcome(lambda: oracles.closed_sums(bob, eve, cfg))
                 old = self.outcome(lambda: self.loop_metrics(bob, eve, cfg))
                 if isinstance(new, type) or isinstance(old, type):
                     assert new is old
@@ -385,3 +391,115 @@ class TestArraySumsMatchLoops:
             mix, mag = oracles.mixture_time_domain_loops(exp, exp.term_B, g)
             cdf = np.where(g == 0.0, 0.0, np.clip(1.0 + mix.real, 0.0, 1.0))
             assert np.all(np.abs(cdf_case2(exp, g) - cdf) <= self.BOUND * (1.0 + mag))
+
+
+def _smaller_tail_or_asc(name, value):
+    """The scale of the 1e-6 bar: the smaller of P and 1 - P for a probability, ASC itself for ASC."""
+    return abs(value) if name == "asc" else min(value, 1.0 - value)
+
+
+def _numeric(bob, eve, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)  # a noise-limited value; its error counts below
+        return numeric_metrics(bob, eve, cfg)
+
+
+class TestResidueSums:
+    """The closed route's residue sums, each returned value certified to 1e-7 of its smaller tail."""
+
+    # (Bob, Eve, R_s) of silent faults of the partial-fraction sums (CHANGES.md, ROADMAP B and K):
+    # closed-eval's KNOWN_FAULT_PAIR and its seed-1 round-13 op 101
+    FAULTS = [
+        (FBParams(8.0, 5.0, 0.17655020417374986, 1.1120149700648747, 0.16262928957661868,
+                  db_to_linear(22.36394962226311)),
+         FBParams(8.0, 8.0, 0.12863355271648994, 0.7566779572553815, 3.3353586798013706,
+                  db_to_linear(14.392154567693114)),
+         0.5),
+        (FBParams(6.0, 2.0, 8.41255027889479, 0.9998096658510008, 0.1848866719695275,
+                  db_to_linear(17.723598375317447)),
+         FBParams(6.0, 6.0, 0.39965279706084056, 0.7341717766460353, 2.9815319618903584,
+                  db_to_linear(13.415925005261801)),
+         2.0),
+    ]
+    # lambda = 70 dB on the README pair: SOP near 4e-24, where the left side's leading 1 leaves only noise
+    BOB_73DB, EVE_3DB = FBParams(4, 2, 1.5, 0.4, 0.3, 10**7.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(7)
+        return [(draw_params(rng, case2=True), draw_params(rng, case2=True)) for _ in range(396)]
+
+    @staticmethod
+    def check_or_refused(bob, eve, cfg):
+        """closed_metrics within 1e-6 of numeric_metrics (plus its achieved error), or True where refused."""
+        try:
+            closed = closed_metrics(bob, eve, cfg)
+        except ConvergenceError as exc:
+            assert "error bound" in str(exc) and exc.achieved > 0.0
+            return True
+        numeric, errors = _numeric(bob, eve, cfg)
+        for name in METRICS:
+            bar = 1e-6 * _smaller_tail_or_asc(name, numeric[name]) + errors[name]
+            assert abs(closed[name] - numeric[name]) <= bar, (bob, eve, cfg.rate_rs, name, closed[name], numeric[name])
+        return False
+
+    def test_every_value_on_the_draw_agrees_with_numeric(self, pairs):
+        # pairs 92, 56 and 287 among them: partial-fraction ASCs of -2095.8 and 1.1e-3 and 9.6e-6 off
+        refused = sum(self.check_or_refused(bob, eve, SecrecyConfig(rs))
+                      for bob, eve in pairs for rs in (0.0, 0.5, 1.0, 2.0))
+        assert refused <= 0.01 * 4 * len(pairs)  # 14 of 1584
+
+    @pytest.mark.parametrize("bob,eve,rs", FAULTS, ids=["known-fault-pair", "round-13-op-101"])
+    def test_named_faults_agree_or_are_refused(self, bob, eve, rs):
+        self.check_or_refused(bob, eve, SecrecyConfig(rs))
+
+    def test_bound_covers_the_rounding(self, pairs):
+        # against the same residue sums at 34 digits, from the same float factors, on both sides
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        for bob, eve in pairs[:40]:
+            links = _Link(bob), _Link(eve)
+            for (link_d, link_e), theta, z in ((links, np.e, np.e - 1.0), (links, 1.0, 0.0), (links[::-1], 1.0, 0.0)):
+                with np.errstate(all="ignore"):
+                    tail, bound = _ResidueSum(link_d, link_e)(np.array([theta]), np.array([z]))
+                with mp.workdps(34):
+                    exact = oracles.residue_tail_mp(link_d, link_e, theta, z)
+                assert abs(tail[0] - exact) <= bound[0], (bob, eve, theta, z)
+                checked += 1
+        assert checked == 120
+
+    def test_73db_pair_answers_below_1e20_or_leaves(self, capsys):
+        # SOP^L is P itself on the right side, Eve's poles; SOP (z > 0) has only the left side and is refused
+        cfg = SecrecyConfig(1.0)
+        sopl = closed_metrics(self.BOB_73DB, self.EVE_3DB, cfg, ("sopl",))["sopl"]
+        assert sopl == pytest.approx(2.608586332435e-24, rel=1e-6)
+        with pytest.raises(ConvergenceError, match="^closed route: the residue sum .* error bound"):
+            closed_metrics(self.BOB_73DB, self.EVE_3DB, cfg)
+        code = fbsec.cli.main(["eval", "--bob", "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=73",
+                               "--eve", "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3", "--rs", "1"])
+        rec = json.loads(capsys.readouterr().out)
+        assert code == 0 and rec["path"] == "numeric"
+        assert rec["sop"] == pytest.approx(3.967120884360e-24, rel=1e-6)
+        assert rec["sopl"] == pytest.approx(2.608586332435e-24, rel=1e-6)
+
+    def test_swapped_side_gives_the_same_outage_values(self, pairs):
+        # at z = 0, P from the left side's 1 - P and from the right side's sum agree within both bounds
+        for bob, eve in pairs[:30]:
+            link_d, link_e = _Link(bob), _Link(eve)
+            with np.errstate(all="ignore"):
+                tail, bound = _ResidueSum(link_d, link_e)(np.array([np.e, 1.0]), np.zeros(2))
+                prob, bound_r = _ResidueSum(link_e, link_d)(np.array([1.0 / np.e, 1.0]), np.zeros(2))
+            assert np.all(np.abs(1.0 - tail - prob) <= bound + bound_r + 2.0 * EPS)
+
+    def test_non_case2_refusal_builds_no_contour(self, monkeypatch):
+        # the refusal comes from derive and link_factors alone, before either link's contour objects
+        def built(*args, **kwargs):
+            raise AssertionError("a contour object was built")
+
+        for module in (fbsec.casetwo, fbsec.inversion):
+            monkeypatch.setattr(module, "_Link", built)
+            monkeypatch.setattr(module, "_Bromwich", built)
+        bob, eve = FBParams(3.5, 2.5, 1, 0.1, 0.1, 100), FBParams(1.5, 1.5, 1, 0.1, 0.1, 10**0.5)
+        for pair in ((bob, eve), (FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), eve)):
+            with pytest.raises(CaseMismatchError):
+                closed_metrics(*pair, SecrecyConfig(0.5))

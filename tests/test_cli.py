@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fbsec
 from fbsec import FBParams, MCConfig, SecrecyConfig, db_to_linear, estimate, linear_to_db
 from fbsec.cli import main
 from fbsec.params import METRICS
@@ -19,6 +25,8 @@ CASE2_BOB = "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12"
 CASE2_EVE = "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3"
 FIG1_BOB = "mu=3.5,m=2.5,kappa=1,eta=0.5,rho2=0.1,snr_db=20"
 FIG1_EVE = "mu=1.5,m=1.5,kappa=1,eta=0.1,rho2=0.1,snr_db=5"
+# lambda = 70 dB: a Case-2 pair whose SOP (about 4e-24) the closed route refuses to certify
+BOB_73DB = CASE2_BOB.replace("snr_db=12", "snr_db=73")
 # a mu < 1 link whose Monte Carlo draw needs a Poisson mean past numpy's limit
 POISSON_PAST = "mu=0.5,m=1,kappa=1e4,eta=1e-16,rho2=1e4,snr_db=10"
 
@@ -46,6 +54,8 @@ class TestEval:
         assert rec["path"] == "case2"
         assert set(("asc", "sop", "sopl", "spsc")) <= set(rec)
         assert rec["sopl"] <= rec["sop"]
+        # the bar that each closed value's error bound met
+        assert rec["error_estimates"] == {"certified_rel_tol": 1e-7}
 
     def test_numeric_path_reported(self, capsys):
         code, out, _ = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE,
@@ -389,6 +399,16 @@ class TestValidate:
         assert rep["path_closed"] == "n/a (case 1)"
         assert {c["pair"] for c in rep["comparisons"]} == {"numeric-vs-mc"}
 
+    def test_refused_case2_pair_reports_why(self, capsys):
+        # a Case-2 pair that the closed route refuses is not called case 1
+        code, out, err = run(capsys, "validate", "--bob", BOB_73DB, "--eve", CASE2_EVE, "--rs", "1",
+                             "--mc-samples", "10000", "--seed", "6")
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["path_closed"].startswith("refused: closed route: the residue sum of P(g_D - theta g_E < z)")
+        assert "error bound" in rep["path_closed"]
+        assert {c["pair"] for c in rep["comparisons"]} == {"numeric-vs-mc"}
+
     def test_family_wise_level_over_seeds(self, capsys):
         # the fig1 pair of the capacity figures; each report makes four
         # comparisons, held together to a family-wise level of 0.0027
@@ -475,6 +495,33 @@ class TestValidate:
                            "--quad-rel-tol", "10")
         assert code == 2
         assert "quad_rel_tol" in err
+
+
+class TestRefusalLog:
+    def test_closed_refusal_is_logged_with_its_bound(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="fbsec")
+        code, out, err = run(capsys, "eval", "--bob", BOB_73DB, "--eve", CASE2_EVE, "--rs", "1")
+        assert code == 0 and err == "" and json.loads(out)["path"] == "numeric"
+        (record,) = [r for r in caplog.records if r.name == "fbsec"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert message.startswith("closed route refused: ConvergenceError: closed route: the residue sum")
+        assert "has error bound" in message
+
+    def test_case_mismatch_is_logged_by_its_class(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="fbsec")
+        run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--metric", "sop")
+        (record,) = [r for r in caplog.records if r.name == "fbsec"]
+        assert record.getMessage().startswith("closed route refused: CaseMismatchError: ")
+
+    def test_silent_by_default(self):
+        # no handler or level is set up for the fbsec logger: a fresh interpreter prints nothing
+        src = str(Path(fbsec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "fbsec.cli", "eval", "--bob", BOB_73DB, "--eve", CASE2_EVE,
+                               "--rs", "1"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["path"] == "numeric"
 
 
 class TestReduce:

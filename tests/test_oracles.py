@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, special
 
 import fbsec
-from fbsec import FBParams, derive, link_expansion
+from fbsec import FBParams, derive
 from fbsec.errors import DomainError
 
 from conftest import draw_params, BOB_REFERENCE, EVE_REFERENCE
@@ -22,6 +22,7 @@ from oracles import (
     cdf_case2,
     cdf_numeric,
     contour_nodes,
+    link_expansion,
     mgf,
     pdf_case2,
     pdf_numeric,

@@ -1,6 +1,7 @@
 """Parameter validation, derived constants, and classical-family embeddings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import fbsec
-from fbsec import FBParams, derive
-from fbsec.errors import ParameterError
+from fbsec import FBParams, SecrecyConfig, derive, numeric_metrics
+from fbsec.errors import DomainError, ParameterError
 from fbsec.params import link_factors
 
 import oracles
@@ -116,10 +117,19 @@ class TestDerive:
     @settings(max_examples=200, deadline=None)
     def test_factor_list_keeps_the_law(self, mu, ln_m, kappa, eta, rho2):
         # the factor exponents add up to mu and a pair carries its root's exponent m, whether the
-        # couples are written as pairs or as two factors, and each root is its partner plus delta
+        # couples are written as pairs or as two factors, and each root is its partner plus delta;
+        # a delta that leaves the normal float range over the mean SNR while m times it still
+        # counts is refused, and only such a delta
         p = FBParams(mu, math.exp(ln_m), kappa, eta, rho2, 3.0)
         dp = derive(p)
-        roots, partners = (dp.theta_rates / 3.0).real.reshape(2, 2)
+        roots, partners = (dp.theta_rates * (1.0 / 3.0)).reshape(2, 2)  # as link_factors divides them
+        lost = [d != 0.0 and abs(d / 3.0) < sys.float_info.min and abs(p.m * d) / 3.0 > sys.float_info.epsilon * x
+                for x, d in zip(sorted(partners, reverse=True), dp.deltas)]
+        if any(lost):
+            for paired in (lambda x, delta, c: False, lambda x, delta, c: True):
+                with pytest.raises(DomainError, match="offset from its partner"):
+                    link_factors(dp, 3.0, paired)
+            return
         for paired in (lambda x, delta, c: False, lambda x, delta, c: True):
             regular, pairs = link_factors(dp, 3.0, paired)
             assert sum(a for _, a in regular) == pytest.approx(mu, rel=1e-9, abs=1e-9 * p.m)
@@ -184,16 +194,78 @@ def kappa_mu_shadowed_pdf(g, kappa, mu, m, snr):
     return front * (g / snr) ** (mu - 1) * np.exp(-mu * (1 + kappa) * g / snr) * special.hyp1f1(m, mu, z)
 
 
+class TestRealRates:
+    @pytest.mark.parametrize("eta", [0.3, 1.0, 2.5])
+    def test_rates_are_real_and_positive(self, eta):
+        # eta = 1 puts a root on its partner: the discriminant is near 0, and may round below it
+        for kappa in (0.0, 1e-6, 1.5, 1e4):
+            dp = derive(FBParams(2.5, 3.0, kappa, eta, 0.7, 10.0))
+            assert dp.theta_rates.dtype == np.float64 and np.all(dp.theta_rates > 0.0)
+            regular, _ = link_factors(dp, 10.0)
+            assert all(type(x) is float for x, _ in regular)
+
+
+class TestStiffOffsetUnderflow:
+    """A root's offset over the mean SNR that leaves the normal float range while m times it counts."""
+
+    EVE = FBParams(1.5, 1.5, 1, 0.1, 0.1, 1e20 / 3)
+
+    def test_refused_by_name(self):
+        bob = FBParams(1, 1e300, 1, 1, 1, 1e20)
+        with pytest.raises(DomainError, match="offset from its partner") as exc:
+            numeric_metrics(bob, self.EVE, SecrecyConfig(0.5))
+        assert repr(bob) in str(exc.value)
+
+    def test_snr_scan_refuses_or_keeps_the_surrogate_limit(self):
+        # m = 1e300 against m = 1e16, whose offsets stay normal: the same law to far below the errors
+        refused = []
+        for k in range(1, 21):
+            snr = 10.0**k
+            eve = FBParams(1.5, 1.5, 1, 0.1, 0.1, snr / 3)
+            cfg = SecrecyConfig(0.5)
+            ref, _ = numeric_metrics(FBParams(1, 1e16, 1, 1, 1, snr), eve, cfg, metrics=("sop",))
+            try:
+                value, err = numeric_metrics(FBParams(1, 1e300, 1, 1, 1, snr), eve, cfg, metrics=("sop",))
+            except DomainError:
+                refused.append(k)
+                continue
+            assert abs(value["sop"] - ref["sop"]) <= err["sop"], snr
+        assert refused == list(range(8, 21))  # delta / snr = -2e-300 / snr is subnormal from 1e8 on
+
+    def test_tiny_kappa_is_not_refused(self):
+        # an offset below the normal range that m times it leaves below an ulp of its partner
+        bob = FBParams(1, 1, 1e-300, 0.3, 0.64, 1e10)
+        assert abs(derive(bob).deltas[0]) / bob.avg_snr < sys.float_info.min
+        values, _ = numeric_metrics(bob, self.EVE, SecrecyConfig(0.5), metrics=("sop",))
+        assert 0.0 < values["sop"] <= 1.0
+
+    @pytest.mark.parametrize("m, snr", [(1e300, 1e7), (1e6, 1e20), (3.0, 1e30), (1e300, 1e8)])
+    def test_the_check_alone_refuses(self, monkeypatch, m, snr):
+        # normal offsets keep every factor bit for bit; a subnormal one is let through only without the check
+        dp = derive(FBParams(1, m, 1, 1, 1, snr))
+        normal = abs(dp.deltas[1]) / snr >= sys.float_info.min
+        factors = None if not normal else link_factors(dp, snr, lambda x, delta, c: c >= 256.0)
+        monkeypatch.setattr("fbsec.params._LEAST_NORMAL", 0.0)
+        unchecked = link_factors(dp, snr, lambda x, delta, c: c >= 256.0)
+        if normal:
+            assert [[v.hex() for v in f] for f in factors[0] + factors[1]] == \
+                   [[v.hex() for v in f] for f in unchecked[0] + unchecked[1]]
+        else:
+            monkeypatch.undo()
+            with pytest.raises(DomainError):
+                link_factors(dp, snr)
+
+
 class TestReductions:
     def test_kappa_mu_shadowed_gamma_case(self):
         p = fbsec.from_kappa_mu_shadowed(0.0, 2.0, 1.0, 1.0)
-        exp = fbsec.link_expansion(p)
+        exp = oracles.link_expansion(p)
         g = np.linspace(0.05, 6.0, 40)
         assert np.allclose(oracles.pdf_case2(exp, g), stats.gamma.pdf(g, a=2, scale=0.5), atol=1e-12)
 
     def test_kappa_mu_shadowed_oracle_pointwise(self):
         p = fbsec.from_kappa_mu_shadowed(2.0, 2.0, 3.0, 1.0)
-        exp = fbsec.link_expansion(p)
+        exp = oracles.link_expansion(p)
         g = np.linspace(0.02, 8.0, 60)
         oracle = kappa_mu_shadowed_pdf(g, 2.0, 2.0, 3.0, 1.0)
         assert np.max(np.abs(oracles.pdf_case2(exp, g) - oracle)) < 1e-9
@@ -211,18 +283,18 @@ class TestReductions:
 
     def test_nakagami_pdf_value(self):
         p = fbsec.from_nakagami(2.0, 1.0)
-        exp = fbsec.link_expansion(p)
+        exp = oracles.link_expansion(p)
         assert oracles.pdf_case2(exp, 1.0) == pytest.approx(4 * math.exp(-2), rel=1e-10)
 
     def test_nakagami_cdf_oracle(self):
         p = fbsec.from_nakagami(3.0, 2.0)
-        exp = fbsec.link_expansion(p)
+        exp = oracles.link_expansion(p)
         g = np.linspace(0.0, 12.0, 50)
         assert np.max(np.abs(oracles.cdf_case2(exp, g) - stats.gamma.cdf(g, a=3, scale=2 / 3))) < 1e-10
 
     def test_rayleigh_cdf(self):
         p = fbsec.from_rayleigh(1.0)
-        exp = fbsec.link_expansion(p)
+        exp = oracles.link_expansion(p)
         g = np.linspace(0.0, 10.0, 50)
         assert np.max(np.abs(oracles.cdf_case2(exp, g) - (1 - np.exp(-g)))) < 1e-10
 
@@ -230,8 +302,8 @@ class TestReductions:
         base = fbsec.from_nakagami(2.0, 1.0)
         alt = FBParams(mu=2.0, m=3.7, kappa=0.0, eta=1.0, rho2=1.0, avg_snr=1.0)
         ga = np.linspace(0.1, 5, 20)
-        pa = oracles.pdf_case2(fbsec.link_expansion(base), ga)
-        pb = oracles.pdf_case2(fbsec.link_expansion(alt), ga)
+        pa = oracles.pdf_case2(oracles.link_expansion(base), ga)
+        pb = oracles.pdf_case2(oracles.link_expansion(alt), ga)
         assert np.allclose(pa, pb, rtol=1e-10, atol=1e-12)
 
     def test_beckmann_rayleigh_limit(self):

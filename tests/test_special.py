@@ -1,7 +1,7 @@
 """Scalar special functions against quadrature oracles and identities.
 
-The runtime's ``ln1p_moment_table`` is checked directly; the rest of these
-functions live in ``oracles.py``, on top of the runtime's continued
+All of them live in ``oracles.py``: the ``ln1p_moment_table`` that the
+partial-fraction ASC sums read, and the rest on top of its continued
 fraction and exponential-integral anchor.
 """
 
@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fbsec.errors import ConvergenceError, DomainError
-from fbsec.special import _CF_SWITCH, ln1p_moment_table
 
 from oracles import (
+    _CF_SWITCH,
     EvalControl,
     binomial,
     cdf_case2,
+    link_expansion,
+    ln1p_moment_table,
     log_gamma_integral,
     pdf_case2,
     phi2_4_series,
@@ -212,7 +214,7 @@ class TestPhi24Series:
 
         p = fbsec.FBParams(2.0, 1.0, 0.5, 0.8, 0.5, 1.0)
         dp = fbsec.derive(p)
-        exp = fbsec.link_expansion(p)
+        exp = link_expansion(p)
         a = [dp.exponents[2], dp.exponents[3], dp.exponents[0], dp.exponents[1]]
         rates = [dp.theta_rates[2], dp.theta_rates[3], dp.theta_rates[0], dp.theta_rates[1]]
         rates = [complex(r).real / p.avg_snr for r in rates]
