@@ -129,7 +129,7 @@ def _closed_or_none(bob, eve, cfg, wanted=METRICS):
     """(the closed route's metrics, None), or (None, its refusal) where it refuses the pair.
 
     It takes the pairs whose net rate exponents are integers (slightly more
-    than the plain mu-even/m-integer test) and whose values it certifies.  A
+    than the plain mu-even/m-integer test) and whose values its rounding bounds accept.  A
     refusal is logged at INFO on the ``fbsec`` logger, class and message.
     """
     try:
@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
         path = "numeric"
         estimates = {"quad_rel_tol": ctrl.quad_rel_tol, "achieved": _apply_units(errs, args.units)}
     else:
-        path, estimates = "case2", {"certified_rel_tol": casetwo._CERTIFIED_REL_TOL}
+        path, estimates = "case2", {"bounded_rel_tol": casetwo._BOUNDED_REL_TOL}
     record = {**_apply_units(vals, args.units), "path": path, "rs": args.rs, "units": args.units,
               "error_estimates": estimates}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
@@ -311,7 +311,7 @@ def cmd_validate(args) -> int:
         "mc_std_error": _apply_units({name: mc[name].std_error for name in METRICS}, args.units),
     }
     report = {
-        # a Case-2 pair whose values the closed route could not certify is not case 1
+        # a Case-2 pair whose values the closed route refused on their bounds is not case 1
         "path_closed": "case2" if closed is not None else (
             "n/a (case 1)" if isinstance(refusal, CaseMismatchError) else f"refused: {refusal}"),
         "units": args.units,

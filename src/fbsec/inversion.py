@@ -11,9 +11,11 @@ is the layer-cake integral of E[(C_D - C_E)^+],
 
 the area under the secrecy outage curve, by Gauss-Legendre panels in R
 whose nodes are contour problems of the same batch (:class:`_AscRule`).
-The same routines also serve as the independent cross-check for the
-Case-2 closed forms, which take the links (:class:`_Link`) and the ASC
-rule from here, with residue sums in place of contours.
+The same routines check the Case-2 closed forms, which take the links
+(:class:`_Link`) and the ASC rule from here, with residue sums in place of
+contours.  The outage values of the two routes are independent; their ASCs
+share the rule (panels, null-rule estimate, tail cut and the bound past
+it), so comparing them checks only the node solver.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Closed-route metrics (certified residue sums) and the partial-fraction oracle against quadrature,
-sampling and the numeric route."""
+"""Closed-route metrics (residue sums with rounding bounds) and the partial-fraction oracle against
+quadrature, sampling and the numeric route."""
 
 import json
 import math
@@ -209,6 +209,8 @@ class TestMetrics:
         assert closed > 0
 
     def test_asc_matches_quadrature_on_draws(self, rng):
+        # the guard of the ASC rule: the numeric route's ASC shares it (panels, null-rule estimate,
+        # tail cut and the bound past it), so only this independent quad over the whole range checks it
         for _ in range(6):
             bob = draw_params(rng, case2=True)
             eve = draw_params(rng, case2=True)
@@ -331,7 +333,8 @@ class TestMetrics:
 
 
 class TestArraySumsMatchLoops:
-    """The partial-fraction oracle's array sums against its term-by-term loops.
+    """The partial-fraction oracle's array sums against its term-by-term loops, and the closed route
+    against them where they are well conditioned.
 
     Reordering a sum moves it by a small multiple of eps times the sum of
     its terms' magnitudes, which each loop returns; near-double-pole pairs
@@ -378,6 +381,25 @@ class TestArraySumsMatchLoops:
                 compared += 1
         assert compared > 1400
 
+    def test_closed_metrics_match_closed_sums_where_well_conditioned(self, pairs):
+        # the partial-fraction sums as the closed route's reference: wherever their rounding,
+        # 64 eps times the sum of their terms' magnitudes, is below 1e-9 of the smaller tail (of ASC)
+        compared = 0
+        for bob, eve in pairs:
+            for rs in (0.0, 0.5, 1.0, 2.0):
+                cfg = SecrecyConfig(rs)
+                new = self.outcome(lambda: closed_metrics(bob, eve, cfg))
+                old = self.outcome(lambda: self.loop_metrics(bob, eve, cfg))
+                if isinstance(new, type) or isinstance(old, type):
+                    continue
+                for name in METRICS:
+                    scale = _smaller_tail_or_asc(name, new[name])
+                    value, mag = old[name]
+                    if self.BOUND * mag <= 1e-9 * scale:
+                        assert abs(new[name] - value) <= 1e-7 * scale, (bob, eve, rs, name, new[name], value)
+                        compared += 1
+        assert compared > 4000  # of 6,336 values
+
     def test_pdf_and_cdf(self, pairs):
         grid = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
         for link in (p for pair in pairs for p in pair):
@@ -405,10 +427,11 @@ def _numeric(bob, eve, cfg):
 
 
 class TestResidueSums:
-    """The closed route's residue sums, each returned value certified to 1e-7 of its smaller tail."""
+    """The closed route's residue sums, each returned value bounded to 1e-7 of its smaller tail."""
 
     # (Bob, Eve, R_s) of silent faults of the partial-fraction sums (CHANGES.md, ROADMAP B and K):
-    # closed-eval's KNOWN_FAULT_PAIR and its seed-1 round-13 op 101
+    # closed-eval's KNOWN_FAULT_PAIR, its seed-1 round-13 op 101, and a mu = 6 pair with two of Eve's
+    # rates 1.2e-3 apart (sopl 1.5e-6 off)
     FAULTS = [
         (FBParams(8.0, 5.0, 0.17655020417374986, 1.1120149700648747, 0.16262928957661868,
                   db_to_linear(22.36394962226311)),
@@ -420,6 +443,9 @@ class TestResidueSums:
          FBParams(6.0, 6.0, 0.39965279706084056, 0.7341717766460353, 2.9815319618903584,
                   db_to_linear(13.415925005261801)),
          2.0),
+        (FBParams(6.0, 3.0, 0.1698435536862144, 2.016296455329584, 0.420252697647395, 14.169831027711972),
+         FBParams(6.0, 2.0, 0.010098315800406968, 8.54344915808468, 0.07407645332105786, 1.2358043826922513),
+         1.0),
     ]
     # lambda = 70 dB on the README pair: SOP near 4e-24, where the left side's leading 1 leaves only noise
     BOB_73DB, EVE_3DB = FBParams(4, 2, 1.5, 0.4, 0.3, 10**7.3), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
@@ -449,7 +475,7 @@ class TestResidueSums:
                       for bob, eve in pairs for rs in (0.0, 0.5, 1.0, 2.0))
         assert refused <= 0.01 * 4 * len(pairs)  # 14 of 1584
 
-    @pytest.mark.parametrize("bob,eve,rs", FAULTS, ids=["known-fault-pair", "round-13-op-101"])
+    @pytest.mark.parametrize("bob,eve,rs", FAULTS, ids=["known-fault-pair", "round-13-op-101", "mu6-close-eve-rates"])
     def test_named_faults_agree_or_are_refused(self, bob, eve, rs):
         self.check_or_refused(bob, eve, SecrecyConfig(rs))
 

@@ -25,7 +25,7 @@ CASE2_BOB = "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12"
 CASE2_EVE = "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3"
 FIG1_BOB = "mu=3.5,m=2.5,kappa=1,eta=0.5,rho2=0.1,snr_db=20"
 FIG1_EVE = "mu=1.5,m=1.5,kappa=1,eta=0.1,rho2=0.1,snr_db=5"
-# lambda = 70 dB: a Case-2 pair whose SOP (about 4e-24) the closed route refuses to certify
+# lambda = 70 dB: a Case-2 pair whose SOP (about 4e-24) the closed route refuses on its rounding bound
 BOB_73DB = CASE2_BOB.replace("snr_db=12", "snr_db=73")
 # a mu < 1 link whose Monte Carlo draw needs a Poisson mean past numpy's limit
 POISSON_PAST = "mu=0.5,m=1,kappa=1e4,eta=1e-16,rho2=1e4,snr_db=10"
@@ -55,7 +55,7 @@ class TestEval:
         assert set(("asc", "sop", "sopl", "spsc")) <= set(rec)
         assert rec["sopl"] <= rec["sop"]
         # the bar that each closed value's error bound met
-        assert rec["error_estimates"] == {"certified_rel_tol": 1e-7}
+        assert rec["error_estimates"] == {"bounded_rel_tol": 1e-7}
 
     def test_numeric_path_reported(self, capsys):
         code, out, _ = run(capsys, "eval", "--bob", FIG1_BOB, "--eve", FIG1_EVE,
