@@ -45,12 +45,12 @@ def log_transform(sr, si, poles, exps, pair_x, pair_delta, pair_coef, ln_omega, 
     si2 = si * si
     re = ln_omega
     im = 0.0
-    for p, a in zip(np.real(poles), exps):
+    for p, a in zip(poles, exps):
         z = sr + p
         re = re - (0.5 * a) * np.log(z * z + si2)
         if phase:
             im = im - a * np.arctan2(si, z)
-    for x, d, c in zip(np.real(pair_x), np.real(pair_delta), pair_coef):
+    for x, d, c in zip(pair_x, pair_delta, pair_coef):
         # w = delta / (s + x), and log(1 + w) from log1p
         z = sr + x
         k = d / (z * z + si2)

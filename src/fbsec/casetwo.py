@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .errors import CaseMismatchError, ConvergenceError
-from .inversion import _AscRule, _Bromwich, _Link
+from .inversion import _AscRule, _Link
 from .params import METRICS, FBParams, SecrecyConfig, check_metrics, derive, link_factors, outage_value
 
 __all__ = ["closed_metrics"]
@@ -44,19 +44,15 @@ _LN_OMEGA_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def _case2(params: FBParams):
-    """The link's :func:`~fbsec.params.derive`, once its regular factors are found to be Case 2.
-
-    Raises CaseMismatchError where ``mu/2 - m`` loses ``mu/2`` (m past a few
-    1e9 times mu, kappa > 0), where an exponent is not an integer, and where
-    there is no pole or more than 64; ConvergenceError where the scale
-    factor omega leaves the normal float range (a mean SNR near the float
-    range).
+    """The link's :func:`~fbsec.params.derive` and (regular, pairs) factors, once these are found
+    to be Case 2: no root's exponent m passes 64 then, so none is a stiff pair, and they are its
+    contour link's factors too.  Raises CaseMismatchError where an exponent is not an integer, and
+    where there is no pole or more than 64; ConvergenceError where the scale factor omega leaves
+    the normal float range (a mean SNR near the float range).
     """
     dp = derive(params)
-    half, m = params.mu / 2.0, params.m
-    if dp.deltas.any() and abs((half - m) + m - half) > 1e-6 * half:
-        raise CaseMismatchError("m is too large against mu, so mu/2 - m loses mu/2; use the numeric path")
-    net = [a for _, a in link_factors(dp, params.avg_snr)[0]]
+    factors = link_factors(dp, params.avg_snr)
+    net = [a for _, a in factors[0]]
     if any(abs(a - round(a)) > 1e-9 for a in net):
         raise CaseMismatchError(f"net rate exponents {net!r} are not integers; use the numeric path")
     total = sum(round(a) for a in net if a > 0)
@@ -69,7 +65,7 @@ def _case2(params: FBParams):
         raise ConvergenceError(f"the transform's scale factor exp({dp.ln_omega:.6g}) "
                                f"{'overflows' if dp.ln_omega > hi else 'underflows'} "
                                "(a mean SNR near the float range?)")
-    return dp
+    return dp, factors
 
 
 class _ResidueSum:
@@ -142,9 +138,13 @@ class _ResidueSum:
                 row = [1.0]
                 for l in range(min(n - 1, int(-a))):
                     row.append(row[-1] * -g * (-a - l) / (l + 1))
-                poly, poly_abs = np.convolve(poly, row)[:n], np.convolve(poly_abs, np.abs(row))[:n]
+                if poly is poly_abs:  # still 1: the product is the row, each entry a sum from +0
+                    pad = [0.0] * (n - len(row))
+                    poly, poly_abs = [0.0 + c for c in row] + pad, [abs(c) for c in row] + pad
+                    continue
+                poly, poly_abs = np.convolve(poly, row)[:n].tolist(), np.convolve(poly_abs, np.abs(row))[:n].tolist()
             sums.append((signed, magnitude))
-            numers.append([(poly[k - 1 - j], poly_abs[k - 1 - j]) if j < k else (0.0, 0.0) for j in range(n)])
+            numers.append(list(zip(poly[k - 1 :: -1], poly_abs[k - 1 :: -1])) + [(0.0, 0.0)] * (n - k))
         self.p, self.inv_scale, self.ln_bob, self.size_bob, self.sign, self.k = np.array(scalars).T
         self.w_bob = np.array(sums).transpose(2, 1, 0)[:, :, None]  # (r, 2, 1, pole)
         self.numer = np.array(numers).transpose(1, 2, 0)[:, :, None]  # read back from n - 1: (j, 2, 1, pole)
@@ -192,6 +192,8 @@ def _outage(right, theta, z, tail, bound):
     first problem that neither side brings under it.  ``right()`` builds the right side's sum."""
     prob = 1.0 - tail
     bad = ~_within_bar(tail, bound)
+    if not bad.any():
+        return prob
     swap = np.flatnonzero(bad & (z == 0.0))
     if swap.size:
         # P(g_D - theta g_E < 0) is 1 - P(g_E - g_D / theta < 0): the left side of the swapped pair
@@ -224,19 +226,17 @@ def closed_metrics(
     above that bar or a value is not finite.
     """
     check_metrics(metrics)
-    dp_d = _case2(bob)
-    dp_e = _case2(eve)
-    link_d, link_e = _Link(bob, dp_d), _Link(eve, dp_e)
+    case_d, case_e = _case2(bob), _case2(eve)
+    link_d, link_e = _Link(bob, *case_d), _Link(eve, *case_e)
     left = _ResidueSum(link_d, link_e)
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))
     theta, z = np.array(keys, dtype=float).reshape(-1, 2).T
     k, rule, values = len(keys), None, {}
     if "asc" in metrics:
-        contour = _Bromwich(link_d, link_e)
-        rule = _AscRule(contour, _BOUNDED_REL_TOL, bob.avg_snr, _AscRule.tails(contour, [bob.avg_snr])[0])
-        nodes = rule.problems()
-        theta, z = np.concatenate([theta, nodes[0]]), np.concatenate([z, nodes[1]])
+        tail = _AscRule.tails(link_d, link_e, [bob.avg_snr])[0]
+        rule = _AscRule(link_d, link_e, _BOUNDED_REL_TOL, bob.avg_snr, tail)
+        theta, z = (np.concatenate(pair) for pair in zip((theta, z), rule.problems()))
     # what under- or overflows comes out as 0 with a bound of 0, or not finite, and is refused
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         tail, bound = left(theta, z)
@@ -246,7 +246,7 @@ def closed_metrics(
             values = {name: outage_value(name, solved[pz]) for name, pz in problems.items()}
         if rule is not None:
             tail, bound = tail[k:], bound[k:]
-            while rule.add(-tail, bound, True):
+            while rule.add(tail, bound):  # 1 - SOP itself
                 tail, bound = left(*rule.problems())
             asc, err = rule.result()
             if not err <= _BOUNDED_REL_TOL * asc:  # a value or bound not finite too

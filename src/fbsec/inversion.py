@@ -84,39 +84,39 @@ class _Link:
     :func:`~fbsec.params.link_factors` with :func:`_paired`), ``ln_omega``, ``mu``, ``avg_snr``, the
     nearest singularity ``r`` and largest rate ``big`` (:func:`_rates`), ``exps_abs`` = sum |a|,
     and each stiff pair's (x, |c delta|) in ``pairs``: its log-term is at most |c delta / (s + x)|.
-    ``dp`` is the link's :func:`~fbsec.params.derive`, where the caller has it already.
+    ``dp`` and ``factors`` are its ``derive`` and (regular, pairs), where the caller has them.
     """
 
-    def __init__(self, params: FBParams, dp=None):
+    def __init__(self, params: FBParams, dp=None, factors=None):
         dp = derive(params) if dp is None else dp
-        regular, pairs = link_factors(dp, params.avg_snr, _paired)
+        regular, pairs = link_factors(dp, params.avg_snr, _paired) if factors is None else factors
         self.factors = (*np.array(regular).reshape(-1, 2).T, *np.array(pairs).reshape(-1, 3).T)
         self.ln_omega = dp.ln_omega
         self.mu = dp.mu
         self.avg_snr = params.avg_snr
-        self.r, self.big = _rates(self.factors)
-        _, exps, pair_x, pair_delta, pair_coef = self.factors
-        self.exps_abs = float(np.sum(np.abs(exps)))
-        self.pairs = list(zip(pair_x, np.abs(pair_delta * pair_coef)))
+        self.r, self.big = _rates(regular, pairs)
+        self.exps_abs = float(np.abs(self.factors[1]).sum())
+        self.pairs = [(x, abs(delta * c)) for x, delta, c in pairs]
 
     def log_m(self, sr, si, phase=True):
         """Real and imaginary parts of log M(s) at s = sr + i si; the real part alone, and None,
         without ``phase``."""
         return _kernels.log_transform(sr, si, *self.factors, self.ln_omega, phase)
 
-    def upper_limit(self, eps: float) -> float:
+    def upper_limit(self, eps: float, ln_m=None) -> float:
         """Abscissa beyond which the survival mass is below ``eps``.
 
         Exponential (Chernoff-style) bound from the transform evaluated on
-        the negative axis, optimised over a few fractions of the nearest
-        singularity.
+        the negative axis (``ln_m``, where the caller has it), optimised
+        over a few fractions of the nearest singularity.
         """
         tau = self.r * _CHERNOFF_FRACTIONS
-        # a distance that underflows makes the limit infinite, or not a number
-        # where two such logs cancel; either way no finite cut is found
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_m, _ = self.log_m(-tau, 0.0, phase=False)
-        return max(float(np.min((ln_m - math.log(eps)) / tau)), 10.0 * self.avg_snr)
+        if ln_m is None:
+            # a distance that underflows makes the limit infinite, or not a number
+            # where two such logs cancel; either way no finite cut is found
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ln_m, _ = self.log_m(-tau, 0.0, phase=False)
+        return max(float(((ln_m - math.log(eps)) / tau).min()), 10.0 * self.avg_snr)
 
 
 # Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
@@ -150,17 +150,16 @@ _ULPS = 8.0
 _EPS = np.finfo(float).eps
 
 
-def _rates(factors) -> tuple[float, float]:
-    """(nearest singularity, largest rate) of one link's transform factors.
+def _rates(regular, pairs) -> tuple[float, float]:
+    """(nearest singularity, largest rate) of one link's (regular, pairs) factors.
 
     Poles (positive exponents), branch points (non-integer negative
     exponents) and both members of every stiff pair are singular; a
     numerator factor with an integer exponent is not.
     """
-    poles, exps, pair_x, pair_delta, _ = factors
-    members = [*pair_x, *(pair_x + pair_delta)]
-    singular = [p for p, a in zip(poles, exps) if a > 0 or abs(a - round(a)) > 1e-9]
-    return min(singular + members), max([*poles, *members])
+    members = [x for x, _, _ in pairs] + [x + delta for x, delta, _ in pairs]
+    singular = [p for p, a in regular if a > 0 or abs(a - round(a)) > 1e-9]
+    return min(singular + members), max([p for p, _ in regular] + members)
 
 
 def _ragged(counts):
@@ -537,45 +536,46 @@ class _AscRule:
     1 - SOP(R) <= M_D(-t) M_E(e^R_hi t) e^(-t (e^R - 1)), whose integral
     over R is at most that at R_hi divided by t e^R_hi.
 
-    Bob's mean SNR is ``avg_snr``, ``r`` times that of the contour's Bob
-    link, whose SNR is g_B: g_D = r g_B, so each problem is posed to the
-    contour as (theta / r, z / r), Bob's tail bound is r times the link's,
-    and the Chernoff t, in the link's units, is r times that above.
-    ``tail`` is the row's (R_hi, cut) from :meth:`tails`.
+    The rule works on the links that its node solver reads.  Bob's mean SNR
+    is ``avg_snr``, ``r`` times that of Bob's link, whose SNR is g_B: g_D = r g_B,
+    so each problem is posed as (theta / r, z / r), Bob's tail bound is r
+    times the link's, and the Chernoff t, in the link's units, is r times
+    that above.  ``tail`` is the row's (R_hi, cut) from :meth:`tails`.
     """
 
-    def __init__(self, contour: _Bromwich, rel_tol: float, avg_snr: float, tail: tuple[float, float]):
-        self.scale = avg_snr / contour.d.avg_snr
+    def __init__(self, link_d: _Link, link_e: _Link, rel_tol: float, avg_snr: float, tail: tuple[float, float]):
+        self.scale = avg_snr / link_d.avg_snr
         self.r_hi, self.cut = tail
         self.b = min(math.log1p(avg_snr), 0.5 * self.r_hi)
-        self.grade = 2 if contour.d.mu + contour.e.mu >= _GRADE_MU else 3
+        self.grade = 2 if link_d.mu + link_e.mu >= _GRADE_MU else 3
         self.rel_tol = rel_tol
-        # panels as (lo, hi, graded) in v: R = b v^q (q - (q - 1) v) where graded, R = v elsewhere
-        self.todo = (np.array([0.0, self.b]), np.array([1.0, self.r_hi]), np.array([True, False]))
-        # lo, hi, graded, integral, estimate, contour error of the panels done
-        self.done = [np.empty(0), np.empty(0), np.empty(0, bool), np.empty(0), np.empty(0), np.empty(0)]
+        # panels as columns (lo, hi, graded: 1 or 0) in v: R = b v^q (q - (q - 1) v) where graded, R = v elsewhere
+        self.todo = np.array([[0.0, self.b], [1.0, self.r_hi], [1.0, 0.0]])
+        # rows lo, hi, graded, integral, estimate, contour error of the panels done
+        self.done = np.empty((6, 0))
 
     @staticmethod
-    def tails(contour: _Bromwich, avg_snrs) -> list[tuple[float, float]]:
-        """(R_hi, cut) of the rule of each Bob mean SNR in ``avg_snrs``, on one contour.
+    def tails(link_d: _Link, link_e: _Link, avg_snrs) -> list[tuple[float, float]]:
+        """(R_hi, cut) of the rule of each Bob mean SNR in ``avg_snrs``, on one pair of links.
 
-        Every R_hi is log1p(r upper) of the one tail bound ``upper`` of the
-        contour's Bob link, and every cut comes from one evaluation of the
-        Chernoff bound over a (rows x 4) grid of t.  A row whose R_hi or cut
-        is not finite (its Bob SNR nears the float range, where the grid's
-        squared distances under- or overflow) is refused by its index.
+        Bob's transform is evaluated once, at the Chernoff points of
+        :meth:`_Link.upper_limit`: every R_hi is log1p(r upper) of the one
+        tail bound ``upper`` those values give, and every cut comes from them
+        and Eve's transform over a (rows x 4) grid of t.  A row whose R_hi or
+        cut is not finite (its Bob SNR nears the float range, where the
+        grid's squares under- or overflow) is refused by its index.
         """
-        link_d = contour.d
-        upper = link_d.upper_limit(_TAIL_CUTOFF_PROB)
-        scale = [snr / link_d.avg_snr for snr in avg_snrs]
-        r_hi = [math.log1p(r * upper) for r in scale]
-        theta_hi = np.array([math.exp(x) for x in r_hi])[:, None]
-        scale = np.array(scale)[:, None]
         tau = link_d.r * _CHERNOFF_FRACTIONS
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ln_m, _ = contour._log_m(-tau, 0.0, theta_hi / scale, phase=False)
+            ln_d, _ = link_d.log_m(-tau, 0.0, phase=False)
+            upper = link_d.upper_limit(_TAIL_CUTOFF_PROB, ln_d)
+            scale = [snr / link_d.avg_snr for snr in avg_snrs]
+            r_hi = [math.log1p(r * upper) for r in scale]
+            theta_hi = np.array([math.exp(x) for x in r_hi])[:, None]
+            scale = np.array(scale)[:, None]
+            ln_e, _ = link_e.log_m(theta_hi / scale * tau, 0.0, phase=False)  # Eve at -theta s, s = -t
             t = tau / scale
-            cut = np.exp(np.min(ln_m - t * (theta_hi - 1.0) - np.log(t * theta_hi), axis=1)).tolist()
+            cut = np.exp((ln_d + ln_e - t * (theta_hi - 1.0) - np.log(t * theta_hi)).min(axis=1)).tolist()
         for i, (snr, x, c) in enumerate(zip(avg_snrs, r_hi, cut)):
             if not (math.isfinite(x) and math.isfinite(c)):
                 what = "bound past the tail cut" if math.isfinite(x) else "tail cut in R"
@@ -593,16 +593,15 @@ class _AscRule:
         self.jac = half * np.where(graded, self.b * v ** (q - 1) * (q * q - (q * q - 1) * v), 1.0)
         return np.exp(r).ravel() / self.scale, np.expm1(r).ravel() / self.scale
 
-    def add(self, tail, err, upper) -> bool:
-        """Take the contour results at :meth:`problems`; True while panels remain to do."""
-        shape = self.jac.shape
-        h = self.jac * np.where(upper, -tail, 1.0 - tail).reshape(shape)
-        parts = (*self.todo, h @ _GL_W, _null_rule(h), (self.jac * err.reshape(shape)) @ _GL_W)
-        lo, hi, graded, val, est, noise = (np.concatenate(pair) for pair in zip(self.done, parts))
+    def add(self, value, err) -> bool:
+        """Take 1 - SOP and its error at the nodes of :meth:`problems`; True while panels remain to do."""
+        h = self.jac * value.reshape(self.jac.shape)
+        new = np.concatenate([self.todo, [h @ _GL_W, _null_rule(h), (self.jac * err.reshape(h.shape)) @ _GL_W]])
+        lo, hi, graded, val, est, noise = panels = np.concatenate([self.done, new], axis=1)
         tol = self.rel_tol * abs(val.sum())
         over = est.sum() + noise.sum() + self.cut > tol
         split = over & (est > tol / len(val)) & (est > noise)
-        self.done = [x[~split] for x in (lo, hi, graded, val, est, noise)]
+        self.done = panels[:, ~split]
         if not split.any():
             return False
         if len(val) + split.sum() > _MAX_PANELS:
@@ -611,9 +610,9 @@ class _AscRule:
                 f"for value {val.sum():.6e}",
                 achieved=float(est.sum()),
             )
-        mid = 0.5 * (lo[split] + hi[split])
-        self.todo = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
-                     np.tile(graded[split], 2))
+        lo, hi, graded = panels[:3, split]
+        mid = 0.5 * (lo + hi)
+        self.todo = np.concatenate([[lo, mid, graded], [mid, hi, graded]], axis=1)
         return True
 
     def result(self) -> tuple[float, float]:
@@ -655,13 +654,13 @@ def _batch(contour, rows, cfg, ctrl, metrics):
     problems = cfg.outage_problems(metrics)
     keys = sorted(set(problems.values()))
     results = [({}, {}) for _ in rows]
-    tails = _AscRule.tails(contour, [bob.avg_snr for bob in rows]) if "asc" in metrics else None
+    tails = _AscRule.tails(contour.d, contour.e, [bob.avg_snr for bob in rows]) if "asc" in metrics else None
     jobs = []  # (row, its ASC rule or None for its outage job, (theta, z) to solve)
     for i, bob in enumerate(rows):
         if keys:
             jobs.append((i, None, np.array(keys).T / (bob.avg_snr / contour.d.avg_snr)))
         if tails:
-            rule = _AscRule(contour, tol, bob.avg_snr, tails[i])
+            rule = _AscRule(contour.d, contour.e, tol, bob.avg_snr, tails[i])
             jobs.append((i, rule, rule.problems()))
     while jobs:
         sizes = [job[2][0].size for job in jobs]
@@ -680,7 +679,7 @@ def _batch(contour, rows, cfg, ctrl, metrics):
                     values[k], errors[k] = outage_value(k, solved[pz][0]), solved[pz][1]
                 continue
             with _naming(i):
-                if rule.add(tail, err, upper):
+                if rule.add(np.where(upper, -tail, 1.0 - tail), err):
                     more.append((i, rule, rule.problems()))
                 else:
                     values["asc"], errors["asc"] = rule.result()

@@ -173,15 +173,15 @@ def derive(params: FBParams) -> DerivedParams:
                 mb = m * split + (mx * x + mxy)
                 d = (-mb + sign * math.sqrt(max(mb * mb - 4.0 * alpha1 * m * x * mxy, 0.0))) / (2.0 * alpha1)
             deltas.append(d / m)
-        theta = np.array([c1, c2, scattered / eta, scattered])
+        rates = [c1, c2, scattered / eta, scattered]
         lno = -m * math.log1p(alpha_gap / alpha2) - (mu / 2.0) * math.log(alpha2) - mu * math.log(snr)
     except (ArithmeticError, ValueError):  # a division by zero, an overflow, a log of 0
         lno = math.nan
-    if not (math.isfinite(lno) and np.isfinite(theta).all() and np.isfinite(deltas).all()):
+    if not (math.isfinite(lno) and all(map(math.isfinite, rates + deltas))):
         raise DomainError(f"{params}: a constant of its transform is past the float range")
     exps = np.array([m, m, mu / 2.0 - m, mu / 2.0 - m], dtype=float)
 
-    return DerivedParams(theta_rates=theta, exponents=exps, deltas=np.array(deltas), mu=mu, ln_omega=lno,
+    return DerivedParams(theta_rates=np.array(rates), exponents=exps, deltas=np.array(deltas), mu=mu, ln_omega=lno,
                          link=params)
 
 
@@ -207,11 +207,11 @@ def link_factors(dp: DerivedParams, avg_snr: float, paired=lambda x, delta, c: F
     past any error estimate.
     """
     m = float(dp.exponents[0])
-    roots, partners = (dp.theta_rates * (1.0 / avg_snr)).reshape(2, 2).tolist()  # each times one reciprocal
-    net = dict.fromkeys(partners, 0.0)  # each partner's exponent
+    rates = [x * (1.0 / avg_snr) for x in dp.theta_rates.tolist()]  # each times one reciprocal
+    net = dict.fromkeys(rates[2:], 0.0)  # each partner's exponent
     regular, pairs = [], []
-    for root, x, delta, exact in zip(roots, sorted(partners, reverse=True), (dp.deltas / avg_snr).tolist(),
-                                     dp.deltas.tolist()):
+    for root, x, exact in zip(rates[:2], sorted(rates[2:], reverse=True), dp.deltas.tolist()):
+        delta = exact / avg_snr
         if exact != 0.0 and abs(delta) < _LEAST_NORMAL and abs(m * exact) / avg_snr > sys.float_info.epsilon * x:
             raise DomainError(f"{dp.link.with_snr(avg_snr)}: a root's offset from its partner, over the mean SNR, "
                               f"is {delta!r}, below the normal float range, while m times it, "

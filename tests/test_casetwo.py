@@ -522,10 +522,50 @@ class TestResidueSums:
         def built(*args, **kwargs):
             raise AssertionError("a contour object was built")
 
-        for module in (fbsec.casetwo, fbsec.inversion):
-            monkeypatch.setattr(module, "_Link", built)
-            monkeypatch.setattr(module, "_Bromwich", built)
+        for module, name in ((fbsec.casetwo, "_Link"), (fbsec.inversion, "_Link"), (fbsec.inversion, "_Bromwich")):
+            monkeypatch.setattr(module, name, built)
         bob, eve = FBParams(3.5, 2.5, 1, 0.1, 0.1, 100), FBParams(1.5, 1.5, 1, 0.1, 0.1, 10**0.5)
         for pair in ((bob, eve), (FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), eve)):
             with pytest.raises(CaseMismatchError):
                 closed_metrics(*pair, SecrecyConfig(0.5))
+
+    def test_m_far_past_mu_is_refused_by_its_multiplicity(self):
+        # at m = 1e17, mu / 2 - m loses mu / 2; the roots' exponent m alone passes 64 poles
+        huge = FBParams(2, 1e17, 1, 0.5, 0.5, 10)
+        with pytest.raises(CaseMismatchError, match="total pole multiplicity 200000000000000000 is not in 1..64"):
+            closed_metrics(huge, FBParams(2, 1, 0.7, 2, 1.5, 10**0.3), SecrecyConfig(1.0))
+
+    def test_closed_eval_sets_up_each_link_once(self, monkeypatch, capsys):
+        # one closed eval derives each link and lists its factors once, and evaluates each
+        # transform once, at Bob's Chernoff points and at Eve's: no duplicate set-up
+        calls = dict.fromkeys(("derive", "link_factors", "log_transform"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (fbsec, fbsec.params, fbsec.casetwo, fbsec.inversion, fbsec.cli):
+            for name in ("derive", "link_factors"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(fbsec._kernels, "log_transform", counted("log_transform", fbsec._kernels.log_transform))
+        code = fbsec.cli.main(["eval", "--bob", "mu=4,m=2,kappa=1.5,eta=0.4,rho2=0.3,snr_db=12",
+                               "--eve", "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3", "--rs", "1"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["path"] == "case2"
+        assert calls == {"derive": 2, "link_factors": 2, "log_transform": 2}
+
+    def test_first_numerator_is_its_binomial_row(self):
+        # _ResidueSum multiplies Bob's first numerator in without np.convolve: against the
+        # polynomial 1 the product is the row itself, +0 for -0, as convolve's sums from +0 give it
+        rng = np.random.default_rng(26)
+        for n in range(1, 65):
+            for _ in range(20):
+                row = (rng.standard_normal(rng.integers(1, n + 1)) * 10.0 ** rng.uniform(-320, 20)).tolist()
+                row += [-0.0] if len(row) < n and rng.random() < 0.5 else []
+                pad = [0.0] * (n - len(row))
+                direct = np.array([0.0 + c for c in row] + pad), np.array([abs(c) for c in row] + pad)
+                one = [1.0] + [0.0] * (n - 1)
+                for got, want in zip(direct, (np.convolve(one, row)[:n], np.convolve(one, np.abs(row))[:n])):
+                    assert got.tobytes() == want.tobytes(), (n, row)

@@ -229,6 +229,26 @@ class TestAscFromOutageCurve:
             checked += 1
         assert checked >= 40
 
+    @pytest.mark.parametrize("bob,eve", [
+        (BOB_REFERENCE, EVE_REFERENCE),  # fig1
+        (FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)),  # README Case 2
+    ], ids=["fig1", "readme"])
+    def test_tails_match_their_definition(self, bob, eve):
+        # rows at r = 1, 1e-2 and 1e3 times the link's SNR: R_hi = log1p(r upper) of the link's tail
+        # bound, and the cut the least over Bob's Chernoff points t of
+        # M_D(-t) M_E(e^R_hi t) e^(-t (e^R_hi - 1)) / (t e^R_hi), bit for bit
+        link_d, link_e = _Link(bob), _Link(eve)
+        snrs = [bob.avg_snr * r for r in (1.0, 1e-2, 1e3)]
+        for snr, (r_hi, cut) in zip(snrs, _AscRule.tails(link_d, link_e, snrs)):
+            r = snr / link_d.avg_snr
+            assert r_hi.hex() == math.log1p(r * link_d.upper_limit(1e-10)).hex()
+            theta_hi, tau = math.exp(r_hi), link_d.r * _CHERNOFF_FRACTIONS  # tau = r t, in the link's units
+            ln_md, _ = link_d.log_m(-tau, 0.0, phase=False)
+            ln_me, _ = link_e.log_m(theta_hi / r * tau, 0.0, phase=False)
+            t = tau / r
+            bound = np.exp(np.min(ln_md + ln_me - t * (theta_hi - 1.0) - np.log(t * theta_hi)))
+            assert cut.hex() == float(bound).hex()
+
 
 def _bromwich_reference(bob, eve, theta, z):
     """30-digit P(g_D - theta g_E < z) minus 1 where the tail 1 - P is smaller.
@@ -524,9 +544,9 @@ def _sweep_links(names=tuple(SWEEP_PAIRS)):
             for bob, eve in (SWEEP_PAIRS[k] for k in names) for lam in SWEEP_LAMBDAS_DB]
 
 
-def _asc_rule(contour, avg_snr):
+def _asc_rule(link_d, link_e, avg_snr):
     """The ASC rule of one row at the default tolerance, on its own tail cut."""
-    return _AscRule(contour, 1e-8, avg_snr, _AscRule.tails(contour, [avg_snr])[0])
+    return _AscRule(link_d, link_e, 1e-8, avg_snr, _AscRule.tails(link_d, link_e, [avg_snr])[0])
 
 
 def _first_batch(bob, eve):
@@ -534,7 +554,7 @@ def _first_batch(bob, eve):
     outage problems and ASC's first nodes, as numeric_metrics sends them."""
     contour = _Bromwich(_Link(bob), _Link(eve))
     keys = sorted(set(SecrecyConfig(1.0).outage_problems(METRICS).values()))
-    theta_r, z_r = _asc_rule(contour, bob.avg_snr).problems()
+    theta_r, z_r = _asc_rule(contour.d, contour.e, bob.avg_snr).problems()
     return contour, np.r_[[k[0] for k in keys], theta_r], np.r_[[k[1] for k in keys], z_r]
 
 
@@ -748,7 +768,7 @@ class TestSaddleStart:
             keys = sorted(set(cfg.outage_problems(METRICS).values()))
             theta, z = np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
             try:
-                theta_r, z_r = _asc_rule(contour, bob.avg_snr).problems()
+                theta_r, z_r = _asc_rule(contour.d, contour.e, bob.avg_snr).problems()
             except ConvergenceError:
                 theta_r = z_r = np.empty(0)
             yield contour, np.r_[theta, theta_r], np.r_[z, z_r]
@@ -825,9 +845,9 @@ class TestSweepBatch:
         built = []
 
         class Recorded(_AscRule):
-            def __init__(self, contour, rel_tol, avg_snr, tail):
-                super().__init__(contour, rel_tol, avg_snr, tail)
-                built.append((contour, avg_snr, self, self.problems()))
+            def __init__(self, link_d, link_e, rel_tol, avg_snr, tail):
+                super().__init__(link_d, link_e, rel_tol, avg_snr, tail)
+                built.append(((link_d, link_e), avg_snr, self, self.problems()))
 
         monkeypatch.setattr("fbsec.inversion._AscRule", Recorded)
         with warnings.catch_warnings():
@@ -835,8 +855,8 @@ class TestSweepBatch:
             numeric_metrics(rows, eve, SecrecyConfig(1.0), metrics=("asc",))
             numeric_metrics(rows[13], eve, SecrecyConfig(1.0), metrics=("asc",))
         assert len(built) == len(rows) + 1
-        for contour, avg_snr, rule, problems in built:
-            alone = _asc_rule(contour, avg_snr)
+        for links, avg_snr, rule, problems in built:
+            alone = _asc_rule(*links, avg_snr)
             for field in ("r_hi", "b", "cut"):
                 assert getattr(rule, field).hex() == getattr(alone, field).hex(), field
             assert all(_same_bits(x, y) for x, y in zip(problems, alone.problems()))
@@ -844,10 +864,10 @@ class TestSweepBatch:
     def test_asc_rule_rescaled_onto_the_first_row(self):
         # a row's rule on the first row's link is its rule on its own link, in that link's units
         rows, eve = self._rows("fig1")
-        first = _Bromwich(_Link(rows[0]), _Link(eve))
+        first = _Link(rows[0]), _Link(eve)
         for row in rows[1::6]:
-            scaled = _asc_rule(first, row.avg_snr)
-            own = _asc_rule(_Bromwich(_Link(row), _Link(eve)), row.avg_snr)
+            scaled = _asc_rule(*first, row.avg_snr)
+            own = _asc_rule(_Link(row), _Link(eve), row.avg_snr)
             for name in ("r_hi", "b", "cut"):
                 assert getattr(scaled, name) == pytest.approx(getattr(own, name), rel=1e-12, abs=0.0), name
             for x, x_own in zip(scaled.problems(), own.problems()):

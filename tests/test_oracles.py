@@ -240,8 +240,7 @@ class TestPhi24AgainstInversion:
         base, w = contour_nodes(48, lam)
         val = talbot_sum(
             np.array([1.0]), base, w,
-            np.asarray(x, dtype=complex), a, np.array([], dtype=complex),
-            np.array([], dtype=complex), np.array([]),
+            x, a, np.array([]), np.array([]), np.array([]),
             math.log(special.gamma(b)), b - a.sum(), lam,
         )[0]
         assert series == pytest.approx(val, rel=1e-8)

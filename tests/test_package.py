@@ -24,6 +24,15 @@ def test_cli_import_loads_no_scipy():
     assert fresh_interpreter(code) == "[]"
 
 
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # set-up time is a fresh interpreter's import: a third-party package pulled in at import
+    # would add to every one (what the interpreter loads before the import does not count)
+    code = ("import sys; before = set(sys.modules); import fbsec.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+            "- set(sys.stdlib_module_names) - {'fbsec', 'numpy'}))")
+    assert fresh_interpreter(code) == "[]"
+
+
 def test_cli_import_starts_no_thread():
     # Monte Carlo workers are started per estimate, never at import, and
     # without the executor machinery of concurrent.futures
