@@ -138,10 +138,6 @@ class _ResidueSum:
                 row = [1.0]
                 for l in range(min(n - 1, int(-a))):
                     row.append(row[-1] * -g * (-a - l) / (l + 1))
-                if poly is poly_abs:  # still 1: the product is the row, each entry a sum from +0
-                    pad = [0.0] * (n - len(row))
-                    poly, poly_abs = [0.0 + c for c in row] + pad, [abs(c) for c in row] + pad
-                    continue
                 poly, poly_abs = np.convolve(poly, row)[:n].tolist(), np.convolve(poly_abs, np.abs(row))[:n].tolist()
             sums.append((signed, magnitude))
             numers.append(list(zip(poly[k - 1 :: -1], poly_abs[k - 1 :: -1])) + [(0.0, 0.0)] * (n - k))
@@ -192,8 +188,6 @@ def _outage(right, theta, z, tail, bound):
     first problem that neither side brings under it.  ``right()`` builds the right side's sum."""
     prob = 1.0 - tail
     bad = ~_within_bar(tail, bound)
-    if not bad.any():
-        return prob
     swap = np.flatnonzero(bad & (z == 0.0))
     if swap.size:
         # P(g_D - theta g_E < 0) is 1 - P(g_E - g_D / theta < 0): the left side of the swapped pair

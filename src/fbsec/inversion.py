@@ -103,20 +103,19 @@ class _Link:
         without ``phase``."""
         return _kernels.log_transform(sr, si, *self.factors, self.ln_omega, phase)
 
-    def upper_limit(self, eps: float, ln_m=None) -> float:
-        """Abscissa beyond which the survival mass is below ``eps``.
+    def upper_limit(self, eps: float) -> tuple[float, np.ndarray]:
+        """Abscissa beyond which the survival mass is below ``eps``, and ln M at the Chernoff points.
 
         Exponential (Chernoff-style) bound from the transform evaluated on
-        the negative axis (``ln_m``, where the caller has it), optimised
-        over a few fractions of the nearest singularity.
+        the negative axis, optimised over a few fractions of the nearest
+        singularity; the values of ln M there come back with the limit.
         """
         tau = self.r * _CHERNOFF_FRACTIONS
-        if ln_m is None:
-            # a distance that underflows makes the limit infinite, or not a number
-            # where two such logs cancel; either way no finite cut is found
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ln_m, _ = self.log_m(-tau, 0.0, phase=False)
-        return max(float(((ln_m - math.log(eps)) / tau).min()), 10.0 * self.avg_snr)
+        # a distance that underflows makes the limit infinite, or not a number
+        # where two such logs cancel; either way no finite cut is found
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_m, _ = self.log_m(-tau, 0.0, phase=False)
+        return max(float(((ln_m - math.log(eps)) / tau).min()), 10.0 * self.avg_snr), ln_m
 
 
 # Outage metrics: P(g_D - theta g_E < z) from one Bromwich integral each.
@@ -558,17 +557,16 @@ class _AscRule:
     def tails(link_d: _Link, link_e: _Link, avg_snrs) -> list[tuple[float, float]]:
         """(R_hi, cut) of the rule of each Bob mean SNR in ``avg_snrs``, on one pair of links.
 
-        Bob's transform is evaluated once, at the Chernoff points of
-        :meth:`_Link.upper_limit`: every R_hi is log1p(r upper) of the one
-        tail bound ``upper`` those values give, and every cut comes from them
-        and Eve's transform over a (rows x 4) grid of t.  A row whose R_hi or
-        cut is not finite (its Bob SNR nears the float range, where the
-        grid's squares under- or overflow) is refused by its index.
+        Bob's transform is evaluated once, by :meth:`_Link.upper_limit`, which
+        returns its values at the Chernoff points with the one tail bound
+        ``upper``: every R_hi is log1p(r upper), and every cut comes from
+        those values and Eve's transform over a (rows x 4) grid of t.  A row
+        whose R_hi or cut is not finite (its Bob SNR nears the float range,
+        where the grid's squares under- or overflow) is refused by its index.
         """
         tau = link_d.r * _CHERNOFF_FRACTIONS
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ln_d, _ = link_d.log_m(-tau, 0.0, phase=False)
-            upper = link_d.upper_limit(_TAIL_CUTOFF_PROB, ln_d)
+            upper, ln_d = link_d.upper_limit(_TAIL_CUTOFF_PROB)
             scale = [snr / link_d.avg_snr for snr in avg_snrs]
             r_hi = [math.log1p(r * upper) for r in scale]
             theta_hi = np.array([math.exp(x) for x in r_hi])[:, None]

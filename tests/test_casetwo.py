@@ -555,17 +555,3 @@ class TestResidueSums:
                                "--eve", "mu=2,m=1,kappa=0.7,eta=2,rho2=1.5,snr_db=3", "--rs", "1"])
         assert code == 0 and json.loads(capsys.readouterr().out)["path"] == "case2"
         assert calls == {"derive": 2, "link_factors": 2, "log_transform": 2}
-
-    def test_first_numerator_is_its_binomial_row(self):
-        # _ResidueSum multiplies Bob's first numerator in without np.convolve: against the
-        # polynomial 1 the product is the row itself, +0 for -0, as convolve's sums from +0 give it
-        rng = np.random.default_rng(26)
-        for n in range(1, 65):
-            for _ in range(20):
-                row = (rng.standard_normal(rng.integers(1, n + 1)) * 10.0 ** rng.uniform(-320, 20)).tolist()
-                row += [-0.0] if len(row) < n and rng.random() < 0.5 else []
-                pad = [0.0] * (n - len(row))
-                direct = np.array([0.0 + c for c in row] + pad), np.array([abs(c) for c in row] + pad)
-                one = [1.0] + [0.0] * (n - 1)
-                for got, want in zip(direct, (np.convolve(one, row)[:n], np.convolve(one, np.abs(row))[:n])):
-                    assert got.tobytes() == want.tobytes(), (n, row)

@@ -185,7 +185,7 @@ def _fine_asc(bob, eve):
     survival is 1e-16, with the contour at 1e-11."""
     links = _Link(bob), _Link(eve)
     contour = _Bromwich(*links)
-    r_hi = math.log1p(links[0].upper_limit(1e-16))
+    r_hi = math.log1p(links[0].upper_limit(1e-16)[0])
     b = min(math.log1p(bob.avg_snr), 0.5 * r_hi)
     edges = np.concatenate([[0.0], b * np.geomspace(1e-14, 1.0, 48), np.linspace(b, r_hi, 33)[1:]])
     x, w = np.polynomial.legendre.leggauss(40)
@@ -241,9 +241,11 @@ class TestAscFromOutageCurve:
         snrs = [bob.avg_snr * r for r in (1.0, 1e-2, 1e3)]
         for snr, (r_hi, cut) in zip(snrs, _AscRule.tails(link_d, link_e, snrs)):
             r = snr / link_d.avg_snr
-            assert r_hi.hex() == math.log1p(r * link_d.upper_limit(1e-10)).hex()
+            upper, ln_m = link_d.upper_limit(1e-10)
+            assert r_hi.hex() == math.log1p(r * upper).hex()
             theta_hi, tau = math.exp(r_hi), link_d.r * _CHERNOFF_FRACTIONS  # tau = r t, in the link's units
             ln_md, _ = link_d.log_m(-tau, 0.0, phase=False)
+            assert ln_m.tobytes() == ln_md.tobytes()
             ln_me, _ = link_e.log_m(theta_hi / r * tau, 0.0, phase=False)
             t = tau / r
             bound = np.exp(np.min(ln_md + ln_me - t * (theta_hi - 1.0) - np.log(t * theta_hi)))

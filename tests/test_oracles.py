@@ -106,7 +106,7 @@ class TestInversion:
             p = draw_params(rng)
             dp = derive(p)
             inv = TalbotLink(dp, p.avg_snr)
-            upper = inv.upper_limit(1e-12)
+            upper = inv.upper_limit(1e-12)[0]
             val, _ = integrate.quad(
                 lambda u: float(inv.pdf([math.expm1(u)])[0]) * (math.expm1(u) + 1.0),
                 0, math.log1p(upper), limit=500,
