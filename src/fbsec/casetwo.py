@@ -7,19 +7,20 @@ F(s) = M_D(s) M_E(-theta s) e^(sz) / s.  Closed to the left, round the
 origin and Bob's poles, it gives 1 - P = -sum of Res F over Bob's poles, a
 finite sum with no leading 1 to cancel against (:class:`_ResidueSum`); at
 z = 0 the right side, the same sum for the swapped pair at (1/theta, 0),
-gives P itself.  ASC is the numeric route's rule over R
-(``inversion._AscRule``, with its tail cut and refinement) with residue
-sums at its nodes, on the numeric route's links.
+gives P itself.  These sums are the node solver (:func:`_solver`) that the
+closed route passes the numeric route's batch driver, ``inversion._batch``,
+on its links: both routes pose the outage problems and the nodes of the
+ASC rule (``inversion._AscRule``), and differ only in the node solver.
 
 Each sum carries a rounding bound (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 3-4), large where
 near-coincident poles make the residues cancel.  It is probabilistic, not
 worst-case: roundings are taken to add like a random walk (see
 :class:`_ResidueSum`).  A value is returned only when its bound is at most
-``_BOUNDED_REL_TOL`` of the smaller tail min(P, 1 - P), and ASC only when
-its achieved error (the rule's estimate, node bounds included) is at most
-that of ASC; otherwise ConvergenceError names the bound, and the CLI
-answers by the numeric route.
+``_BOUNDED_REL_TOL`` of the smaller tail of the sum that solved it, and ASC
+only when its achieved error (the rule's estimate, node bounds included)
+is at most that of ASC; otherwise ConvergenceError names the bound, and
+the CLI answers by the numeric route.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import sys
 import numpy as np
 
 from .errors import CaseMismatchError, ConvergenceError
-from .inversion import _AscRule, _Link
-from .params import METRICS, FBParams, SecrecyConfig, check_metrics, derive, link_factors, outage_value
+from .inversion import _batch, _Link, _metric_values
+from .params import METRICS, FBParams, SecrecyConfig, check_metrics, derive, link_factors
 
 __all__ = ["closed_metrics"]
 
@@ -176,34 +177,32 @@ class _ResidueSum:
         return -(res @ self.ones), _EPS * bound
 
 
-def _within_bar(tail, bound):
-    """Whether each bound is at most ``_BOUNDED_REL_TOL`` of its smaller tail (of the least
-    normal float, below it)."""
-    return bound <= _BOUNDED_REL_TOL * np.maximum(np.minimum(tail, 1.0 - tail), _LEAST_NORMAL)
+def _within_bar(tail: float, bound: float) -> bool:
+    """Whether ``bound`` is at most ``_BOUNDED_REL_TOL`` of min(tail, 1 - tail) (of the least
+    normal float, below it); False where either is not a number."""
+    return bound <= _BOUNDED_REL_TOL * max(min(tail, 1.0 - tail), _LEAST_NORMAL)
 
 
-def _outage(right, theta, z, tail, bound):
-    """P of each problem from its left side's (1 - P, bound), or at z = 0 from the right side's
-    (P, bound) where the left one is above the bar; ConvergenceError names the left bound of the
-    first problem that neither side brings under it.  ``right()`` builds the right side's sum."""
-    prob = 1.0 - tail
-    bad = ~_within_bar(tail, bound)
-    swap = np.flatnonzero(bad & (z == 0.0))
-    if swap.size:
-        # P(g_D - theta g_E < 0) is 1 - P(g_E - g_D / theta < 0): the left side of the swapped pair
-        tail_r, bound_r = right()(1.0 / theta[swap], z[swap])
-        ok = _within_bar(tail_r, bound_r)
-        prob[swap[ok]] = tail_r[ok]
-        bad[swap[ok]] = False
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        why = (f"has error bound {bound[i]:.2e}, above {_BOUNDED_REL_TOL:g} of its smaller tail "
-               f"{min(tail[i], 1.0 - tail[i]):.2e} (near-coincident poles?)" if math.isfinite(bound[i] + tail[i])
-               else "is not finite: a distance between two poles, raised to a power, underflows, or a "
-               "residue overflows (a mean SNR near the float range?)")
-        raise ConvergenceError(f"closed route: the residue sum of P(g_D - theta g_E < z) at theta = "
-                               f"{theta[i]:.6g}, z = {z[i]:.6g} {why}", achieved=float(bound[i]))
-    return prob
+def _solver(link_d: _Link, link_e: _Link):
+    """The closed route's node solver: (I, bound, upper) per problem (see ``inversion._batch``).
+
+    The left side's sum gives I = -(1 - P).  At z = 0, where its bound is above the bar, the right
+    side gives I = P instead where its own bound is within it.
+    """
+    left = _ResidueSum(link_d, link_e)
+
+    def solve(theta, z):
+        tail, bound = left(theta, z)
+        value, upper = -tail, np.ones(tail.size, dtype=bool)
+        swap = [i for i in (z == 0.0).nonzero()[0].tolist() if not _within_bar(tail[i], bound[i])]
+        if swap:  # P(g_D - theta g_E < 0) is 1 - P(g_E - g_D / theta < 0): the swapped pair's left side
+            tail_r, bound_r = _ResidueSum(link_e, link_d)(1.0 / theta[swap], z[swap])
+            for i, t, b in zip(swap, tail_r.tolist(), bound_r.tolist()):
+                if _within_bar(t, b):
+                    value[i], bound[i], upper[i] = t, b, False
+        return value, bound, upper
+
+    return solve
 
 
 def closed_metrics(
@@ -211,40 +210,30 @@ def closed_metrics(
 ) -> dict[str, float]:
     """Secrecy metrics (``asc``, ``sop``, ``sopl``, ``spsc``) of Case-2 links.
 
-    The distinct (theta, z) problems of ``cfg.outage_problems`` and the ASC
-    rule's first nodes are one batch of residue sums.  Returns the metrics
-    named in ``metrics``, in that order, each within ``_BOUNDED_REL_TOL``
-    (1e-7) of its smaller tail, or of ASC, by its error bound.  Raises
-    CaseMismatchError when an exponent is not an integer (before either
-    link's contour objects are built), and ConvergenceError when a bound is
-    above that bar or a value is not finite.
+    ``inversion._batch`` with residue sums as its node solver: the distinct
+    (theta, z) problems of ``cfg.outage_problems`` and the ASC rule's first
+    nodes are one batch.  Returns the metrics named in ``metrics``, in that
+    order, each within ``_BOUNDED_REL_TOL`` (1e-7) of its smaller tail, or
+    of ASC, by its error bound.  Raises CaseMismatchError when an exponent
+    is not an integer (before either link's contour objects are built), and
+    ConvergenceError when a bound is above that bar or a value is not finite.
     """
     check_metrics(metrics)
     case_d, case_e = _case2(bob), _case2(eve)
     link_d, link_e = _Link(bob, *case_d), _Link(eve, *case_e)
-    left = _ResidueSum(link_d, link_e)
-    problems = cfg.outage_problems(metrics)
-    keys = sorted(set(problems.values()))
-    theta, z = np.array(keys, dtype=float).reshape(-1, 2).T
-    k, rule, values = len(keys), None, {}
-    if "asc" in metrics:
-        tail = _AscRule.tails(link_d, link_e, [bob.avg_snr])[0]
-        rule = _AscRule(link_d, link_e, _BOUNDED_REL_TOL, bob.avg_snr, tail)
-        theta, z = (np.concatenate(pair) for pair in zip((theta, z), rule.problems()))
     # what under- or overflows comes out as 0 with a bound of 0, or not finite, and is refused
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        tail, bound = left(theta, z)
-        if k:
-            prob = _outage(lambda: _ResidueSum(link_e, link_d), theta[:k], z[:k], tail[:k], bound[:k])
-            solved = dict(zip(keys, prob.tolist()))
-            values = {name: outage_value(name, solved[pz]) for name, pz in problems.items()}
-        if rule is not None:
-            tail, bound = tail[k:], bound[k:]
-            while rule.add(tail, bound):  # 1 - SOP itself
-                tail, bound = left(*rule.problems())
-            asc, err = rule.result()
-            if not err <= _BOUNDED_REL_TOL * asc:  # a value or bound not finite too
-                raise ConvergenceError(f"closed route: ASC {asc:.6e} has error bound {err:.2e}, above "
-                                       f"{_BOUNDED_REL_TOL:g} of it", achieved=err)
-            values["asc"] = asc
-    return {name: values[name] for name in metrics}
+        solved, asc = row = _batch(_solver(link_d, link_e), link_d, link_e, [bob], cfg, _BOUNDED_REL_TOL, metrics)[0]
+    for (theta, z), (value, bound, upper) in solved.items():
+        tail = -value if upper else value  # as its sum gave it: from P, a tail below an ulp of 1 is 0
+        if not _within_bar(tail, bound):
+            why = (f"has error bound {bound:.2e}, above {_BOUNDED_REL_TOL:g} of its smaller tail "
+                   f"{min(tail, 1.0 - tail):.2e} (near-coincident poles?)" if math.isfinite(bound + tail)
+                   else "is not finite: a distance between two poles, raised to a power, underflows, or a "
+                   "residue overflows (a mean SNR near the float range?)")
+            raise ConvergenceError(f"closed route: the residue sum of P(g_D - theta g_E < z) at theta = "
+                                   f"{theta:.6g}, z = {z:.6g} {why}", achieved=bound)
+    if asc is not None and not asc[1] <= _BOUNDED_REL_TOL * asc[0]:  # a value or bound not finite too
+        raise ConvergenceError(f"closed route: ASC {asc[0]:.6e} has error bound {asc[1]:.2e}, above "
+                               f"{_BOUNDED_REL_TOL:g} of it", achieved=asc[1])
+    return _metric_values(row, cfg, metrics)[0]

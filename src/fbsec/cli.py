@@ -60,7 +60,7 @@ _CHOICES = {"format": ("csv", "json"), "units": ("nats", "bits"), "axis": ("lamb
 
 
 def _parse_keys(text: str, flag: str, keys) -> dict[str, float]:
-    """The ``k=v`` pairs of ``text`` as floats, which must name exactly ``keys``."""
+    """The ``k=v`` pairs of ``text`` as floats, which must name exactly ``keys``, each once."""
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
@@ -69,10 +69,13 @@ def _parse_keys(text: str, flag: str, keys) -> dict[str, float]:
         if "=" not in item:
             raise ParameterError(flag, f"expected k=v pairs, got {item!r}")
         key, _, val = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ParameterError(f"{flag}.{key}", "given more than once")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
-            raise ParameterError(f"{flag}.{key.strip()}", f"not a number: {val!r}") from None
+            raise ParameterError(f"{flag}.{key}", f"not a number: {val!r}") from None
     unknown = set(out) - set(keys)
     if unknown:
         raise ParameterError(flag, f"unknown keys {sorted(unknown)!r}; valid: {list(keys)}")
@@ -428,15 +431,20 @@ _default_parser = functools.cache(build_parser)
 def _read_config(path: str) -> dict:
     """The defaults of a ``--config`` file: a JSON object of strings and numbers.
 
-    Each number becomes the text of a flag, so the flag's own type converts
-    and checks it as it would on the command line.  argparse does not hold
-    defaults to a flag's choices, so those are checked here.
+    Each key names a subcommand's flag by its destination (``quad_rel_tol``),
+    and each number becomes the text of that flag, so the flag's own type
+    converts and checks it as it would on the command line.  argparse does
+    not hold defaults to a flag's choices, so those are checked here.
     """
     with open(path) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ValueError(f"expected a JSON object, got {json.dumps(defaults)[:40]}")
+    sub = next(a for a in _default_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings} - {"help"}
     for key, value in defaults.items():
+        if key not in dests:
+            raise ValueError(f"{key!r}: unknown key; valid: {sorted(dests)}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"{key!r}: expected a string or a number, got {json.dumps(value)[:40]}")
         if key in _CHOICES and value not in _CHOICES[key]:

@@ -32,8 +32,9 @@ class CaseMismatchError(FbsecError):
 class ConvergenceError(FbsecError):
     """A series, continued fraction, or quadrature failed to converge.
 
-    ``row``: on a refusal of ``numeric_metrics``, the index of the Bob link
-    it concerns among those given (0 for a single link); None elsewhere.
+    ``row``: on a refusal of the batch driver that both routes share, the index
+    of the Bob link it concerns among those given (0 for a single link, so on a
+    closed ASC refused by its panel cap or tail cut); None elsewhere.
     """
 
     def __init__(self, message: str, achieved: float | None = None, row: int | None = None):

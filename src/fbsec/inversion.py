@@ -11,16 +11,15 @@ is the layer-cake integral of E[(C_D - C_E)^+],
 
 the area under the secrecy outage curve, by Gauss-Legendre panels in R
 whose nodes are contour problems of the same batch (:class:`_AscRule`).
-The same routines check the Case-2 closed forms, which take the links
-(:class:`_Link`) and the ASC rule from here, with residue sums in place of
-contours.  The outage values of the two routes are independent; their ASCs
-share the rule (panels, null-rule estimate, tail cut and the bound past
-it), so comparing them checks only the node solver.
+The Case-2 closed forms run the same batch driver (:func:`_batch`) on the
+same links (:class:`_Link`), with residue sums as its node solver in place
+of contours.  Their outage values are independent of this route's; their
+ASCs share the rule (panels, null-rule estimate, tail cut and the bound
+past it), so comparing them checks only the node solver.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from collections.abc import Sequence
@@ -511,7 +510,7 @@ def _null_rule(h):
     coef = np.abs(h @ _GL_COEF)
     first = np.maximum(coef[:, 0], coef[:, 1])
     top = coef[:, -3:].max(axis=1)
-    fall = np.minimum(1.0, np.divide(top, first, out=np.zeros_like(top), where=first > 0.0))
+    fall = np.minimum(1.0, np.divide(top, first, out=np.zeros(top.size), where=first > 0.0))
     return _NULL_SAFETY * top * fall
 
 
@@ -627,62 +626,62 @@ _LN_ROW_SPAN = math.log(1e30)
 _BATCH_ROWS = 64
 
 
-@contextlib.contextmanager
-def _naming(row):
-    """Name ``row`` on a ConvergenceError raised inside."""
-    try:
-        yield
-    except ConvergenceError as exc:
-        exc.row = row
-        raise
+def _batch(solve, link_d, link_e, rows, cfg, tol, metrics):
+    """(solved, asc) of each Bob link of the list ``rows``, by the node solver ``solve``.
 
-
-def _batch(contour, rows, cfg, ctrl, metrics):
-    """(values, errors) of each Bob link of the list ``rows``, all on one contour.
-
-    Each row is the contour's Bob link at a mean SNR r times its own, so
-    P(g_D - theta g_E < z) is the contour's problem (theta / r, z / r).  A
-    row gives one job for its outage problems and one for its ASC rule.
-    Each round is one :meth:`_Bromwich.integrals` batch of the problems of
-    every open job, in row order, and each job takes its slice: the outage
-    job records its values; a rule job poses its next nodes, or records ASC
-    once its rule is done.  A refusal names its row's index in ``rows``.
+    ``solve(theta, z)`` gives (I, error, upper) per problem, on ``link_d`` and ``link_e``: I is
+    P(g_D - theta g_E < z), or P - 1 where ``upper``.  Each row is ``link_d`` at a mean SNR r
+    times its own, so its problem (theta, z) is posed as (theta / r, z / r).  A row gives one job
+    for its outage problems and one for its ASC rule (at ``tol``).  Each round is one ``solve``
+    batch of the problems of every open job, in row order, and each job takes its slice: the
+    outage job records ``solved``, each distinct (theta, z) of ``cfg.outage_problems`` with its
+    (I, error, upper); a rule job poses its next nodes until its rule gives ``asc``, (ASC,
+    error), which is None without ASC.  A refusal names its row's index in ``rows``.
     """
-    tol = ctrl.quad_rel_tol
-    problems = cfg.outage_problems(metrics)
-    keys = sorted(set(problems.values()))
-    results = [({}, {}) for _ in rows]
-    tails = _AscRule.tails(contour.d, contour.e, [bob.avg_snr for bob in rows]) if "asc" in metrics else None
-    jobs = []  # (row, its ASC rule or None for its outage job, (theta, z) to solve)
+    keys = sorted(set(cfg.outage_problems(metrics).values()))
+    solved, rules = [{} for _ in rows], [None] * len(rows)
+    if "asc" in metrics:
+        tails = _AscRule.tails(link_d, link_e, [bob.avg_snr for bob in rows])
+        rules = [_AscRule(link_d, link_e, tol, bob.avg_snr, tail) for bob, tail in zip(rows, tails)]
+    jobs = []  # (row, its ASC rule or None for its outage job, theta, z)
     for i, bob in enumerate(rows):
         if keys:
-            jobs.append((i, None, np.array(keys).T / (bob.avg_snr / contour.d.avg_snr)))
-        if tails:
-            rule = _AscRule(contour.d, contour.e, tol, bob.avg_snr, tails[i])
-            jobs.append((i, rule, rule.problems()))
+            jobs.append((i, None, *(np.array(keys).T / (bob.avg_snr / link_d.avg_snr))))
+        if rules[i] is not None:
+            jobs.append((i, rules[i], *rules[i].problems()))
     while jobs:
-        sizes = [job[2][0].size for job in jobs]
-        theta, z = (np.concatenate([job[2][x] for job in jobs]) for x in (0, 1))
+        theta, z = np.concatenate([job[2] for job in jobs]), np.concatenate([job[3] for job in jobs])
         try:
-            out = contour.integrals(theta, z, tol)
+            value, err, upper = solve(theta, z)
         except ConvergenceError as exc:
-            exc.row = int(np.repeat([job[0] for job in jobs], sizes)[exc.row])  # from the problem to its row
+            exc.row = int(np.repeat([job[0] for job in jobs], [job[2].size for job in jobs])[exc.row])
             raise
-        more = []
-        for (i, rule, _), tail, err, upper in zip(jobs, *(np.split(a, np.cumsum(sizes)[:-1]) for a in out)):
-            values, errors = results[i]
-            if rule is None:
-                solved = dict(zip(keys, zip(np.where(upper, 1.0 + tail, tail).tolist(), err.tolist())))
-                for k, pz in problems.items():
-                    values[k], errors[k] = outage_value(k, solved[pz][0]), solved[pz][1]
-                continue
-            with _naming(i):
-                if rule.add(np.where(upper, -tail, 1.0 - tail), err):
-                    more.append((i, rule, rule.problems()))
-                else:
-                    values["asc"], errors["asc"] = rule.result()
+        more, stop, survival = [], 0, np.where(upper, -value, 1.0 - value)  # 1 - SOP at a rule's node
+        try:
+            for i, rule, posed, _ in jobs:
+                part, stop = slice(stop, stop + posed.size), stop + posed.size
+                if rule is None:
+                    solved[i] = dict(zip(keys, zip(value[part].tolist(), err[part].tolist(), upper[part].tolist())))
+                elif rule.add(survival[part], err[part]):
+                    more.append((i, rule, *rule.problems()))
+        except ConvergenceError as exc:
+            exc.row = i
+            raise
         jobs = more
-    return results
+    return [(done, None if rule is None else rule.result()) for done, rule in zip(solved, rules)]
+
+
+def _metric_values(row, cfg, metrics):
+    """(values, errors) of ``metrics``, in that order, from a row of :func:`_batch`."""
+    (solved, asc), problems = row, cfg.outage_problems(metrics)
+    values, errors = {}, {}
+    for name in metrics:
+        if name == "asc":
+            values[name], errors[name] = asc
+        else:
+            integral, errors[name], upper = solved[problems[name]]
+            values[name] = outage_value(name, 1.0 + integral if upper else integral)
+    return values, errors
 
 
 def numeric_metrics(
@@ -741,12 +740,13 @@ def numeric_metrics(
     for batch in batches:
         contour = _Bromwich(_Link(rows[batch[0]]), link_e)
         try:
-            results += _batch(contour, [rows[i] for i in batch], cfg, ctrl, metrics)
+            results += _batch(lambda theta, z: contour.integrals(theta, z, ctrl.quad_rel_tol), contour.d, link_e,
+                              [rows[i] for i in batch], cfg, ctrl.quad_rel_tol, metrics)
         except ConvergenceError as exc:
             exc.row += batch[0]  # from the batch's row to the row given
             raise
     out = []
-    for values, errors in results:
+    for values, errors in (_metric_values(row, cfg, metrics) for row in results):
         noisy = [
             f"{k} = {values[k]:.6e} (error {errors[k]:.1e})"
             for k in metrics
@@ -754,5 +754,5 @@ def numeric_metrics(
         ]
         if noisy:
             warnings.warn("limited by contour-sum noise: " + ", ".join(noisy), AccuracyWarning, stacklevel=2)
-        out.append(({k: values[k] for k in metrics}, {k: errors[k] for k in metrics}))
+        out.append((values, errors))
     return out[0] if isinstance(bob, FBParams) else out

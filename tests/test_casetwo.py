@@ -535,6 +535,37 @@ class TestResidueSums:
         with pytest.raises(CaseMismatchError, match="total pole multiplicity 200000000000000000 is not in 1..64"):
             closed_metrics(huge, FBParams(2, 1, 0.7, 2, 1.5, 10**0.3), SecrecyConfig(1.0))
 
+    def test_both_routes_pose_the_same_first_batch(self, monkeypatch):
+        # one batch driver: the closed route's node solver receives, bit for bit, the numeric
+        # route's first batch (the outage problems in sorted order, then the ASC rule's 40 first
+        # nodes), so validate's closed-vs-numeric check compares one node solver with the other
+        bob, eve = FBParams(4, 2, 1.5, 0.4, 0.3, 10**1.2), FBParams(2, 1, 0.7, 2, 1.5, 10**0.3)
+        cfg = SecrecyConfig(1.0)
+        posed = {"closed": [], "numeric": []}
+        solver, integrals = fbsec.casetwo._solver, fbsec.inversion._Bromwich.integrals
+
+        def closed_solver(link_d, link_e):
+            solve = solver(link_d, link_e)
+
+            def recorded(theta, z):
+                posed["closed"].append((theta.copy(), z.copy()))
+                return solve(theta, z)
+            return recorded
+
+        def numeric_integrals(self, theta, z, rel_tol):
+            posed["numeric"].append((theta.copy(), z.copy()))
+            return integrals(self, theta, z, rel_tol)
+
+        monkeypatch.setattr(fbsec.casetwo, "_solver", closed_solver)
+        monkeypatch.setattr(fbsec.inversion._Bromwich, "integrals", numeric_integrals)
+        closed_metrics(bob, eve, cfg)
+        numeric_metrics(bob, eve, cfg)
+        (theta, z), (theta_n, z_n) = posed["closed"][0], posed["numeric"][0]
+        keys = sorted(set(cfg.outage_problems(METRICS).values()))
+        assert len(keys) == 3 and theta.size == len(keys) + 40
+        assert list(zip(theta[:3].tolist(), z[:3].tolist())) == keys
+        assert (theta.tobytes(), z.tobytes()) == (theta_n.tobytes(), z_n.tobytes())
+
     def test_closed_eval_sets_up_each_link_once(self, monkeypatch, capsys):
         # one closed eval derives each link and lists its factors once, and evaluates each
         # transform once, at Bob's Chernoff points and at Eve's: no duplicate set-up

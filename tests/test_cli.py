@@ -569,6 +569,17 @@ class TestReduce:
         assert code == 2
         assert err.endswith(f"unknown keys ['bogus']; valid: {valid}\n")
 
+    @pytest.mark.parametrize("argv,field", [
+        (("eval", "--bob", CASE2_BOB + ",mu=2", "--eve", CASE2_EVE), "--bob.mu"),
+        (("eval", "--bob", CASE2_BOB, "--eve", CASE2_EVE + ",snr_db=3"), "--eve.snr_db"),
+        (("reduce", "nakagami", "--params", "m=2,m=3"), "--params.m"),
+    ])
+    def test_repeated_key_exits_2(self, capsys, argv, field):
+        # a key given twice is refused, not overwritten by its last value
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parameter error: {field}: given more than once\n"
+
 
 class TestNumericalFailureExit:
     # Bob's mean SNR at 3003 dB: the closed expansion overflows and ASC's tail cut is infinite
@@ -655,6 +666,7 @@ class TestConfigFile:
         '{"rs": "abc"}', '{"seed": 1.5}',  # what the flag's own type rejects
         '{"units": "furlongs"}', '{"format": "xml"}', '{"axis": "x"}', '{"units": 2}',  # not a choice
         '[1]', '"rs"', '0', 'null',  # not an object
+        '{"quad_rel_tl": 1e-6}',  # no flag's destination
     ])
     def test_bad_config_value_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"

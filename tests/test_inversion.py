@@ -890,9 +890,9 @@ class TestSweepBatch:
         monkeypatch.setattr("fbsec.inversion._BATCH_ROWS", 4)
         sizes, batch = [], fbsec.inversion._batch
 
-        def counted(contour, rows, *args):
+        def counted(solve, link_d, link_e, rows, *args):
             sizes.append(len(rows))
-            return batch(contour, rows, *args)
+            return batch(solve, link_d, link_e, rows, *args)
 
         monkeypatch.setattr("fbsec.inversion._batch", counted)
         swept = numeric_metrics(rows, eve, cfg)
