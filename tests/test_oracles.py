@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import fbsec
 from fbsec import FBParams, derive
@@ -21,10 +21,12 @@ from oracles import (
     TalbotLink,
     cdf_case2,
     cdf_numeric,
+    contour_nodes,
     link_expansion,
     mgf,
     pdf_case2,
     pdf_numeric,
+    phi2_4_series,
     talbot_sum,
 )
 
@@ -225,3 +227,21 @@ class TestKernelAgainstComplexArithmetic:
         for rate, a in zip(dp.theta_rates, dp.exponents):
             direct *= (s + rate.real / p.avg_snr) ** (-a)
         np.testing.assert_allclose(mgf(dp, p.avg_snr, s), direct, rtol=1e-12)
+
+
+class TestPhi24AgainstInversion:
+    def test_small_argument_cross_check(self):
+        # series vs contour inversion of Gamma(b) s^-b prod(1+x_k/s)^-a_k at t=1
+        a = np.array([0.5, 0.5, 1.0, 1.0])
+        x = np.array([0.3, 0.2, 0.1, 0.05])
+        b = 2.0
+        series = phi2_4_series(a, b, -x)
+        lam = 14.0
+        base, w = contour_nodes(48, lam)
+        val = talbot_sum(
+            np.array([1.0]), base, w,
+            x, a, np.array([]), np.array([]), np.array([]),
+            math.log(special.gamma(b)), b - a.sum(), lam,
+        )[0]
+        assert series == pytest.approx(val, rel=1e-8)
+
