@@ -187,11 +187,12 @@ def _solver(link_d: _Link, link_e: _Link):
     """The closed route's node solver: (I, bound, upper) per problem (see ``inversion._batch``).
 
     The left side's sum gives I = -(1 - P).  At z = 0, where its bound is above the bar, the right
-    side gives I = P instead where its own bound is within it.
+    side gives I = P instead where its own bound is within it.  A residue sum has no step to stop
+    early, so the flags of the ASC rule's nodes change nothing here.
     """
     left = _ResidueSum(link_d, link_e)
 
-    def solve(theta, z):
+    def solve(theta, z, _rule):
         tail, bound = left(theta, z)
         value, upper = -tail, np.ones(tail.size, dtype=bool)
         swap = [i for i in (z == 0.0).nonzero()[0].tolist() if not _within_bar(tail[i], bound[i])]

@@ -139,7 +139,9 @@ def _closed_or_none(bob, eve, cfg, wanted=METRICS):
         return casetwo.closed_metrics(bob, eve, cfg, wanted), None
     except (CaseMismatchError, ConvergenceError) as exc:
         _log.info("closed route refused: %s: %s", type(exc).__name__, exc)
-        return None, exc
+        # without its traceback: a caller that keeps the refusal would otherwise hold its own
+        # frame, and every frame of the refused call, in a cycle that only the collector frees
+        return None, exc.with_traceback(None)
 
 
 def _apply_units(vals: dict, units: str) -> dict:
@@ -182,7 +184,9 @@ def cmd_eval(args) -> int:
 
 def _sweep_rows(args, bob, eve, wanted, ctrl):
     """One row per step: the closed route where it takes the row, else one numeric call for all
-    the rows it refuses, which solves them as one contour batch."""
+    the rows it refuses, which solves them as one contour batch.  Whether a pair is Case 2 does
+    not depend on Bob's mean SNR, so after a CaseMismatchError the closed route is asked no more;
+    a Case-2 pair's refusals on its rounding bounds are per row, and it is asked on every row."""
     n_steps = int(math.floor((args.stop_db - args.start_db) / args.step_db + 1e-9)) + 1
     eve_db = linear_to_db(eve.avg_snr)
     scfg = SecrecyConfig(rate_rs=args.rs)
@@ -192,7 +196,13 @@ def _sweep_rows(args, bob, eve, wanted, ctrl):
         snr_db = eve_db + x_db if args.axis == "lambda_db" else x_db
         # a mean SNR underflows at the low end of a sweep and overflows at the high end
         bobs.append(bob.with_snr(_snr(snr_db, "--start-db" if snr_db < 0.0 else "--stop-db")))
-    values = [_closed_or_none(bob_i, eve, scfg, wanted)[0] for bob_i in bobs]
+    values = []
+    for bob_i in bobs:
+        vals, refusal = _closed_or_none(bob_i, eve, scfg, wanted)
+        values.append(vals)
+        if isinstance(refusal, CaseMismatchError):
+            values += [None] * (len(bobs) - len(values))
+            break
     todo = [i for i, vals in enumerate(values) if vals is None]
     if todo:
         try:

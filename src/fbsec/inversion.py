@@ -54,7 +54,10 @@ class InversionControl:
 
     ``quad_rel_tol`` is the relative tolerance of the outage contours
     (relative to the smaller of P and 1 - P there) and of ASC's
-    quadrature over R.
+    quadrature over R.  A node of ASC's rule stops at the larger of that
+    and a quarter of ``quad_rel_tol`` of its own 1 - SOP, the only value
+    the rule reads of it, so ASC's achieved error may carry up to that
+    quarter of ``quad_rel_tol * |ASC|`` from its node errors.
     """
 
     quad_rel_tol: float = 1e-8
@@ -132,6 +135,9 @@ _DECAY = 40.0
 # mostly meets the tolerance and the rest take one halving
 _STEP = 0.1
 _MAX_NODES = 1 << 16  # per problem and step size
+# share of quad_rel_tol of its own 1 - SOP at which a node of ASC's rule stops: the
+# rule sums 1 - SOP, so such node errors take at most this share of its budget
+_RULE_SHARE = 0.25
 # nodes per terms or probe call: a batch of many problems (a sweep) is worked in
 # pieces of whole problems no larger than this, unless one problem alone is larger,
 # so its temporaries stay those of one pair's batch
@@ -404,15 +410,19 @@ class _Bromwich:
                 size = size + cd / np.hypot(scale * sr + x, scale * si)
         return mag * np.sin(im), mag * size, re
 
-    def integrals(self, theta, z, rel_tol):
+    def integrals(self, theta, z, rel_tol, rule=None):
         """(I, achieved absolute error, c < 0) per (theta, z) problem.
 
         I is P where c > 0 and P - 1 where c < 0: the smaller tail with
         its sign, kept apart from 1 so that it keeps its relative accuracy.
-        A refusal gives the index of the first problem that fails as its
-        ``row``.  Each step's new nodes are summed in pieces of whole
-        problems (:func:`_chunks`), so a problem's sums do not depend on its
-        batch either.
+        The step halves until two successive sums agree within ``rel_tol``
+        of the smaller of P and 1 - P, or within the rounding floor; a
+        problem flagged in the boolean array ``rule``, a node of ASC's
+        rule, stops within ``_RULE_SHARE * rel_tol`` of its 1 - P too,
+        where that is larger.  A refusal gives the index of the first
+        problem that fails as its ``row``.  Each step's new nodes are summed
+        in pieces of whole problems (:func:`_chunks`), so a problem's sums
+        do not depend on its batch either.
         """
         c, w, beta, t_max = self.contour(theta, z)
         reach = np.log(w) + t_max  # the log of the path's largest |s|
@@ -424,6 +434,7 @@ class _Bromwich:
                    f"Eve's transform at theta s passes the float range (ln theta = {math.log(theta[i]):.4g})")
             raise ConvergenceError(f"outage contour: {why}", row=i)
         n = len(theta)
+        share = np.zeros(n) if rule is None else np.where(rule, _RULE_SHARE, 0.0)
         step = np.full(n, _STEP)
         count = 2 * np.ceil(t_max / (2.0 * _STEP)).astype(int)  # intervals at the current step
         coarse = np.zeros(n)  # trapezoid sums at steps 2 * step and step, unscaled
@@ -468,7 +479,9 @@ class _Bromwich:
             # the reported floor also covers the rounding of the rates and log
             # omega, which each exponent multiplies
             noisy = _ULPS * _EPS * (h / math.pi * noise[live])
-            done = diff <= np.maximum(rel_tol * np.minimum(np.abs(now), 1.0 - np.abs(now)), noisy)
+            tail = np.minimum(np.abs(now), 1.0 - np.abs(now))
+            survival = np.where(c[live] < 0.0, -now, 1.0 - now)  # 1 - P
+            done = diff <= np.maximum(rel_tol * np.maximum(tail, share[live] * survival), noisy)
             value[live] = now
             err[live] = diff + (self.d.exps_abs + self.e.exps_abs + 1.0) * noisy
             live = live[~done]
@@ -629,14 +642,17 @@ _BATCH_ROWS = 64
 def _batch(solve, link_d, link_e, rows, cfg, tol, metrics):
     """(solved, asc) of each Bob link of the list ``rows``, by the node solver ``solve``.
 
-    ``solve(theta, z)`` gives (I, error, upper) per problem, on ``link_d`` and ``link_e``: I is
-    P(g_D - theta g_E < z), or P - 1 where ``upper``.  Each row is ``link_d`` at a mean SNR r
-    times its own, so its problem (theta, z) is posed as (theta / r, z / r).  A row gives one job
-    for its outage problems and one for its ASC rule (at ``tol``).  Each round is one ``solve``
-    batch of the problems of every open job, in row order, and each job takes its slice: the
-    outage job records ``solved``, each distinct (theta, z) of ``cfg.outage_problems`` with its
-    (I, error, upper); a rule job poses its next nodes until its rule gives ``asc``, (ASC,
-    error), which is None without ASC.  A refusal names its row's index in ``rows``.
+    ``solve(theta, z, rule)`` gives (I, error, upper) per problem, on ``link_d`` and ``link_e``: I
+    is P(g_D - theta g_E < z), or P - 1 where ``upper``.  ``rule`` flags the problems that are
+    nodes of an ASC rule, which reads only their 1 - P: a solver may stop these within a quarter
+    of ``tol`` of it, which then carries up to a quarter of ``tol * |ASC|`` into ASC's error.
+    Each row is ``link_d`` at a mean SNR r times its own, so its problem (theta, z) is posed as
+    (theta / r, z / r).  A row gives one job for its outage problems and one for its ASC rule
+    (at ``tol``).  Each round is one ``solve`` batch of the problems of every open job, in row
+    order, and each job takes its slice: the outage job records ``solved``, each distinct
+    (theta, z) of ``cfg.outage_problems`` with its (I, error, upper); a rule job poses its next
+    nodes until its rule gives ``asc``, (ASC, error), which is None without ASC.  A refusal
+    names its row's index in ``rows``.
     """
     keys = sorted(set(cfg.outage_problems(metrics).values()))
     solved, rules = [{} for _ in rows], [None] * len(rows)
@@ -651,10 +667,11 @@ def _batch(solve, link_d, link_e, rows, cfg, tol, metrics):
             jobs.append((i, rules[i], *rules[i].problems()))
     while jobs:
         theta, z = np.concatenate([job[2] for job in jobs]), np.concatenate([job[3] for job in jobs])
+        sizes = [job[2].size for job in jobs]
         try:
-            value, err, upper = solve(theta, z)
+            value, err, upper = solve(theta, z, np.repeat([job[1] is not None for job in jobs], sizes))
         except ConvergenceError as exc:
-            exc.row = int(np.repeat([job[0] for job in jobs], [job[2].size for job in jobs])[exc.row])
+            exc.row = int(np.repeat([job[0] for job in jobs], sizes)[exc.row])
             raise
         more, stop, survival = [], 0, np.where(upper, -value, 1.0 - value)  # 1 - SOP at a rule's node
         try:
@@ -704,11 +721,13 @@ def numeric_metrics(
     magnitudes set; its error is that last difference plus the floor, and
     past a fixed node budget it raises ConvergenceError.  ASC integrates
     1 - SOP(R) over R (:class:`_AscRule`), its first nodes in the same batch
-    as the outage problems; its error, within ``quad_rel_tol * |ASC|``
-    unless the contour errors of its nodes stop the refinement first, adds
-    the quadrature estimate, those contour errors and a bound on the
-    integral past its cut.  An error above ``1e-6 * max(|value|, 1e-2)``
-    comes with an AccuracyWarning.
+    as the outage problems; a node of its rule also stops within a quarter
+    of ``quad_rel_tol`` of its own 1 - SOP, the only value the rule reads.
+    Its error, within ``quad_rel_tol * |ASC|`` unless the contour errors of
+    its nodes stop the refinement first, adds the quadrature estimate,
+    those contour errors (up to a quarter of ``quad_rel_tol * |ASC|`` from
+    the nodes' own target) and a bound on the integral past its cut.  An
+    error above ``1e-6 * max(|value|, 1e-2)`` comes with an AccuracyWarning.
 
     ``bob`` may also be a list of Bob links that differ only in mean SNR,
     the rows of a sweep; the result is then a list of ``(values, errors)``,
@@ -740,8 +759,8 @@ def numeric_metrics(
     for batch in batches:
         contour = _Bromwich(_Link(rows[batch[0]]), link_e)
         try:
-            results += _batch(lambda theta, z: contour.integrals(theta, z, ctrl.quad_rel_tol), contour.d, link_e,
-                              [rows[i] for i in batch], cfg, ctrl.quad_rel_tol, metrics)
+            results += _batch(lambda theta, z, rule: contour.integrals(theta, z, ctrl.quad_rel_tol, rule),
+                              contour.d, link_e, [rows[i] for i in batch], cfg, ctrl.quad_rel_tol, metrics)
         except ConvergenceError as exc:
             exc.row += batch[0]  # from the batch's row to the row given
             raise

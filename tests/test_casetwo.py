@@ -547,24 +547,26 @@ class TestResidueSums:
         def closed_solver(link_d, link_e):
             solve = solver(link_d, link_e)
 
-            def recorded(theta, z):
-                posed["closed"].append((theta.copy(), z.copy()))
-                return solve(theta, z)
+            def recorded(theta, z, rule):
+                posed["closed"].append((theta.copy(), z.copy(), rule.copy()))
+                return solve(theta, z, rule)
             return recorded
 
-        def numeric_integrals(self, theta, z, rel_tol):
-            posed["numeric"].append((theta.copy(), z.copy()))
-            return integrals(self, theta, z, rel_tol)
+        def numeric_integrals(self, theta, z, rel_tol, rule=None):
+            posed["numeric"].append((theta.copy(), z.copy(), rule.copy()))
+            return integrals(self, theta, z, rel_tol, rule)
 
         monkeypatch.setattr(fbsec.casetwo, "_solver", closed_solver)
         monkeypatch.setattr(fbsec.inversion._Bromwich, "integrals", numeric_integrals)
         closed_metrics(bob, eve, cfg)
         numeric_metrics(bob, eve, cfg)
-        (theta, z), (theta_n, z_n) = posed["closed"][0], posed["numeric"][0]
+        (theta, z, rule), (theta_n, z_n, rule_n) = posed["closed"][0], posed["numeric"][0]
         keys = sorted(set(cfg.outage_problems(METRICS).values()))
         assert len(keys) == 3 and theta.size == len(keys) + 40
         assert list(zip(theta[:3].tolist(), z[:3].tolist())) == keys
         assert (theta.tobytes(), z.tobytes()) == (theta_n.tobytes(), z_n.tobytes())
+        # and both are told which problems are the rule's nodes
+        assert rule.tolist() == rule_n.tolist() == [False] * 3 + [True] * 40
 
     def test_closed_eval_sets_up_each_link_once(self, monkeypatch, capsys):
         # one closed eval derives each link and lists its factors once, and evaluates each

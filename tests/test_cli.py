@@ -1,6 +1,7 @@
 """Command-line interface: flags, outputs, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import logging
@@ -378,6 +379,85 @@ class TestSweepRowsAgainstEval:
                              "--start-db", "0", "--stop-db", "10", "--step-db", "10", "--metrics", "sop")
         assert code == 3 and out == ""
         assert err.startswith("numerical error: row x_db = 0: outage contour: the transform decays too slow")
+
+
+# the four pairs of the numeric-sweep benchmark workload (perfbench/workloads.py), none Case 2
+SWEEP_WORKLOAD = {
+    "fig1": ("mu=3.5,m=2.5,kappa=1,eta=0.1,rho2=0.1,snr_db=20", FIG1_EVE),
+    "stiff": ("mu=1,m=1e6,kappa=1.5,eta=0.3,rho2=0.64,snr_db=20", FIG1_EVE),
+    "noninteger-a": ("mu=2.7,m=1.8,kappa=3.2,eta=0.45,rho2=2.5,snr_db=20",
+                     "mu=1.3,m=4.6,kappa=0.35,eta=2.2,rho2=0.6,snr_db=8"),
+    "noninteger-b": ("mu=3.1,m=0.75,kappa=0.8,eta=1.7,rho2=0.25,snr_db=20",
+                     "mu=0.8,m=2.3,kappa=6,eta=0.6,rho2=3.5,snr_db=2"),
+}
+
+
+class TestSweepWork:
+    """What a sweep costs, in counts that repeat exactly: no timing."""
+
+    @staticmethod
+    def counted(monkeypatch, capsys, *argv):
+        """(exit code, stdout, trapezoid nodes, closed_metrics calls) of one CLI call."""
+        seen = {"nodes": 0, "closed": 0}
+        real_terms, real_closed = fbsec.inversion._Bromwich.terms, fbsec.casetwo.closed_metrics
+
+        def terms(self, t, *args):
+            seen["nodes"] += t.size
+            return real_terms(self, t, *args)
+
+        def closed(*args, **kwargs):
+            seen["closed"] += 1
+            return real_closed(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(fbsec.inversion._Bromwich, "terms", terms)
+            m.setattr(fbsec.casetwo, "closed_metrics", closed)
+            code, out, err = run(capsys, *argv)
+        assert err == ""
+        return code, out, seen["nodes"], seen["closed"]
+
+    def test_numeric_sweep_nodes(self, monkeypatch, capsys):
+        # the workload's four sweeps, 26 rows each at R_s = 1: the trapezoid nodes of every
+        # contour, pinned, and one closed-route question a sweep; the nodes of ASC's rule
+        # stop at their own target (394,630 nodes when they were held to the outage one)
+        nodes = {}
+        for name, (bob, eve) in SWEEP_WORKLOAD.items():
+            code, out, nodes[name], closed = self.counted(
+                monkeypatch, capsys, "sweep", "--bob", bob, "--eve", eve, "--axis", "lambda_db",
+                "--start-db", "-10", "--stop-db", "40", "--step-db", "2", "--rs", "1", "--metrics", "all")
+            assert code == 0 and len(out.splitlines()) == 1 + 26
+            assert closed == 1, name
+        assert nodes == {"fig1": 87_020, "stiff": 91_532, "noninteger-a": 81_458, "noninteger-b": 84_872}
+        assert sum(nodes.values()) == 344_882
+
+    def test_case2_pair_is_asked_on_every_row(self, monkeypatch, capsys):
+        # its refusals are per row: the -800 dB row overflows its scale factor, 12 dB is answered
+        code, out, _, closed = self.counted(monkeypatch, capsys, "sweep", "--bob", CASE2_BOB, "--eve", CASE2_EVE,
+                                            "--axis", "snr_bob_db", "--start-db", "-800", "--stop-db", "12",
+                                            "--step-db", "406", "--metrics", "sop")
+        assert code == 0 and closed == 3
+
+    def test_a_sweep_leaves_no_reference_cycles(self, capsys):
+        # the refusal that a sweep keeps, with its traceback, held the sweep's frames in a
+        # cycle that only the collector frees: peak memory grew with the number of sweeps
+        argv = ("sweep", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--start-db", "0", "--stop-db", "20",
+                "--step-db", "10", "--metrics", "sop")
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_one_refusal_is_logged_per_sweep(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="fbsec")
+        code, out, err = run(capsys, "sweep", "--bob", FIG1_BOB, "--eve", FIG1_EVE, "--start-db", "0",
+                             "--stop-db", "20", "--step-db", "5", "--metrics", "sop")
+        assert code == 0 and len(out.splitlines()) == 1 + 5
+        (record,) = [r for r in caplog.records if r.name == "fbsec"]
+        assert record.getMessage().startswith("closed route refused: CaseMismatchError: ")
 
 
 class TestValidate:

@@ -86,6 +86,22 @@ class TestEdgeLinks:
         assert code == 0 and err == ""
         assert json.loads(out)["path"] == "numeric" and json.loads(out)["sop"] == values["sop"]
 
+    def test_sweep_rows_past_a_links_own_float_range(self, capsys):
+        # at m = 1e300 from 80 dB on, the link's own root offsets over its mean SNR fall below the
+        # normal float range: eval refuses it by name, while a sweep asks the closed route once,
+        # at its first row, and solves the rows on that row's link, where they are normal: its
+        # 160 dB row is the m -> inf limit that m = 1e15 reaches on its own link
+        link = "mu=1,m=1e300,kappa=1.5,eta=0.3,rho2=0.64"
+        code, out, err = run(capsys, "eval", "--bob", f"{link},snr_db=160", "--eve", FIG1_EVE, "--rs", "0.5")
+        assert code == 2 and out == "" and "below the normal float range" in err
+        code, out, err = run(capsys, "sweep", "--bob", f"{link},snr_db=0", "--eve", FIG1_EVE, "--rs", "0.5",
+                             "--axis", "snr_bob_db", "--start-db", "0", "--stop-db", "160", "--step-db", "160",
+                             "--metrics", "sop", "--format", "json")
+        assert code == 0 and err == ""
+        ref = numeric_metrics(FBParams(1.0, 1e15, 1.5, 0.3, 0.64, 1e16), EVE_REFERENCE, SecrecyConfig(0.5),
+                              metrics=("sop",))[0]["sop"]
+        assert json.loads(out)[1]["sop"] == pytest.approx(ref, rel=1e-9)
+
     @pytest.mark.parametrize("route", ["numeric", "closed"])
     def test_kappa_zero_makes_m_inert_exactly(self, capsys, route):
         # kappa = 0 puts each root on its partner exactly: m is in no factor and not in omega

@@ -111,9 +111,9 @@ class TestNumericMetrics:
         real_integrals = _Bromwich.integrals
         problems = []
 
-        def counting(self, theta, z, rel_tol):
+        def counting(self, theta, z, rel_tol, rule=None):
             problems.append(len(theta))
-            return real_integrals(self, theta, z, rel_tol)
+            return real_integrals(self, theta, z, rel_tol, rule)
 
         monkeypatch.setattr(_Bromwich, "integrals", counting)
         values = []
@@ -655,8 +655,8 @@ class TestContourWork:
         assert nodes[0] <= 0.85 * nodes[1], nodes
 
     def test_terms_calls_per_integrals_call(self, monkeypatch):
-        # fig1 at R_s = 1 is one batch: its first pass and one halving; a first
-        # pass at 0.05 meets the tolerance at once
+        # fig1's first batch at R_s = 1, every problem held to the outage target: its first
+        # pass and one halving; a first pass at 0.05 meets the tolerance at once
         real_terms, real_integrals = _Bromwich.terms, _Bromwich.integrals
         calls = []
 
@@ -672,11 +672,18 @@ class TestContourWork:
         monkeypatch.setattr(_Bromwich, "integrals", integrals)
         # one terms call per pass: no pass of this pair is cut into pieces of _CHUNK_NODES
         monkeypatch.setattr("fbsec.inversion._CHUNK_NODES", 1 << 16)
-        numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
+        contour, theta, z = _first_batch(BOB_REFERENCE, EVE_REFERENCE)
+        contour.integrals(theta, z, 1e-8)
         assert calls == [2]
-        monkeypatch.setattr("fbsec.inversion._STEP", 0.05)
+        # that halving was the rule nodes': at their own target fig1 takes one pass, with all
+        # metrics and with the outage metrics alone
         calls.clear()
         numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0))
+        numeric_metrics(BOB_REFERENCE, EVE_REFERENCE, SecrecyConfig(1.0), metrics=("sop", "sopl", "spsc"))
+        assert calls == [1, 1]
+        monkeypatch.setattr("fbsec.inversion._STEP", 0.05)
+        calls.clear()
+        contour.integrals(theta, z, 1e-8)
         assert calls == [1]
 
     @staticmethod
@@ -738,6 +745,66 @@ class TestContourWork:
             assert np.isfinite(ln).all()
             # relative to the log, or to 1 near |s| = 1, where one ulp of |s| is most of log|s|
             assert np.all(np.abs(ln - ref) <= 1e-15 * np.maximum(np.abs(ref), 1.0))
+
+
+class TestRuleNodeTarget:
+    """ASC's rule nodes stop at a quarter of quad_rel_tol of their own 1 - SOP, not at their
+    smaller tail: the rule reads nothing else of them."""
+
+    @staticmethod
+    def _asc(bob, eve, monkeypatch):
+        """(ASC, achieved error, the rule's node-error term sum jac w err, contour problems)."""
+        seen = {"problems": 0}
+        real_integrals, real_result = _Bromwich.integrals, _AscRule.result
+
+        def integrals(self, theta, *args):
+            seen["problems"] += len(theta)
+            return real_integrals(self, theta, *args)
+
+        def result(self):
+            seen["nodes"] = float(self.done[5].sum())
+            return real_result(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(_Bromwich, "integrals", integrals)
+            m.setattr(_AscRule, "result", result)
+            values, errors = numeric_metrics(bob, eve, SecrecyConfig(1.0), metrics=("asc",))
+        return values["asc"], errors["asc"], seen["nodes"], seen["problems"]
+
+    def test_against_the_outage_target(self, monkeypatch, rng):
+        # the four sweep pairs and the tests' draw, each against a run with every node held to
+        # the outage target: ASC within its achieved error, the node errors grown by at most a
+        # quarter of ASC's budget over that run's (the rounding floor and differences far
+        # below the target), and no panel split that did not split before
+        pairs = _sweep_links() + [(draw_params(rng), draw_params(rng)) for _ in range(8)]
+        for bob, eve in pairs:
+            asc, err, nodes, problems = self._asc(bob, eve, monkeypatch)
+            monkeypatch.setattr("fbsec.inversion._RULE_SHARE", 0.0)
+            asc_ref, _, nodes_ref, problems_ref = self._asc(bob, eve, monkeypatch)
+            monkeypatch.undo()
+            assert abs(asc - asc_ref) <= err, (bob, eve)
+            assert nodes <= 0.25 * 1e-8 * abs(asc) + nodes_ref, (bob, eve)
+            assert problems == problems_ref, (bob, eve)
+
+    def test_outage_problems_keep_their_target(self):
+        # fig1's first batch with its 40 rule nodes flagged: its three outage problems come out
+        # bit for bit as without flags, and the rule nodes take fewer trapezoid nodes
+        nodes, real_terms = [], _Bromwich.terms
+
+        def terms(self, t, *args):
+            nodes[-1] += t.size
+            return real_terms(self, t, *args)
+
+        contour, theta, z = _first_batch(BOB_REFERENCE, EVE_REFERENCE)
+        rule = np.arange(theta.size) >= 3
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_Bromwich, "terms", terms)
+            nodes.append(0)
+            plain = contour.integrals(theta, z, 1e-8)
+            nodes.append(0)
+            flagged = contour.integrals(theta, z, 1e-8, rule)
+        assert all(_same_bits(a[:3], b[:3]) for a, b in zip(plain, flagged))
+        assert nodes[1] < nodes[0]
 
 
 def _domain_link(rng, case2):
@@ -904,7 +971,7 @@ class TestSweepBatch:
         # a refusal in a later batch names its row among all those given
         calls = []
 
-        def refuse(self, theta, z, rel_tol):
+        def refuse(self, theta, z, rel_tol, rule=None):
             calls.append(len(theta))
             if len(calls) == 3:  # rows 8 to 11, two problems a row
                 raise ConvergenceError("synthetic", row=5)
@@ -925,7 +992,7 @@ class TestSweepBatch:
     def test_a_refusal_names_its_row(self, monkeypatch):
         rows, eve = self._rows("fig1")
         # a contour refusal names the problem; numeric_metrics names the row that posed it
-        def refuse(self, theta, z, rel_tol):
+        def refuse(self, theta, z, rel_tol, rule=None):
             raise ConvergenceError("synthetic", row=7)
 
         monkeypatch.setattr(_Bromwich, "integrals", refuse)
